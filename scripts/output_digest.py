@@ -1,0 +1,108 @@
+"""Print one SHA-256 per output section of the package.
+
+Two checkouts that print the same digest for a section produce the same
+bytes there, so a refactor can show that it keeps every number, or which
+section it changes.  Sections:
+
+  reports  run_to_dict and delta_tc_values of the four bundled corridors,
+           each at its shipped settings, zonal (n_zones 3, v_h 60 km/h)
+           and crowded (capacity 5, lambda 200/h)
+  logs     the TripLog reprs of run_timeline, both modes, same scenarios
+  cli      stdout and written files of simulate, screen, analytic --v-h 50
+           and sweep (output directories replaced by a placeholder)
+  trace    the trace files of simulate --trace
+
+Usage, from a checkout (point PYTHONPATH at another checkout's src/ to
+digest that one):
+
+    PYTHONPATH=src python3 scripts/output_digest.py
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+from semibus import cli, experiments, simulator
+from semibus.model import load_scenario
+
+REPLICATIONS = 40
+CLI_REPLICATIONS = "10"
+
+
+def variants():
+    for name in cli.BUNDLED:
+        base = load_scenario(cli.bundled_path(name))
+        svc = base.service
+        yield name, base
+        yield f"{name}-zonal3", replace(base, service=replace(svc, n_parallel=1, n_zones=3, v_h=60.0))
+        yield f"{name}-cap5-lam200", replace(base, service=replace(svc, capacity=5, demand_rate=200.0))
+
+
+def digest_reports() -> str:
+    h = hashlib.sha256()
+    for label, scenario in variants():
+        run = experiments.run_scenario(scenario, replications=REPLICATIONS)
+        h.update(label.encode())
+        h.update(json.dumps(experiments.run_to_dict(run), sort_keys=True).encode())
+        h.update(repr(run.delta_tc_values).encode())
+    return h.hexdigest()
+
+
+def digest_logs() -> str:
+    h = hashlib.sha256()
+    for label, scenario in variants():
+        for mode in ("fixed", "amsod"):
+            h.update(f"{label} {mode}".encode())
+            h.update(repr(simulator.run_timeline(scenario, mode, scenario.seed)).encode())
+    return h.hexdigest()
+
+
+def cli_commands() -> list:
+    commands = []
+    for name in cli.BUNDLED:
+        commands.append(["simulate", "--scenario", name, "--replications", CLI_REPLICATIONS, "--trace"])
+        commands.append(["analytic", "--scenario", name, "--v-h", "50"])
+    commands.append(["screen", "--scenario", "cta126", "model1", "cta84", "model2"])
+    commands.append(
+        ["sweep", "--scenario", "model1", "--dimension", "capacity", "--values", "10,20,30"]
+        + ["--replications", CLI_REPLICATIONS]
+    )
+    return commands
+
+
+def digest_cli() -> tuple:
+    """(cli digest, trace digest)."""
+    h_cli, h_trace = hashlib.sha256(), hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, argv in enumerate(cli_commands()):
+            out = Path(tmp) / str(i)
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                rc = cli.main(argv + ["--out", str(out)])
+            h_cli.update(f"{' '.join(argv)} -> {rc}\n".encode())
+            h_cli.update(stdout.getvalue().replace(str(out), "<out>").encode())
+            for path in sorted(out.iterdir()) if out.is_dir() else ():
+                target = h_trace if path.name.endswith("_trace.csv") else h_cli
+                target.update(path.name.encode())
+                target.update(path.read_bytes())
+    return h_cli.hexdigest(), h_trace.hexdigest()
+
+
+def main() -> None:
+    cli_digest, trace_digest = digest_cli()
+    for section, value in (
+        ("reports", digest_reports()),
+        ("logs", digest_logs()),
+        ("cli", cli_digest),
+        ("trace", trace_digest),
+    ):
+        print(f"{section:<8s} {value}")
+
+
+if __name__ == "__main__":
+    main()

@@ -9,7 +9,7 @@ import argparse
 import time
 from pathlib import Path
 
-from semibus.cli import BUNDLED, bundled_path, _screen_row
+from semibus.cli import BUNDLED, bundled_path, screen_row, write_screen_ranking
 from semibus.experiments import emit_report, run_scenario, sig4
 from semibus.model import load_scenario
 
@@ -31,20 +31,14 @@ def main() -> None:
         run = run_scenario(scenario, replications=args.replications, workers=args.workers)
         emit_report(run, out)
         d = run.delta_tc
-        rows.append(_screen_row(scenario))
+        rows.append(screen_row(scenario))
         print(
             f"{name:<8s} delta_tc {sig4(d.median):>7s} ({sig4(d.p2_5)} - {sig4(d.p97_5)})"
             f"  [{time.perf_counter() - t0:.1f}s]"
         )
 
     rows.sort(key=lambda r: r["si"])
-    with open(out / "screen_ranking.csv", "w") as fh:
-        fh.write("rank,scenario,si,md_km,mean_access_min,demand_bound_per_hour\n")
-        for i, row in enumerate(rows, start=1):
-            fh.write(
-                f"{i},{row['scenario']},{row['si']!r},{row['md_km']!r},"
-                f"{row['mean_access_min']!r},{row['demand_bound_per_hour']!r}\n"
-            )
+    write_screen_ranking(rows, out)
     print(f"reports in {out}/")
 
 

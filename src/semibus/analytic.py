@@ -120,6 +120,13 @@ def amsod_headway_variance(k_j: float, md: float, v_d: float, t_s_prime: float) 
     return (md / v_d) ** 2 * (k_j * k_j + 6.0 * k_j + 2.0) / 12.0 + (k_j / 2.0) * t_s_prime**2
 
 
+def _steady_state(svc: ServiceConfig, md: float) -> tuple:
+    """(lambda, H, k_j = lambda*H, on-demand headway variance at dispersion md)."""
+    lam, h = svc.demand_rate, svc.headway
+    k_j = lam * h
+    return lam, h, k_j, amsod_headway_variance(k_j, md, svc.v_d, svc.t_s_prime)
+
+
 @dataclass(frozen=True)
 class CostSummary:
     """Hourly generalized costs in $/h plus the underlying expected times."""
@@ -165,9 +172,7 @@ def hourly_cost_amsod(cost: CostParams, grid: GridGeometry, svc: ServiceConfig, 
     Access cost is zero by construction; the bus comes to the passenger.
     Operator distance gains lambda*md km/h of detour.
     """
-    lam, h = svc.demand_rate, svc.headway
-    k_j = lam * h
-    var = amsod_headway_variance(k_j, md, svc.v_d, svc.t_s_prime)
+    lam, h, k_j, var = _steady_state(svc, md)
     wait_h = expected_wait(h, var)
     ivtt_h = expected_ivtt_amsod(grid.gl_x, svc.v_d, svc.t_s_prime, k_j, md)
     return CostSummary(
@@ -194,9 +199,7 @@ def delta_tc_hourly(
     the access saving, the wait-variance penalty, the detour riding
     penalty, and the detour operator penalty.
     """
-    lam, h = svc.demand_rate, svc.headway
-    k_j = lam * h
-    var = amsod_headway_variance(k_j, md, svc.v_d, svc.t_s_prime)
+    lam, h, k_j, var = _steady_state(svc, md)
     return (
         cost.vot
         / h
@@ -209,19 +212,38 @@ def delta_tc_hourly(
     )
 
 
-def selection_indicator(cost: CostParams, svc: ServiceConfig, md: float, mean_access: float) -> float:
-    """Added cost per unit of access-cost saving; below 1 favors conversion."""
+def _band_si(cost: CostParams, svc: ServiceConfig, md: float, mean_access: float, n_p: int) -> float:
+    """Selection indicator of one of n_p parallel bands (see parallel_metrics)."""
     if not mean_access > 0:
         raise ValueError("zero mean access time")
-    lam, h = svc.demand_rate, svc.headway
-    k_j = lam * h
-    var = amsod_headway_variance(k_j, md, svc.v_d, svc.t_s_prime)
+    _, h, k_j, var_band = _steady_state(svc, md / n_p)
     added = (
-        cost.gamma_r * k_j * md / (2.0 * svc.v_d)
-        + cost.gamma_w * var / (2.0 * h)
+        cost.gamma_w * (n_p - 1) * h / 2.0
+        + cost.gamma_w * var_band / (2.0 * n_p * h)
+        + cost.gamma_r * k_j * (md / n_p) / (2.0 * svc.v_d)
         + cost.gamma_o * md / cost.vot
     )
     return added / (cost.gamma_a * mean_access)
+
+
+def _band_bound(cost: CostParams, svc: ServiceConfig, md: float, mean_access: float, n_p: int) -> float:
+    """Demand bound of n_p parallel bands (see parallel_metrics)."""
+    if md < 0:
+        raise ValueError("negative dispersion")
+    if md == 0.0:
+        return math.inf
+    h = svc.headway
+    bound_kj = (
+        2.0 * n_p * cost.gamma_a * mean_access * svc.v_d / (cost.gamma_r * md)
+        - n_p * (n_p - 1) * cost.gamma_w * h * svc.v_d / (cost.gamma_r * md)
+        - 2.0 * n_p * cost.gamma_o * svc.v_d / (cost.gamma_r * cost.vot)
+    )
+    return max(0.0, bound_kj) / h
+
+
+def selection_indicator(cost: CostParams, svc: ServiceConfig, md: float, mean_access: float) -> float:
+    """Added cost per unit of access-cost saving; below 1 favors conversion."""
+    return _band_si(cost, svc, md, mean_access, 1)
 
 
 def demand_upper_bound(cost: CostParams, svc: ServiceConfig, md: float, mean_access: float) -> float:
@@ -231,15 +253,7 @@ def demand_upper_bound(cost: CostParams, svc: ServiceConfig, md: float, mean_acc
     trade: k_j*md/(2 v_d) riding plus md operator detour against the
     access saving.  md = 0 means no detour penalty at all: returns inf.
     """
-    if md < 0:
-        raise ValueError("negative dispersion")
-    if md == 0.0:
-        return math.inf
-    bound_kj = (
-        2.0 * cost.gamma_a * mean_access * svc.v_d / (cost.gamma_r * md)
-        - 2.0 * cost.gamma_o * svc.v_d / (cost.gamma_r * cost.vot)
-    )
-    return max(0.0, bound_kj) / svc.headway
+    return _band_bound(cost, svc, md, mean_access, 1)
 
 
 @dataclass(frozen=True)
@@ -262,40 +276,15 @@ def parallel_metrics(
     n_p*H, and therefore an extra deterministic wait of (n_p - 1)*H/2 per
     passenger relative to the fixed route.  The operator detour term is
     kept at the full md as a conservative allowance for the split routes'
-    empty repositioning; with n_p = 1 both formulas reduce exactly to the
-    single-route indicator and bound.
+    empty repositioning; with n_p = 1 both formulas are the single-route
+    indicator and bound.
     """
     if n_p < 1:
         raise ValueError("n_p must be >= 1")
-    if n_p == 1:
-        return ParallelMetrics(
-            si=selection_indicator(cost, svc, md, mean_access),
-            demand_bound=demand_upper_bound(cost, svc, md, mean_access),
-        )
-    if not mean_access > 0:
-        raise ValueError("zero mean access time")
-    lam, h = svc.demand_rate, svc.headway
-    k_j = lam * h
-    md_band = md / n_p
-    var_band = amsod_headway_variance(k_j, md_band, svc.v_d, svc.t_s_prime)
-    added = (
-        cost.gamma_w * (n_p - 1) * h / 2.0
-        + cost.gamma_w * var_band / (2.0 * n_p * h)
-        + cost.gamma_r * k_j * md_band / (2.0 * svc.v_d)
-        + cost.gamma_o * md / cost.vot
+    return ParallelMetrics(
+        si=_band_si(cost, svc, md, mean_access, n_p),
+        demand_bound=_band_bound(cost, svc, md, mean_access, n_p),
     )
-    si = added / (cost.gamma_a * mean_access)
-
-    if md == 0.0:
-        bound = math.inf
-    else:
-        bound_kj = (
-            2.0 * n_p * cost.gamma_a * mean_access * svc.v_d / (cost.gamma_r * md)
-            - n_p * (n_p - 1) * cost.gamma_w * h * svc.v_d / (cost.gamma_r * md)
-            - 2.0 * n_p * cost.gamma_o * svc.v_d / (cost.gamma_r * cost.vot)
-        )
-        bound = max(0.0, bound_kj) / h
-    return ParallelMetrics(si=si, demand_bound=bound)
 
 
 @dataclass(frozen=True)
@@ -318,15 +307,9 @@ class ZonalPlan:
     n_opt: int  # closed-form integer optimum
     n_opt_table: int  # brute-force argmin over the table
 
-    @property
-    def costs_at_optimum(self) -> ZonalCosts:
-        return self.table[self.n_opt - 1]
-
 
 def _zonal_cost(cost: CostParams, grid: GridGeometry, svc: ServiceConfig, md: float, n: int) -> ZonalCosts:
-    lam, h = svc.demand_rate, svc.headway
-    k_j = lam * h
-    var = amsod_headway_variance(k_j, md, svc.v_d, svc.t_s_prime)
+    lam, h, k_j, var = _steady_state(svc, md)
     v_h = svc.v_h if n > 1 else svc.v_d  # unused at n = 1
     wait = cost.gamma_w * cost.vot * lam * (n * h / 2.0 + var / (2.0 * n * h))
     ride = cost.gamma_r * cost.vot * lam * (
@@ -375,9 +358,7 @@ def zonal_plan(
 
     table = tuple(_zonal_cost(cost, grid, svc, md, n) for n in range(1, n_max + 1))
 
-    lam, h = svc.demand_rate, svc.headway
-    k_j = lam * h
-    var = amsod_headway_variance(k_j, md, svc.v_d, svc.t_s_prime)
+    lam, h, _, var = _steady_state(svc, md)
     v_h = svc.v_h if svc.v_h is not None else svc.v_d
     a_coef = cost.gamma_w * cost.vot * lam * h / 2.0
     b_coef = (

@@ -23,6 +23,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import analytic, experiments, ingest
+from .experiments import sig4
 from .model import Scenario, ScenarioError, load_scenario, save_scenario, scenario_problems
 from .simulator import run_timeline, write_trace
 
@@ -45,11 +46,8 @@ def resolve_scenario(arg: str) -> Scenario:
     return scenario
 
 
-def _fmt(x) -> str:
-    return experiments.sig4(x)
-
-
-def _screen_row(scenario: Scenario) -> dict:
+def screen_row(scenario: Scenario) -> dict:
+    """Screening figures of one scenario: dispersion, mean access, SI and demand bound."""
     md = analytic.screening_dispersion(scenario.grid)
     mean_access = analytic.screening_mean_access(scenario.service)
     si = analytic.selection_indicator(scenario.cost, scenario.service, md, mean_access)
@@ -63,32 +61,46 @@ def _screen_row(scenario: Scenario) -> dict:
     }
 
 
+def write_screen_ranking(rows: list, out_dir) -> Path:
+    """Write screen_ranking.csv: screen_row results, given in rank order, at full precision."""
+    path = Path(out_dir) / "screen_ranking.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        fh.write("rank,scenario,si,md_km,mean_access_min,demand_bound_per_hour\n")
+        for i, row in enumerate(rows, start=1):
+            fh.write(
+                f"{i},{row['scenario']},{row['si']!r},{row['md_km']!r},"
+                f"{row['mean_access_min']!r},{row['demand_bound_per_hour']!r}\n"
+            )
+    return path
+
+
 def cmd_analytic(args) -> int:
     scenario = resolve_scenario(args.scenario)
-    row = _screen_row(scenario)
+    row = screen_row(scenario)
     md, mean_access = row["md_km"], row["mean_access_min"] / 60.0
     svc = scenario.service
     n_p = svc.n_parallel if svc.n_parallel > 1 else 2
     par = analytic.parallel_metrics(scenario.cost, svc, md, mean_access, n_p)
 
     print(f"scenario            {scenario.name}")
-    print(f"dispersion MD       {_fmt(row['md_km'])} km")
-    print(f"mean access         {_fmt(row['mean_access_min'])} min")
-    print(f"SI                  {_fmt(row['si'])}  ({'favorable' if row['si'] < 1 else 'unfavorable'})")
-    print(f"demand bound        {_fmt(row['demand_bound_per_hour'])} /hour")
-    print(f"SI_p (n_p={n_p})        {_fmt(par.si)}")
-    print(f"parallel bound      {_fmt(par.demand_bound)} /hour")
+    print(f"dispersion MD       {sig4(row['md_km'])} km")
+    print(f"mean access         {sig4(row['mean_access_min'])} min")
+    print(f"SI                  {sig4(row['si'])}  ({'favorable' if row['si'] < 1 else 'unfavorable'})")
+    print(f"demand bound        {sig4(row['demand_bound_per_hour'])} /hour")
+    print(f"SI_p (n_p={n_p})        {sig4(par.si)}")
+    print(f"parallel bound      {sig4(par.demand_bound)} /hour")
 
     report = dict(row, si_p=par.si, parallel_bound=par.demand_bound, n_p=n_p)
     v_h = args.v_h if args.v_h is not None else svc.v_h
     if v_h is not None and svc.demand_rate > 0:
         plan = analytic.zonal_plan(scenario.cost, scenario.grid, replace(svc, v_h=v_h), md, args.n_max)
-        print(f"zones n_o           {plan.n_opt} (continuous {_fmt(plan.n_continuous)})")
+        print(f"zones n_o           {plan.n_opt} (continuous {sig4(plan.n_continuous)})")
         print("n  zone_headway_min  wait  ride  operator  total  ($/h)")
         for rowz in plan.table:
             print(
-                f"{rowz.n}  {_fmt(rowz.zone_headway * 60)}  {_fmt(rowz.wait)}  {_fmt(rowz.ride)}"
-                f"  {_fmt(rowz.operator)}  {_fmt(rowz.total)}"
+                f"{rowz.n}  {sig4(rowz.zone_headway * 60)}  {sig4(rowz.wait)}  {sig4(rowz.ride)}"
+                f"  {sig4(rowz.operator)}  {sig4(rowz.total)}"
             )
         report["zonal"] = {
             "n_opt": plan.n_opt,
@@ -106,35 +118,25 @@ def cmd_analytic(args) -> int:
 
 
 def cmd_screen(args) -> int:
-    rows = [_screen_row(resolve_scenario(s)) for s in args.scenario]
+    rows = [screen_row(resolve_scenario(s)) for s in args.scenario]
     rows.sort(key=lambda r: r["si"])
     print("rank  scenario        SI      MD_km   bound/h")
     for i, row in enumerate(rows, start=1):
         print(
-            f"{i:<5d} {row['scenario']:<15s} {_fmt(row['si']):<7s} {_fmt(row['md_km']):<7s}"
-            f" {_fmt(row['demand_bound_per_hour'])}"
+            f"{i:<5d} {row['scenario']:<15s} {sig4(row['si']):<7s} {sig4(row['md_km']):<7s}"
+            f" {sig4(row['demand_bound_per_hour'])}"
         )
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / "screen_ranking.csv"
-        with open(path, "w", newline="") as fh:
-            fh.write("rank,scenario,si,md_km,mean_access_min,demand_bound_per_hour\n")
-            for i, row in enumerate(rows, start=1):
-                fh.write(
-                    f"{i},{row['scenario']},{row['si']!r},{row['md_km']!r},"
-                    f"{row['mean_access_min']!r},{row['demand_bound_per_hour']!r}\n"
-                )
+        write_screen_ranking(rows, args.out)
     return 0
 
 
 def cmd_simulate(args) -> int:
     scenario = resolve_scenario(args.scenario)
-    seed = scenario.seed if args.seed is None else args.seed
     run = experiments.run_scenario(
         scenario,
         replications=args.replications,
-        seed=seed,
+        seed=args.seed,
         workers=args.workers,
     )
     paths = experiments.emit_report(run, args.out, fmt=args.format)
@@ -144,13 +146,13 @@ def cmd_simulate(args) -> int:
         ivtt = stats.metrics["avg_ivtt_min"]
         tc = stats.metrics["generalized_cost"]
         print(
-            f"{mode:<6s} wait {_fmt(wait.median)} min  ivtt {_fmt(ivtt.median)} min"
-            f"  cost {_fmt(tc.median)} ({_fmt(tc.p2_5)} - {_fmt(tc.p97_5)})"
+            f"{mode:<6s} wait {sig4(wait.median)} min  ivtt {sig4(ivtt.median)} min"
+            f"  cost {sig4(tc.median)} ({sig4(tc.p2_5)} - {sig4(tc.p97_5)})"
         )
     d = run.delta_tc
-    print(f"delta_tc {_fmt(d.median)} ({_fmt(d.p2_5)} - {_fmt(d.p97_5)})")
+    print(f"delta_tc {sig4(d.median)} ({sig4(d.p2_5)} - {sig4(d.p97_5)})")
     if args.trace:
-        logs = run_timeline(scenario, "amsod", seed)
+        logs = run_timeline(scenario, "amsod", experiments.replication_rng(run.seed, 0))
         trace_path = Path(args.out) / f"{scenario.name}_trace.csv"
         write_trace(logs, scenario.service, trace_path)
         paths.append(trace_path)
@@ -168,12 +170,11 @@ def cmd_sweep(args) -> int:
         replications=args.replications,
         scenario=scenario,
     )
-    seed = scenario.seed if args.seed is None else args.seed
-    result = experiments.sweep(spec, seed=seed, workers=args.workers)
+    result = experiments.sweep(spec, seed=args.seed, workers=args.workers)
     path = experiments.emit_sweep(result, scenario.name, args.out)
     print(f"{args.dimension:<9s} delta_tc_median")
     for row in result.rows:
-        print(f"{_fmt(row.value):<9s} {_fmt(row.delta_tc_median)}")
+        print(f"{sig4(row.value):<9s} {sig4(row.delta_tc_median)}")
     print(f"wrote {path}")
     return 0
 
@@ -189,10 +190,17 @@ def cmd_ingest(args) -> int:
     )
     save_scenario(scenario, args.out)
     print(
-        f"wrote {args.out}: {scenario.grid.n_stops} stops, gl_x {_fmt(scenario.grid.gl_x)} km,"
-        f" lambda {_fmt(scenario.service.demand_rate)}/h"
+        f"wrote {args.out}: {scenario.grid.n_stops} stops, gl_x {sig4(scenario.grid.gl_x)} km,"
+        f" lambda {sig4(scenario.service.demand_rate)}/h"
     )
     return 0
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--v-h", type=float, default=None, help="highway speed for the zonal table, km/h")
-    p.add_argument("--n-max", type=int, default=6)
+    p.add_argument("--n-max", type=_count, default=6)
     p.set_defaults(func=cmd_analytic)
 
     p = sub.add_parser("screen", help="rank scenarios by selection indicator")
@@ -215,20 +223,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", default=".")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--replications", type=int, default=None)
+    p.add_argument("--replications", type=_count, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--trace", action="store_true", help="also write a per-trip waypoint trace")
+    p.add_argument("--workers", type=_count, default=1)
+    p.add_argument("--trace", action="store_true", help="also write replication 0's on-demand waypoint trace")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="sensitivity sweep")
     p.add_argument("--scenario", required=True)
     p.add_argument("--dimension", choices=("capacity", "lambda"), required=True)
     p.add_argument("--values", required=True, help="comma-separated, strictly increasing")
-    p.add_argument("--replications", type=int, default=1000)
+    p.add_argument("--replications", type=_count, default=1000)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=".")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_count, default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("ingest", help="scenario file from stop boardings CSV")

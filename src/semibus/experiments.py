@@ -113,10 +113,14 @@ def _entropy(seed) -> tuple:
     return tuple(int(s) for s in seed)
 
 
+def replication_rng(entropy: tuple, rep: int) -> np.random.Generator:
+    """The generator of replication rep in a run seeded with entropy."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=list(entropy), spawn_key=(rep,)))
+
+
 def _one_replication(args):
     scenario, mode_scenarios, modes, entropy, rep = args
-    ss = np.random.SeedSequence(entropy=list(entropy), spawn_key=(rep,))
-    requests = sample_requests(scenario.grid, scenario.service, np.random.default_rng(ss))
+    requests = sample_requests(scenario.grid, scenario.service, replication_rng(entropy, rep))
     per_mode = []
     for mode, scn in zip(modes, mode_scenarios):
         logs = simulate_requests(scn, mode, requests)

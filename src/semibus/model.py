@@ -11,6 +11,7 @@ between concurrent workers.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -326,8 +327,19 @@ _TIME_SUFFIX = {"_h": 1.0, "_hours": 1.0, "_min": 1.0 / 60.0, "_s": 1.0 / 3600.0
 _DIST_SUFFIX = {"_km": 1.0, "_m": 1.0 / 1000.0}
 _SPEED_SUFFIX = {"_kmh": 1.0}
 
-_COST_FIELDS = {"gamma_a": None, "gamma_w": None, "gamma_r": None, "gamma_o": None, "vot": None}
-_GRID_FIELDS = {
+
+def _aliases(fields: dict) -> dict:
+    """{accepted key: (field name, factor to the canonical unit)}."""
+    table = {}
+    for name, suffixes in fields.items():
+        table[name] = (name, 1.0)
+        for suffix, factor in (suffixes or {}).items():
+            table[name + suffix] = (name, factor)
+    return table
+
+
+_COST_FIELDS = _aliases({"gamma_a": None, "gamma_w": None, "gamma_r": None, "gamma_o": None, "vot": None})
+_GRID_FIELDS = _aliases({
     "l_x": _DIST_SUFFIX,
     "l_y": _DIST_SUFFIX,
     "gl_x": _DIST_SUFFIX,
@@ -335,8 +347,8 @@ _GRID_FIELDS = {
     "d_xs": _DIST_SUFFIX,
     "stop_chainages": _DIST_SUFFIX,
     "stop_weights": None,
-}
-_SERVICE_FIELDS = {
+})
+_SERVICE_FIELDS = _aliases({
     "headway": _TIME_SUFFIX,
     "capacity": None,
     "n_parallel": None,
@@ -351,35 +363,40 @@ _SERVICE_FIELDS = {
     "s_o": _TIME_SUFFIX,
     "horizon": _TIME_SUFFIX,
     "warmup_window": _TIME_SUFFIX,
-}
+})
 
 
-def _parse_section(section: str, raw: dict, known: dict) -> dict:
+def _scaled(field: str, value, factor: float) -> float:
+    """A finite JSON number converted to the canonical unit."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError([Violation(field, "non-numeric value", detail=f"value {value!r}")])
+    if not abs(value) <= sys.float_info.max:  # false for inf, nan and integers beyond the float range
+        raise ScenarioError([Violation(field, "non-finite number", detail=f"value {value!r}")])
+    return value * factor
+
+
+def _count(field: str, value) -> int:
+    """An integer count: a JSON integer, or a number with an integer value."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError([Violation(field, "non-integer count", detail=f"value {value!r}")])
+    return value
+
+
+def _parse_section(section: str, raw: dict, aliases: dict) -> dict:
     parsed = {}
     for key, value in raw.items():
-        base, factor = key, 1.0
-        if base not in known:
-            matched = False
-            for name, suffixes in known.items():
-                if suffixes is None:
-                    continue
-                for suffix, f in suffixes.items():
-                    if key == name + suffix:
-                        base, factor = name, f
-                        matched = True
-                        break
-                if matched:
-                    break
-            if not matched:
-                raise ScenarioError(f"{section}: unknown field {key!r}")
+        if key not in aliases:
+            raise ScenarioError(f"{section}: unknown field {key!r}")
+        base, factor = aliases[key]
         if base in parsed:
             raise ScenarioError(f"{section}: field {base!r} given twice")
+        field = f"{section}.{key}"
         if isinstance(value, list):
-            parsed[base] = [v * factor for v in value]
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            parsed[base] = value * factor
+            parsed[base] = [_scaled(field, v, factor) for v in value]
         else:
-            raise ScenarioError(f"{section}.{key}: non-numeric value {value!r}")
+            parsed[base] = _scaled(field, value, factor)
     return parsed
 
 
@@ -408,7 +425,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
 
     for int_field in ("capacity", "n_parallel", "n_zones"):
         if int_field in svc_kw:
-            svc_kw[int_field] = int(svc_kw[int_field])
+            svc_kw[int_field] = _count(f"service.{int_field}", svc_kw[int_field])
     if "warmup_window" in svc_kw and len(svc_kw["warmup_window"]) != 2:
         raise ScenarioError("service.warmup_window: expected [start, end]")
 
@@ -418,13 +435,10 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
         cost=CostParams(**cost_kw),
         grid=GridGeometry(**grid_kw),
         service=ServiceConfig(**svc_kw),
-        seed=int(run.get("seed", DEFAULT_SEED)),
-        replications=int(run.get("replications", DEFAULT_REPLICATIONS)),
+        seed=_count("run.seed", run.get("seed", DEFAULT_SEED)),
+        replications=_count("run.replications", run.get("replications", DEFAULT_REPLICATIONS)),
     )
-    errors = [v for v in scenario_problems(scenario) if v.severity == "error"]
-    if errors:
-        raise ScenarioError(errors)
-    return scenario
+    return require_valid(scenario)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

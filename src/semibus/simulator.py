@@ -53,12 +53,6 @@ _TIE = 1e-9  # snap tie tolerance on the fractional block position
 SeedLike = Union[int, Sequence[int], np.random.Generator, np.random.SeedSequence]
 
 
-def _rng(seed: SeedLike) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 @dataclass(frozen=True)
 class FixedSchedule:
     """Departures every headway plus deterministic stop arrival offsets."""
@@ -140,7 +134,7 @@ def sample_requests(grid: GridGeometry, svc: ServiceConfig, seed: SeedLike) -> l
     Deterministic given (seed, scenario).  Returns requests sorted by
     request time with ids in that order.
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     n = int(rng.poisson(svc.demand_rate * svc.horizon))
     times = np.sort(rng.uniform(0.0, svc.horizon, n))
     if n == 0:
@@ -237,100 +231,72 @@ def _visit_order(cands: list) -> list:
     return out
 
 
-def _walk(
+def _drive(
     cands: list,
     depart: float,
-    v_d: float,
-    t_s_prime: float,
+    svc: ServiceConfig,
     start_x: float,
     end_x: float,
+    express_length: float,
     capacity: Optional[int] = None,
     ready_check: bool = False,
     t_bound: float = math.inf,
-):
-    """Drive the route, serving candidates in visit order.
+) -> tuple:
+    """Drive one trip from (start_x, 0), serving candidates in visit order,
+    to the axis at end_x, then express_length km on at v_h.
 
     With ready_check, a candidate whose request time is later than the
     bus's arrival at its point is left for the next trip; with a capacity,
     candidates beyond it are spilled (recorded if they were ready).
     t_bound is an upper bound on any arrival this trip, used only to skip
-    clearly-not-ready candidates cheaply.  Returns (served, spilled_ids,
-    d_y, waypoints, end_time) where served items are
-    (request_id, pickup_time, sx, sy).
+    clearly-not-ready candidates cheaply.  Returns (RoutePlan, spilled_ids).
     """
     t = depart
     bx, by = start_x, 0.0
     d_y = 0.0
     waypoints = [(start_x, 0.0)]
-    served = []
+    served = []  # (request_id, pickup_time, point, 1-based index of the point)
     spilled = []
-    load = 0
-    last_point = None
+    n_points = 0
     last_arrival = depart
-    inv_v = 1.0 / v_d
+    inv_v = 1.0 / svc.v_d
     for sx, sy, tk, rid in cands:
         if tk > t_bound:
             continue
-        if last_point is not None and sx == last_point[0] and sy == last_point[1]:
+        same_point = bool(served) and sx == bx and sy == by
+        if same_point:
             arrival = last_arrival  # boards during the same dwell
-            new_point = False
         else:
             arrival = t + (abs(sy - by) + (sx - bx)) * inv_v
-            new_point = True
         if ready_check and tk > arrival + 1e-12:
             continue  # requested after the bus passes; next trip
-        if capacity is not None and load >= capacity:
+        if capacity is not None and len(served) >= capacity:
             spilled.append(rid)
             continue
-        if new_point:
+        if not same_point:
             d_y += abs(sy - by)
             if sy != by:
                 waypoints.append((bx, sy))
             if sx != bx:
                 waypoints.append((sx, sy))
-            t = arrival + t_s_prime
+            t = arrival + svc.t_s_prime
             bx, by = sx, sy
-            last_point = (sx, sy)
             last_arrival = arrival
-        served.append((rid, arrival, sx, sy))
-        load += 1
+            n_points += 1
+        served.append((rid, arrival, (sx, sy), n_points))
     d_y += abs(by)
     if by != 0.0:
         waypoints.append((bx, 0.0))
     if bx != end_x:
         waypoints.append((end_x, 0.0))
     end_time = t + (abs(by) + (end_x - bx)) * inv_v
-    return served, spilled, d_y, waypoints, end_time
-
-
-def _make_plan(
-    served: list,
-    d_y: float,
-    waypoints: list,
-    depart: float,
-    end_time_local: float,
-    start_x: float,
-    end_x: float,
-    express_length: float,
-    v_h: Optional[float],
-) -> RoutePlan:
     express_legs = ()
-    end_time = end_time_local
     if express_length > _EPS:
-        express_legs = ((express_length, v_h),)
-        end_time = end_time_local + express_length / v_h
-    n_after = 0
-    remaining = [0] * len(served)
-    prev_point = None
-    for i in range(len(served) - 1, -1, -1):
-        point = (served[i][2], served[i][3])
-        if prev_point is not None and point != prev_point:
-            n_after += 1
-        remaining[i] = n_after
-        prev_point = point
+        express_legs = ((express_length, svc.v_h),)
+        end_time += express_length / svc.v_h
     pickups = tuple(
-        Pickup(request_id=rid, time=t_ak, point=(sx, sy), remaining_stops=remaining[i])
-        for i, (rid, t_ak, sx, sy) in enumerate(served)
+        Pickup(request_id=rid, time=t_ak, point=point, remaining_stops=n_points - k)
+        for rid, t_ak, point, k in served
     )
     return RoutePlan(
         waypoints=tuple(waypoints),
@@ -340,7 +306,7 @@ def _make_plan(
         express_legs=express_legs,
         depart_time=depart,
         end_time=end_time,
-    )
+    ), spilled
 
 
 def plan_amsod_route(
@@ -348,28 +314,30 @@ def plan_amsod_route(
     grid: GridGeometry,
     svc: ServiceConfig,
     depart_time: float = 0.0,
-    start_x: float = 0.0,
-    end_x: Optional[float] = None,
-    express_to: Optional[float] = None,
 ) -> RoutePlan:
     """Plan one trip serving all given requests (assumed ready).
 
     Request coordinates must already lie on the street lattice.  The bus
-    starts at (start_x, 0), ends on the axis at end_x (default the
-    corridor end), and, if express_to is given, continues there at v_h
-    with no pickups.
+    starts at the terminal (0, 0) and ends on the axis at the corridor end.
     """
     for req in requests:
         if not _on_lattice((req.x, req.y), grid):
             raise ValueError(f"request {req.id} is off the street lattice: ({req.x}, {req.y})")
-    if end_x is None:
-        end_x = grid.gl_x
     cands = [(req.x, req.y, req.t_k, req.id) for req in requests]
-    served, _, d_y, waypoints, end_local = _walk(
-        _visit_order(cands), depart_time, svc.v_d, svc.t_s_prime, start_x, end_x
+    plan, _ = _drive(_visit_order(cands), depart_time, svc, 0.0, grid.gl_x, 0.0)
+    return plan
+
+
+def _trip_costs(cost: CostParams, outcomes: list, c_a: float, c_o: float) -> TripCosts:
+    """Sums run left to right in boarding order; reported costs depend on that order."""
+    return TripCosts(
+        c_a=c_a,
+        c_w=cost.gamma_w * cost.vot * sum(o.wait for o in outcomes),
+        c_r=cost.gamma_r * cost.vot * sum(o.ivtt for o in outcomes),
+        c_o=c_o,
+        per_passenger=tuple(outcomes),
+        k_j=len(outcomes),
     )
-    express_length = 0.0 if express_to is None else express_to - end_x
-    return _make_plan(served, d_y, waypoints, depart_time, end_local, start_x, end_x, express_length, svc.v_h)
 
 
 def evaluate_amsod_trip(
@@ -394,16 +362,8 @@ def evaluate_amsod_trip(
             raise ValueError(f"negative wait for request {p.request_id}: {wait}")
         ivtt = plan.end_time - p.time - svc.t_s_prime
         outcomes.append(PassengerOutcome(wait=max(0.0, wait), ivtt=max(0.0, ivtt), access=0.0))
-    vot = cost.vot
     express_km = sum(length for length, _ in plan.express_legs)
-    return TripCosts(
-        c_a=0.0,
-        c_w=cost.gamma_w * vot * sum(o.wait for o in outcomes),
-        c_r=cost.gamma_r * vot * sum(o.ivtt for o in outcomes),
-        c_o=cost.gamma_o * (plan.d_x + plan.d_y + express_km),
-        per_passenger=tuple(outcomes),
-        k_j=len(outcomes),
-    )
+    return _trip_costs(cost, outcomes, 0.0, cost.gamma_o * (plan.d_x + plan.d_y + express_km))
 
 
 # --- fixed-route evaluation --------------------------------------------------
@@ -432,15 +392,8 @@ def evaluate_fixed_trip(
             raise ValueError(f"request {req.id} assigned to a departure it cannot catch")
         ivtt = (grid.gl_x - grid.stop_chainages[s]) / svc.v_d + svc.t_s * (n_stops - s - 1)
         outcomes.append(PassengerOutcome(wait=max(0.0, wait), ivtt=ivtt, access=acc))
-    vot = cost.vot
-    return TripCosts(
-        c_a=cost.gamma_a * vot * sum(o.access for o in outcomes),
-        c_w=cost.gamma_w * vot * sum(o.wait for o in outcomes),
-        c_r=cost.gamma_r * vot * sum(o.ivtt for o in outcomes),
-        c_o=cost.gamma_o * grid.gl_x,
-        per_passenger=tuple(outcomes),
-        k_j=len(outcomes),
-    )
+    c_a = cost.gamma_a * cost.vot * sum(o.access for o in outcomes)
+    return _trip_costs(cost, outcomes, c_a, cost.gamma_o * grid.gl_x)
 
 
 # --- request partitioning ----------------------------------------------------
@@ -502,34 +455,23 @@ def _fixed_timeline(scenario: Scenario, requests: Sequence[Request]) -> list:
     grid, svc, cost = scenario.grid, scenario.service, scenario.cost
     sched = build_schedule(grid, svc)
     n_trips = len(sched.departures)
-    h = svc.headway
 
-    info = []  # (request, stop, ready)
-    pending = [[] for _ in range(n_trips)]
-    spilled_from = [[] for _ in range(n_trips)]
-    unserved = []
+    pending = [[] for _ in range(n_trips)]  # (stop, ready time, id, request) per first catchable trip
     for req in requests:
         s, acc = access_time(req, grid, svc)
         ready = req.t_k + acc
-        first = math.ceil((ready - sched.stop_offsets[s]) / h - 1e-12)
+        first = math.ceil((ready - sched.stop_offsets[s]) / svc.headway - 1e-12)
         first = max(0, first)
-        if first >= n_trips:
-            unserved.append(req.id)
-            continue
-        pending[first].append((s, ready, req.id, req))
+        if first < n_trips:
+            pending[first].append((s, ready, req.id, req))
 
     logs = []
     for i in range(n_trips):
         cand = sorted(pending[i], key=lambda c: (c[0], c[1], c[2]))  # stop order, FIFO
-        served = cand[: svc.capacity]
-        for c in cand[svc.capacity :]:
-            spilled_from[i].append(c[2])
-            if i + 1 < n_trips:
-                pending[i + 1].append(c)
-            else:
-                unserved.append(c[2])
-        cohort = [c[3] for c in served]
-        costs = evaluate_fixed_trip(cohort, i, sched, cost, grid, svc)
+        served, spilled = cand[: svc.capacity], cand[svc.capacity :]
+        if i + 1 < n_trips:
+            pending[i + 1].extend(spilled)
+        costs = evaluate_fixed_trip([c[3] for c in served], i, sched, cost, grid, svc)
         logs.append(
             TripLog(
                 trip_index=i,
@@ -538,7 +480,7 @@ def _fixed_timeline(scenario: Scenario, requests: Sequence[Request]) -> list:
                 plan=None,
                 costs=costs,
                 served_ids=tuple(c[2] for c in served),
-                spilled_ids=tuple(spilled_from[i]),
+                spilled_ids=tuple(c[2] for c in spilled),
             )
         )
     return logs
@@ -552,12 +494,9 @@ def _amsod_timeline(scenario: Scenario, requests: Sequence[Request]) -> list:
         slices = partition_zonal(requests, grid, svc.n_zones)
         subsets = [list(s.requests) for s in slices]
         bounds = [(s.x_lo, s.x_hi, s.express_length) for s in slices]
-    elif svc.n_parallel > 1:
+    else:
         subsets = partition_parallel(requests, grid, svc.n_parallel)
         bounds = [(0.0, grid.gl_x, 0.0)] * svc.n_parallel
-    else:
-        subsets = [list(requests)]
-        bounds = [(0.0, grid.gl_x, 0.0)]
     n_sub = len(subsets)
 
     by_id = {r.id: r for r in requests}
@@ -577,22 +516,13 @@ def _amsod_timeline(scenario: Scenario, requests: Sequence[Request]) -> list:
         order = _visit_order(pending[k])
         n_serv = min(svc.capacity, len(order))
         t_bound = dep + (end_x - start_x) / svc.v_d + n_serv * (2.0 * gl_max / svc.v_d + svc.t_s_prime)
-        served, spilled, d_y, waypoints, end_local = _walk(
-            order,
-            dep,
-            svc.v_d,
-            svc.t_s_prime,
-            start_x,
-            end_x,
-            capacity=svc.capacity,
-            ready_check=True,
-            t_bound=t_bound,
+        plan, spilled = _drive(
+            order, dep, svc, start_x, end_x, express_len, capacity=svc.capacity, ready_check=True, t_bound=t_bound
         )
-        plan = _make_plan(served, d_y, waypoints, dep, end_local, start_x, end_x, express_len, svc.v_h)
-        cohort = [by_id[rid] for rid, _, _, _ in served]
-        costs = evaluate_amsod_trip(plan, cost, svc, cohort)
-        served_set = {rid for rid, _, _, _ in served}
-        if served_set:
+        served_ids = tuple(p.request_id for p in plan.pickups)
+        costs = evaluate_amsod_trip(plan, cost, svc, [by_id[rid] for rid in served_ids])
+        if served_ids:
+            served_set = set(served_ids)
             pending[k] = [c for c in pending[k] if c[3] not in served_set]
         logs.append(
             TripLog(
@@ -601,7 +531,7 @@ def _amsod_timeline(scenario: Scenario, requests: Sequence[Request]) -> list:
                 depart_time=dep,
                 plan=plan,
                 costs=costs,
-                served_ids=tuple(rid for rid, _, _, _ in served),
+                served_ids=served_ids,
                 spilled_ids=tuple(spilled),
             )
         )
@@ -652,7 +582,7 @@ def sampled_mean_access(
 ) -> float:
     """Monte Carlo mean fixed-route access time (hours) under the
     simulator's demand distribution."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     x, y, _ = _sample_positions(grid, n_samples, rng)
     chain = np.asarray(grid.stop_chainages)
     pos = np.searchsorted(chain, x)

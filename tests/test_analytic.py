@@ -305,6 +305,13 @@ def test_parallel_reduces_to_single_route():
     assert pm.demand_bound == A.demand_upper_bound(COST, s, md, sbar)
 
 
+@pytest.mark.parametrize("n_p", [1, 2, 3])
+def test_parallel_rejects_negative_dispersion(n_p):
+    s, _ = CASES["model2"]
+    with pytest.raises(ValueError, match="negative dispersion"):
+        A.parallel_metrics(COST, s, -0.1, A.screening_mean_access(s), n_p)
+
+
 def test_parallel_study_values():
     s, md = CASES["model2"]
     pm = A.parallel_metrics(COST, s, md, A.screening_mean_access(s), 2)

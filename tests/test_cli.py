@@ -129,3 +129,79 @@ def test_ingest_cli_roundtrip(tmp_path):
     scenario = load_scenario(out)
     assert scenario.name == "rebuilt"
     assert scenario.grid.gl_x == pytest.approx(10.9)
+
+
+def test_trace_replays_replication_0(tmp_path):
+    import numpy as np
+
+    from semibus.cli import bundled_path
+    from semibus.simulator import sample_requests, simulate_requests, write_trace
+
+    argv = ["simulate", "--scenario", "model1", "--out", str(tmp_path), "--replications", "3", "--seed", "4"]
+    assert main(argv + ["--trace"]) == 0
+    scenario = load_scenario(bundled_path("model1"))
+    rng = np.random.default_rng(np.random.SeedSequence([4], spawn_key=(0,)))
+    requests = sample_requests(scenario.grid, scenario.service, rng)
+    expected = tmp_path / "expected_trace.csv"
+    write_trace(simulate_requests(scenario, "amsod", requests), scenario.service, expected)
+    assert (tmp_path / "model1_trace.csv").read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--scenario", "model1", "--replications", "0"],
+        ["simulate", "--scenario", "model1", "--workers", "-3"],
+        ["sweep", "--scenario", "model1", "--dimension", "lambda", "--values", "40", "--replications", "0"],
+        ["sweep", "--scenario", "model1", "--dimension", "lambda", "--values", "40", "--workers", "0"],
+        ["analytic", "--scenario", "model1", "--n-max", "0"],
+    ],
+)
+def test_count_flags_below_one_are_usage_errors(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert "usage" in capsys.readouterr().err.lower()
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("grid", "gl_x_km", float("inf")),
+        ("service", "horizon_h", float("inf")),
+        ("service", "capacity", 30.7),
+    ],
+)
+def test_bad_scenario_numbers_exit_1(section, key, value, tmp_path, capsys):
+    from semibus.cli import bundled_path
+
+    data = json.loads(bundled_path("model1").read_text())
+    data[section][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    for verb in (["analytic"], ["simulate", "--replications", "1"]):
+        assert main(verb + ["--scenario", str(bad), "--out", str(tmp_path / "out")]) == 1
+        assert f"{section}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_reproduce_script_writes_the_screen_ranking(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import semibus
+
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_results.py"
+    src = str(Path(semibus.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run(
+        [sys.executable, str(script), "--replications", "2", "--out", str(tmp_path / "script")],
+        env=env,
+        check=True,
+        capture_output=True,
+        timeout=300,
+    )
+    assert main(["screen", "--scenario", "cta126", "model1", "cta84", "model2", "--out", str(tmp_path / "cli")]) == 0
+    ranking = "screen_ranking.csv"
+    assert (tmp_path / "script" / ranking).read_bytes() == (tmp_path / "cli" / ranking).read_bytes()

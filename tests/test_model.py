@@ -145,3 +145,39 @@ def test_trip_cost_total_is_component_sum(model1):
 
     tc = TripCosts(c_a=1.5, c_w=2.5, c_r=3.0, c_o=4.0, per_passenger=(), k_j=0)
     assert tc.total == 1.5 + 2.5 + 3.0 + 4.0
+
+
+@pytest.mark.parametrize(
+    "section,key,value,rule",
+    [
+        ("grid", "gl_x_km", float("inf"), "non-finite number"),
+        ("service", "horizon_h", float("inf"), "non-finite number"),
+        ("cost", "vot", float("nan"), "non-finite number"),
+        ("grid", "stop_weights", [float("nan")] + [0.04] * 24, "non-finite number"),
+        ("grid", "gl_y_km", [float("-inf")] * 25, "non-finite number"),
+        pytest.param("grid", "l_x_km", 10**400, "non-finite number", id="grid-l_x_km-beyond-float-range"),
+        ("grid", "stop_chainages_km", ["0.0"] * 25, "non-numeric value"),
+        ("service", "capacity", 30.7, "non-integer count"),
+        ("service", "n_parallel", 1.5, "non-integer count"),
+        ("service", "n_zones", float("inf"), "non-finite number"),
+        ("service", "n_zones", 2.5, "non-integer count"),
+        ("run", "seed", 1729.5, "non-integer count"),
+        ("run", "replications", 10.5, "non-integer count"),
+        ("run", "replications", "100", "non-integer count"),
+    ],
+)
+def test_bad_numbers_refused_at_parse(model1, section, key, value, rule):
+    data = scenario_to_dict(model1)
+    data[section][key] = value
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(data)
+    assert [(p.field, p.rule) for p in info.value.problems] == [(f"{section}.{key}", rule)]
+
+
+def test_integer_valued_counts_accepted(model1):
+    data = scenario_to_dict(model1)
+    data["service"]["capacity"] = 30.0
+    data["run"]["seed"] = 10**30
+    scenario = scenario_from_dict(data)
+    assert scenario.service.capacity == 30 and isinstance(scenario.service.capacity, int)
+    assert scenario.seed == 10**30
