@@ -9,7 +9,7 @@ import argparse
 import time
 from pathlib import Path
 
-from semibus.cli import BUNDLED, bundled_path, screen_row, write_screen_ranking
+from semibus.cli import BUNDLED, bundled_path, count_arg, screen_row, write_screen_ranking
 from semibus.experiments import emit_report, run_scenario, sig4
 from semibus.model import load_scenario
 
@@ -17,8 +17,8 @@ from semibus.model import load_scenario
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results")
-    parser.add_argument("--replications", type=int, default=10_000)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--replications", type=count_arg, default=10_000)
+    parser.add_argument("--workers", type=count_arg, default=1)
     args = parser.parse_args()
 
     out = Path(args.out)

@@ -4,7 +4,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from semibus.cli import bundled_path, resolve_scenario
+from semibus.cli import bundled_path, count_arg, resolve_scenario
 from semibus.experiments import SweepSpec, emit_sweep, sig4, sweep
 
 
@@ -12,10 +12,10 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scenario", default="model1")
     parser.add_argument("--out", default="results")
-    parser.add_argument("--replications", type=int, default=1000)
+    parser.add_argument("--replications", type=count_arg, default=1000)
     parser.add_argument("--capacities", default="15,20,25,30")
     parser.add_argument("--demands", default="40,50,60,70,80,90,100")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=count_arg, default=1)
     args = parser.parse_args()
 
     scenario = resolve_scenario(args.scenario)

@@ -196,11 +196,21 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _count(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
+
+
+def count_arg(text: str) -> int:
+    """argparse type of a count flag (--replications, --workers, ...): an integer >= 1."""
+    return _int_at_least(text, 1)
+
+
+def seed_arg(text: str) -> int:
+    """argparse type of --seed: an integer >= 0."""
+    return _int_at_least(text, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--v-h", type=float, default=None, help="highway speed for the zonal table, km/h")
-    p.add_argument("--n-max", type=_count, default=6)
+    p.add_argument("--n-max", type=count_arg, default=6)
     p.set_defaults(func=cmd_analytic)
 
     p = sub.add_parser("screen", help="rank scenarios by selection indicator")
@@ -222,10 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo run and report")
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", default=".")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--replications", type=_count, default=None)
+    p.add_argument("--seed", type=seed_arg, default=None)
+    p.add_argument("--replications", type=count_arg, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--workers", type=_count, default=1)
+    p.add_argument("--workers", type=count_arg, default=1)
     p.add_argument("--trace", action="store_true", help="also write replication 0's on-demand waypoint trace")
     p.set_defaults(func=cmd_simulate)
 
@@ -233,10 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--dimension", choices=("capacity", "lambda"), required=True)
     p.add_argument("--values", required=True, help="comma-separated, strictly increasing")
-    p.add_argument("--replications", type=_count, default=1000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--replications", type=count_arg, default=1000)
+    p.add_argument("--seed", type=seed_arg, default=None)
     p.add_argument("--out", default=".")
-    p.add_argument("--workers", type=_count, default=1)
+    p.add_argument("--workers", type=count_arg, default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("ingest", help="scenario file from stop boardings CSV")

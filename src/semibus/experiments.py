@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -303,17 +303,9 @@ def run_to_dict(run: ScenarioRun) -> dict:
         "replications": run.replications,
         "seed": list(run.seed),
         "stats": {
-            mode: {
-                m: {"median": s.median, "p2_5": s.p2_5, "p97_5": s.p97_5}
-                for m, s in stats.metrics.items()
-            }
-            for mode, stats in zip(run.modes, run.stats)
+            mode: {m: asdict(s) for m, s in stats.metrics.items()} for mode, stats in zip(run.modes, run.stats)
         },
-        "delta_tc": {
-            "median": run.delta_tc.median,
-            "p2_5": run.delta_tc.p2_5,
-            "p97_5": run.delta_tc.p97_5,
-        },
+        "delta_tc": asdict(run.delta_tc),
     }
 
 
@@ -363,19 +355,8 @@ def emit_sweep(result: SweepResult, scenario_name: str, out_dir: Union[str, Path
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{scenario_name}_{result.dimension}_sweep.csv"
     with open(path, "w", newline="") as fh:
-        fh.write("value,delta_tc_median,fixed_wait_min,fixed_ivtt_min,amsod_wait_min,amsod_ivtt_min\n")
+        fh.write(",".join(f.name for f in fields(SweepRow)) + "\n")
         for row in result.rows:
-            fh.write(
-                ",".join(
-                    [
-                        sig4(row.value),
-                        repr(row.delta_tc_median),
-                        repr(row.fixed_wait_min),
-                        repr(row.fixed_ivtt_min),
-                        repr(row.amsod_wait_min),
-                        repr(row.amsod_ivtt_min),
-                    ]
-                )
-                + "\n"
-            )
+            value, *medians = astuple(row)
+            fh.write(",".join([sig4(value)] + [repr(m) for m in medians]) + "\n")
     return path

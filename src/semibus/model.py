@@ -364,6 +364,8 @@ _SERVICE_FIELDS = _aliases({
     "horizon": _TIME_SUFFIX,
     "warmup_window": _TIME_SUFFIX,
 })
+_RUN_FIELDS = _aliases({"seed": None, "replications": None})
+_COUNTS = {"capacity", "n_parallel", "n_zones", "seed", "replications"}
 
 
 def _scaled(field: str, value, factor: float) -> float:
@@ -376,8 +378,9 @@ def _scaled(field: str, value, factor: float) -> float:
 
 
 def _count(field: str, value) -> int:
-    """An integer count: a JSON integer, or a number with an integer value."""
-    if isinstance(value, float) and value.is_integer():
+    """An integer count: a JSON integer (kept exact), or a finite number
+    with an integer value."""
+    if isinstance(value, float) and _scaled(field, value, 1.0).is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError([Violation(field, "non-integer count", detail=f"value {value!r}")])
@@ -393,7 +396,9 @@ def _parse_section(section: str, raw: dict, aliases: dict) -> dict:
         if base in parsed:
             raise ScenarioError(f"{section}: field {base!r} given twice")
         field = f"{section}.{key}"
-        if isinstance(value, list):
+        if base in _COUNTS:
+            parsed[base] = _count(field, value)
+        elif isinstance(value, list):
             parsed[base] = [_scaled(field, v, factor) for v in value]
         else:
             parsed[base] = _scaled(field, value, factor)
@@ -402,7 +407,8 @@ def _parse_section(section: str, raw: dict, aliases: dict) -> dict:
 
 def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     """Build a Scenario from parsed JSON; raises ScenarioError on any defect."""
-    for section in ("cost", "grid", "service"):
+    data = {"run": {}, **data}
+    for section in ("cost", "grid", "service", "run"):
         if section not in data:
             raise ScenarioError(f"missing object {section!r}")
         if not isinstance(data[section], dict):
@@ -423,20 +429,20 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
         if missing not in grid_kw:
             raise ScenarioError(f"grid: missing field {missing!r}")
 
-    for int_field in ("capacity", "n_parallel", "n_zones"):
-        if int_field in svc_kw:
-            svc_kw[int_field] = _count(f"service.{int_field}", svc_kw[int_field])
     if "warmup_window" in svc_kw and len(svc_kw["warmup_window"]) != 2:
         raise ScenarioError("service.warmup_window: expected [start, end]")
 
-    run = data.get("run", {})
+    run_kw = {"seed": DEFAULT_SEED, "replications": DEFAULT_REPLICATIONS}
+    run_kw.update(_parse_section("run", data["run"], _RUN_FIELDS))
+    for key, low, rule in (("seed", 0, "negative seed"), ("replications", 1, "invalid count")):
+        if run_kw[key] < low:
+            raise ScenarioError([Violation(f"run.{key}", rule, detail=f"value {run_kw[key]!r}")])
     scenario = Scenario(
         name=str(data.get("name", name)),
         cost=CostParams(**cost_kw),
         grid=GridGeometry(**grid_kw),
         service=ServiceConfig(**svc_kw),
-        seed=_count("run.seed", run.get("seed", DEFAULT_SEED)),
-        replications=_count("run.replications", run.get("replications", DEFAULT_REPLICATIONS)),
+        **run_kw,
     )
     return require_valid(scenario)
 

@@ -2,22 +2,30 @@
 
 The corridor runs along x from 0 to gl_x; buses depart the terminal every
 headway and always finish on the axis at the corridor end.  Two service
-modes share each demand realization:
+modes share each demand realization and one departure loop
+(simulate_requests): trip i serves sub-route i mod n, takes that
+sub-route's pending set, applies the mode's trip rule, and keeps what
+the trip did not serve for the sub-route's next trip.
 
 fixed
-    Passengers walk to the nearest stop and board the first departure
-    arriving there after they do, capacity permitting.
+    One sub-route.  Passengers walk to the nearest stop and board the
+    first departure arriving there after they do, capacity permitting:
+    each trip takes the cohort whose first catchable departure it is plus
+    the spill of the trip before, in stop order and first-come first.
 
 amsod (semi-on-demand)
-    The bus detours to pickup points instead.  Requests are visited in
-    x order; between consecutive points the bus turns off at the current
-    cross-street, covers the y difference, then runs forward along the
-    grid (y-then-x).  Several requests snapped to one cross-street are
-    served in a single sweep, entering from the side whose extreme lies
-    further from the axis.  A request is served by the first trip whose
-    arrival at its pickup point is no earlier than its request time (the
-    point must still be ahead of the bus); otherwise it waits for the
-    next trip, as do passengers beyond capacity.
+    One sub-route per zone or parallel band.  The bus detours to pickup
+    points instead: each request snaps to the nearest street
+    intersection, its x clamped into the sub-route's [x_lo, x_hi] so a
+    pickup never lies behind the start or past the end of the bus's run.
+    Requests are visited in x order; between consecutive points the bus
+    turns off at the current cross-street, covers the y difference, then
+    runs forward along the grid (y-then-x).  Several requests snapped to
+    one cross-street are served in a single sweep, entering from the side
+    whose extreme lies further from the axis.  A request is served by the
+    first trip whose arrival at its pickup point is no earlier than its
+    request time (the point must still be ahead of the bus); otherwise it
+    waits for the next trip, as do passengers beyond capacity.
 
 All rules are deterministic given (scenario, mode, seed); replications
 are seeded through independent substreams so results do not depend on
@@ -238,18 +246,17 @@ def _drive(
     start_x: float,
     end_x: float,
     express_length: float,
-    capacity: Optional[int] = None,
-    ready_check: bool = False,
+    capacity: int,
     t_bound: float = math.inf,
 ) -> tuple:
     """Drive one trip from (start_x, 0), serving candidates in visit order,
     to the axis at end_x, then express_length km on at v_h.
 
-    With ready_check, a candidate whose request time is later than the
-    bus's arrival at its point is left for the next trip; with a capacity,
-    candidates beyond it are spilled (recorded if they were ready).
-    t_bound is an upper bound on any arrival this trip, used only to skip
-    clearly-not-ready candidates cheaply.  Returns (RoutePlan, spilled_ids).
+    A candidate whose request time is later than the bus's arrival at its
+    point is left for the next trip; ready candidates beyond capacity are
+    spilled.  t_bound is an upper bound on any arrival this trip, used
+    only to skip clearly-not-ready candidates cheaply.  Returns
+    (RoutePlan, spilled_ids).
     """
     t = depart
     bx, by = start_x, 0.0
@@ -268,9 +275,9 @@ def _drive(
             arrival = last_arrival  # boards during the same dwell
         else:
             arrival = t + (abs(sy - by) + (sx - bx)) * inv_v
-        if ready_check and tk > arrival + 1e-12:
+        if tk > arrival + 1e-12:
             continue  # requested after the bus passes; next trip
-        if capacity is not None and len(served) >= capacity:
+        if len(served) >= capacity:
             spilled.append(rid)
             continue
         if not same_point:
@@ -315,7 +322,8 @@ def plan_amsod_route(
     svc: ServiceConfig,
     depart_time: float = 0.0,
 ) -> RoutePlan:
-    """Plan one trip serving all given requests (assumed ready).
+    """Plan one trip serving all given requests, whatever their request
+    times (evaluate_amsod_trip still checks those).
 
     Request coordinates must already lie on the street lattice.  The bus
     starts at the terminal (0, 0) and ends on the axis at the corridor end.
@@ -323,8 +331,8 @@ def plan_amsod_route(
     for req in requests:
         if not _on_lattice((req.x, req.y), grid):
             raise ValueError(f"request {req.id} is off the street lattice: ({req.x}, {req.y})")
-    cands = [(req.x, req.y, req.t_k, req.id) for req in requests]
-    plan, _ = _drive(_visit_order(cands), depart_time, svc, 0.0, grid.gl_x, 0.0)
+    cands = [(req.x, req.y, -math.inf, req.id) for req in requests]  # all already due
+    plan, _ = _drive(_visit_order(cands), depart_time, svc, 0.0, grid.gl_x, 0.0, len(requests))
     return plan
 
 
@@ -448,94 +456,70 @@ def partition_zonal(requests: Sequence[Request], grid: GridGeometry, n: int) -> 
     ]
 
 
-# --- timelines ---------------------------------------------------------------
+# --- dispatch ----------------------------------------------------------------
+#
+# A mode supplies (per-sub-route pending sets, trip rule), the rule being
+# (i, dep, pending) -> (plan, costs, served_ids, spilled_ids, still_pending).
 
 
-def _fixed_timeline(scenario: Scenario, requests: Sequence[Request]) -> list:
+def _fixed_trips(scenario: Scenario, requests: Sequence[Request]) -> tuple:
+    """Pending set: the spill carried from the trip before."""
     grid, svc, cost = scenario.grid, scenario.service, scenario.cost
     sched = build_schedule(grid, svc)
     n_trips = len(sched.departures)
-
-    pending = [[] for _ in range(n_trips)]  # (stop, ready time, id, request) per first catchable trip
+    cohorts = [[] for _ in range(n_trips)]  # (stop, ready time, id, request)
     for req in requests:
         s, acc = access_time(req, grid, svc)
         ready = req.t_k + acc
-        first = math.ceil((ready - sched.stop_offsets[s]) / svc.headway - 1e-12)
-        first = max(0, first)
+        first = max(0, math.ceil((ready - sched.stop_offsets[s]) / svc.headway - 1e-12))
         if first < n_trips:
-            pending[first].append((s, ready, req.id, req))
+            cohorts[first].append((s, ready, req.id, req))
 
-    logs = []
-    for i in range(n_trips):
-        cand = sorted(pending[i], key=lambda c: (c[0], c[1], c[2]))  # stop order, FIFO
+    def trip(i, dep, carried):
+        cand = sorted(carried + cohorts[i], key=lambda c: (c[0], c[1], c[2]))  # stop order, FIFO
         served, spilled = cand[: svc.capacity], cand[svc.capacity :]
-        if i + 1 < n_trips:
-            pending[i + 1].extend(spilled)
         costs = evaluate_fixed_trip([c[3] for c in served], i, sched, cost, grid, svc)
-        logs.append(
-            TripLog(
-                trip_index=i,
-                mode="fixed",
-                depart_time=sched.departures[i],
-                plan=None,
-                costs=costs,
-                served_ids=tuple(c[2] for c in served),
-                spilled_ids=tuple(c[2] for c in spilled),
-            )
-        )
-    return logs
+        return None, costs, tuple(c[2] for c in served), tuple(c[2] for c in spilled), spilled
+
+    return [[]], trip
 
 
-def _amsod_timeline(scenario: Scenario, requests: Sequence[Request]) -> list:
+def _amsod_trips(scenario: Scenario, requests: Sequence[Request]) -> tuple:
+    """Pending sets: each sub-route's unserved candidates, sorted by (x, id)."""
     grid, svc, cost = scenario.grid, scenario.service, scenario.cost
-    deps = departure_times(svc)
-
     if svc.n_zones > 1:
         slices = partition_zonal(requests, grid, svc.n_zones)
-        subsets = [list(s.requests) for s in slices]
+        subsets = [s.requests for s in slices]
         bounds = [(s.x_lo, s.x_hi, s.express_length) for s in slices]
     else:
         subsets = partition_parallel(requests, grid, svc.n_parallel)
         bounds = [(0.0, grid.gl_x, 0.0)] * svc.n_parallel
-    n_sub = len(subsets)
 
     by_id = {r.id: r for r in requests}
-    pending = []
-    for sub in subsets:
+    pending, y_max = [], []
+    for sub, (x_lo, x_hi, _) in zip(subsets, bounds):
         cands = []
         for req in sub:
             sx, sy = snap_to_streets((req.x, req.y), grid)
-            cands.append((sx, sy, req.t_k, req.id))
+            cands.append((min(max(sx, x_lo), x_hi), sy, req.t_k, req.id))  # kept inside the run
         pending.append(sorted(cands, key=lambda c: (c[0], c[3])))
+        y_max.append(max((abs(c[1]) for c in cands), default=0.0))
 
-    gl_max = grid.max_gl_y
-    logs = []
-    for i, dep in enumerate(deps):
-        k = i % n_sub
+    def trip(i, dep, cands):
+        k = i % len(bounds)
         start_x, end_x, express_len = bounds[k]
-        order = _visit_order(pending[k])
-        n_serv = min(svc.capacity, len(order))
-        t_bound = dep + (end_x - start_x) / svc.v_d + n_serv * (2.0 * gl_max / svc.v_d + svc.t_s_prime)
-        plan, spilled = _drive(
-            order, dep, svc, start_x, end_x, express_len, capacity=svc.capacity, ready_check=True, t_bound=t_bound
-        )
+        n_serv = min(svc.capacity, len(cands))
+        # at most n_serv dwells and n_serv + 1 cross-street moves precede any arrival
+        t_bound = dep + (end_x - start_x + (n_serv + 1) * 2.0 * y_max[k]) / svc.v_d + n_serv * svc.t_s_prime
+        plan, spilled = _drive(_visit_order(cands), dep, svc, start_x, end_x, express_len, svc.capacity, t_bound)
         served_ids = tuple(p.request_id for p in plan.pickups)
         costs = evaluate_amsod_trip(plan, cost, svc, [by_id[rid] for rid in served_ids])
         if served_ids:
             served_set = set(served_ids)
-            pending[k] = [c for c in pending[k] if c[3] not in served_set]
-        logs.append(
-            TripLog(
-                trip_index=i,
-                mode="amsod",
-                depart_time=dep,
-                plan=plan,
-                costs=costs,
-                served_ids=served_ids,
-                spilled_ids=tuple(spilled),
-            )
-        )
-    return logs
+            cands = [c for c in cands if c[3] not in served_set]
+        return plan, costs, served_ids, tuple(spilled), cands
+
+    return pending, trip
 
 
 def simulate_requests(scenario: Scenario, mode: str, requests: Sequence[Request]) -> list:
@@ -543,10 +527,17 @@ def simulate_requests(scenario: Scenario, mode: str, requests: Sequence[Request]
     realization (the common-random-numbers entry point)."""
     require_valid(scenario)
     if mode == "fixed":
-        return _fixed_timeline(scenario, requests)
-    if mode == "amsod":
-        return _amsod_timeline(scenario, requests)
-    raise ValueError(f"unknown mode {mode!r}")
+        pending, trip = _fixed_trips(scenario, requests)
+    elif mode == "amsod":
+        pending, trip = _amsod_trips(scenario, requests)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    logs = []
+    for i, dep in enumerate(departure_times(scenario.service)):
+        k = i % len(pending)
+        plan, costs, served_ids, spilled_ids, pending[k] = trip(i, dep, pending[k])
+        logs.append(TripLog(i, mode, dep, plan, costs, served_ids, spilled_ids))
+    return logs
 
 
 def run_timeline(scenario: Scenario, mode: str, seed: SeedLike) -> list:

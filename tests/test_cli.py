@@ -205,3 +205,57 @@ def test_reproduce_script_writes_the_screen_ranking(tmp_path):
     assert main(["screen", "--scenario", "cta126", "model1", "cta84", "model2", "--out", str(tmp_path / "cli")]) == 0
     ranking = "screen_ranking.csv"
     assert (tmp_path / "script" / ranking).read_bytes() == (tmp_path / "cli" / ranking).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "run,field",
+    [
+        (5, "run"),
+        ({"replicatons": 3}, "replicatons"),
+        ({"replications": 0}, "run.replications"),
+        ({"seed": -1}, "run.seed"),
+    ],
+    ids=["not-an-object", "misspelt-key", "zero-replications", "negative-seed"],
+)
+def test_bad_run_object_exits_1(run, field, tmp_path, capsys):
+    from semibus.cli import bundled_path
+
+    data = json.loads(bundled_path("model1").read_text())
+    data["run"] = run
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["simulate", "--scenario", str(bad), "--replications", "1", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys):
+    assert main(["simulate", "--scenario", "model1", "--seed", "-1", "--out", str(tmp_path)]) == 1
+    assert "usage" in capsys.readouterr().err.lower()
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("script", ["reproduce_results.py", "run_sensitivity.py"])
+@pytest.mark.parametrize("flag", ["--replications", "--workers"])
+def test_script_count_flags_below_one_are_usage_errors(script, flag, tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import semibus
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / script
+    src = str(Path(semibus.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(path), "--replications", "1", "--workers", "1", flag, "0", "--out", str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2  # argparse's usage-error status
+    assert "must be at least 1" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()

@@ -369,3 +369,60 @@ def test_sampled_mean_access_matches_quadrature(model1):
     mask = (a + b) <= gl
     quad = float(((a + b) * mask).sum() / mask.sum() / model1.service.v_w)
     assert got == approx(quad, abs=2e-4)
+
+
+# --- dispatch invariants ----------------------------------------------------------
+
+
+def _zonal3(scenario):
+    return replace(scenario, service=replace(scenario.service, n_parallel=1, n_zones=3, v_h=60.0))
+
+
+def test_zonal_bus_never_backs_up_at_zone_end(model1):
+    # 3.32 lies in zone 0 (ends at 10/3 km) but snaps to the 3.4 cross-street
+    scn = _zonal3(model1)
+    logs = S.simulate_requests(scn, "amsod", [Request(0, 3.32, 0.2, 0.0, 8)])
+    plan = logs[0].plan
+    assert logs[0].served_ids == (0,)
+    xs = [p[0] for p in plan.waypoints]
+    assert all(x1 <= x2 for x1, x2 in zip(xs, xs[1:]))
+    assert plan.d_x + plan.d_y == approx(plan.rectilinear_length(), abs=1e-12)
+
+
+def test_request_caught_by_first_trip_past_the_snapped_width(model1):
+    # gl_y 0.56 snaps out to 0.6: 29 sweeps of 1.2 km across the axis
+    # bring trip 0 to (10.0, -0.6) at about 1.4905 h, later than a bound
+    # that charges each pickup only 2 * gl_y of cross-street (1.4457 h)
+    scn = replace(model1, grid=replace(model1.grid, gl_y=0.56))
+    reqs = [Request(i, round(4.2 + 0.2 * i, 6), 0.555 * (-1) ** i, 0.0, 0) for i in range(29)]
+    last = [Request(29, 10.0, -0.555, 0.0, 0)]
+    lattice = [Request(r.id, *S.snap_to_streets((r.x, r.y), scn.grid), 0.0, 0) for r in reqs + last]
+    arrival = S.plan_amsod_route(lattice, scn.grid, scn.service).pickups[-1].time
+    t_k = arrival - 0.02
+    assert t_k > 1.4457
+    logs = S.simulate_requests(scn, "amsod", reqs + [replace(last[0], t_k=t_k)])
+    assert 29 in logs[0].served_ids
+    assert logs[0].plan.pickups[-1].time == approx(arrival)
+
+
+@pytest.mark.parametrize("zonal", [False, True], ids=["shipped", "zonal3"])
+@pytest.mark.parametrize("name", ["model1", "model2", "cta126", "cta84"])
+def test_dispatch_invariants_on_bundled_corridors(request, name, zonal):
+    scn = request.getfixturevalue(name)
+    if zonal:
+        scn = _zonal3(scn)
+    reqs = S.sample_requests(scn.grid, scn.service, 2024)
+    for mode in ("fixed", "amsod"):
+        logs = S.simulate_requests(scn, mode, reqs)
+        served = [rid for log in logs for rid in log.served_ids]
+        assert len(served) == len(set(served))
+        ledger = S.classify_requests(reqs, logs, scn.service)
+        buckets = ledger.counted_served + ledger.uncounted_served + ledger.unserved
+        assert sorted(buckets) == [r.id for r in reqs]
+        assert set(served) == set(ledger.counted_served + ledger.uncounted_served)
+        for log in logs:
+            assert not set(log.served_ids) & set(log.spilled_ids)
+            if mode == "amsod":
+                xs = [p[0] for p in log.plan.waypoints]
+                assert all(x1 <= x2 for x1, x2 in zip(xs, xs[1:]))
+                assert log.plan.d_x + log.plan.d_y == approx(log.plan.rectilinear_length(), abs=1e-9)
