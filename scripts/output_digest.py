@@ -5,8 +5,9 @@ bytes there, so a refactor can show that it keeps every number, or which
 section it changes.  Sections:
 
   reports  run_to_dict and delta_tc_values of the four bundled corridors,
-           each at its shipped settings, zonal (n_zones 3, v_h 60 km/h)
-           and crowded (capacity 5, lambda 200/h)
+           each at its shipped settings, zonal (n_zones 3, v_h 60 km/h),
+           crowded (capacity 5, lambda 200/h) and backlogged (shipped
+           capacity, lambda 480/h)
   logs     the TripLog reprs of run_timeline, both modes, same scenarios
   cli      stdout and written files of simulate, screen, analytic --v-h 50
            and sweep (output directories replaced by a placeholder)
@@ -16,9 +17,14 @@ Usage, from a checkout (point PYTHONPATH at another checkout's src/ to
 digest that one):
 
     PYTHONPATH=src python3 scripts/output_digest.py
+
+With --by-variant it prints instead one digest per variant and mode, of
+that mode's run_to_dict statistics and TripLog reprs, to show which
+variants and which mode a change moves.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -41,6 +47,7 @@ def variants():
         yield name, base
         yield f"{name}-zonal3", replace(base, service=replace(svc, n_parallel=1, n_zones=3, v_h=60.0))
         yield f"{name}-cap5-lam200", replace(base, service=replace(svc, capacity=5, demand_rate=200.0))
+        yield f"{name}-lam480", replace(base, service=replace(svc, demand_rate=480.0))
 
 
 def digest_reports() -> str:
@@ -60,6 +67,20 @@ def digest_logs() -> str:
             h.update(f"{label} {mode}".encode())
             h.update(repr(simulator.run_timeline(scenario, mode, scenario.seed)).encode())
     return h.hexdigest()
+
+
+def digest_by_variant() -> list:
+    """(variant, mode, digest) rows."""
+    rows = []
+    for label, scenario in variants():
+        run = experiments.run_scenario(scenario, replications=REPLICATIONS)
+        stats = experiments.run_to_dict(run)["stats"]
+        for mode in run.modes:
+            h = hashlib.sha256()
+            h.update(json.dumps(stats[mode], sort_keys=True).encode())
+            h.update(repr(simulator.run_timeline(scenario, mode, scenario.seed)).encode())
+            rows.append((label, mode, h.hexdigest()))
+    return rows
 
 
 def cli_commands() -> list:
@@ -94,6 +115,12 @@ def digest_cli() -> tuple:
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description="Print one SHA-256 per output section.")
+    parser.add_argument("--by-variant", action="store_true", help="one digest per variant and mode instead")
+    if parser.parse_args().by_variant:
+        for label, mode, value in digest_by_variant():
+            print(f"{label:<20s} {mode:<6s} {value}")
+        return
     cli_digest, trace_digest = digest_cli()
     for section, value in (
         ("reports", digest_reports()),

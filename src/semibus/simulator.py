@@ -35,8 +35,9 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_left
+from bisect import insort
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -148,29 +149,20 @@ def sample_requests(grid: GridGeometry, svc: ServiceConfig, seed: SeedLike) -> l
     if n == 0:
         return []
     x, y, stops = _sample_positions(grid, n, rng)
-    return [
-        Request(id=i, x=float(x[i]), y=float(y[i]), t_k=float(times[i]), home_stop=int(stops[i]))
-        for i in range(n)
-    ]
+    return list(map(Request, range(n), x.tolist(), y.tolist(), times.tolist(), stops.tolist()))
 
 
-def nearest_stop(x: float, grid: GridGeometry) -> int:
-    """Nearest stop by rectilinear distance; ties go downstream."""
-    chain = grid.stop_chainages
-    pos = bisect_left(chain, x)
-    if pos == 0:
-        return 0
-    if pos == len(chain):
-        return len(chain) - 1
-    left = x - chain[pos - 1]
-    right = chain[pos] - x
-    return pos if right <= left else pos - 1
-
-
-def access_time(req: Request, grid: GridGeometry, svc: ServiceConfig) -> tuple:
-    """(boarding stop, access time in hours) for the fixed-route service."""
-    s = nearest_stop(req.x, grid)
-    return s, (abs(req.x - grid.stop_chainages[s]) + abs(req.y)) / svc.v_w
+def _nearest_stops(grid: GridGeometry, x: np.ndarray) -> tuple:
+    """(nearest stop, x distance to it) for each x by rectilinear
+    distance; ties go downstream."""
+    chainage = np.asarray(grid.stop_chainages)
+    pos = np.searchsorted(chainage, x)
+    pos_lo = np.clip(pos - 1, 0, grid.n_stops - 1)
+    pos_hi = np.clip(pos, 0, grid.n_stops - 1)
+    left = np.abs(x - chainage[pos_lo])
+    right = np.abs(chainage[pos_hi] - x)
+    down = right <= left
+    return np.where(down, pos_hi, pos_lo), np.where(down, right, left)
 
 
 # --- street snapping ---------------------------------------------------------
@@ -212,35 +204,76 @@ def _on_lattice(point: tuple, grid: GridGeometry) -> bool:
 # Candidate tuples are (sx, sy, t_k, request_id).
 
 
-def _visit_order(cands: list) -> list:
-    """x-ascending visit order; one monotone y sweep per cross-street.
+def _sweep(group: list) -> list:
+    """Visit order on one cross-street: a monotone y sweep that starts at
+    the extreme with the larger |y| (positive side on a tie) and runs
+    through to the other extreme, so the bus never reverses on it."""
+    if len(group) == 1:
+        return group
+    top = max(c[1] for c in group)
+    bot = min(c[1] for c in group)
+    if abs(top) >= abs(bot):
+        return sorted(group, key=lambda c: (-c[1], c[3]))
+    return sorted(group, key=lambda c: (c[1], c[3]))
 
-    Within a shared snapped x the sweep starts at the extreme with the
-    larger |y| (positive side on a tie) and runs through to the other
-    extreme, so the bus never reverses on the cross-street.
+
+class _CrossStreets:
+    """One sub-route's pending candidates, grouped by snapped cross-street x.
+
+    The group keys stay sorted by x.  Each group keeps its sweep order and
+    its earliest request time, recomputed only when it gains or loses a
+    member, so a trip neither re-sorts nor regroups the whole set.
     """
-    cands = sorted(cands, key=lambda c: (c[0], c[3]))
-    out = []
-    i = 0
-    while i < len(cands):
-        j = i
-        while j < len(cands) and cands[j][0] == cands[i][0]:
-            j += 1
-        group = cands[i:j]
-        if len(group) > 1:
-            top = max(c[1] for c in group)
-            bot = min(c[1] for c in group)
-            if abs(top) >= abs(bot):
-                group.sort(key=lambda c: (-c[1], c[3]))
+
+    def __init__(self, cands=()):
+        self.xs = []  # group keys, ascending
+        self.order = {}  # x -> members in sweep order
+        self.earliest = {}  # x -> earliest request time of the members
+        self.size = 0
+        self._dirty = set()
+        for c in cands:
+            self.add(c)
+
+    def add(self, cand: tuple) -> None:
+        x = cand[0]
+        group = self.order.get(x)
+        if group is None:
+            insort(self.xs, x)
+            self.order[x] = [cand]
+        else:
+            group.append(cand)
+        self._dirty.add(x)
+        self.size += 1
+
+    def discard(self, pickups) -> None:
+        """Drop the served pickups' candidates."""
+        gone = {}
+        for p in pickups:
+            gone.setdefault(p.point[0], set()).add(p.request_id)
+        for x, ids in gone.items():
+            group = [c for c in self.order[x] if c[3] not in ids]
+            self.size -= len(self.order[x]) - len(group)
+            if group:
+                self.order[x] = group
+                self._dirty.add(x)
             else:
-                group.sort(key=lambda c: (c[1], c[3]))
-        out.extend(group)
-        i = j
-    return out
+                del self.order[x], self.earliest[x]
+                self.xs.remove(x)
+                self._dirty.discard(x)
+
+    def visit_order(self, t_bound: float = math.inf):
+        """Candidates in x order, one sweep per cross-street, skipping the
+        cross-streets where nothing is requested by t_bound."""
+        for x in self._dirty:
+            group = self.order[x] = _sweep(self.order[x])
+            self.earliest[x] = min(c[2] for c in group)
+        self._dirty.clear()
+        earliest = self.earliest
+        return chain.from_iterable(self.order[x] for x in self.xs if earliest[x] <= t_bound)
 
 
 def _drive(
-    cands: list,
+    cands,
     depart: float,
     svc: ServiceConfig,
     start_x: float,
@@ -267,6 +300,7 @@ def _drive(
     n_points = 0
     last_arrival = depart
     inv_v = 1.0 / svc.v_d
+    cands = iter(cands)
     for sx, sy, tk, rid in cands:
         if tk > t_bound:
             continue
@@ -277,9 +311,6 @@ def _drive(
             arrival = t + (abs(sy - by) + (sx - bx)) * inv_v
         if tk > arrival + 1e-12:
             continue  # requested after the bus passes; next trip
-        if len(served) >= capacity:
-            spilled.append(rid)
-            continue
         if not same_point:
             d_y += abs(sy - by)
             if sy != by:
@@ -291,6 +322,16 @@ def _drive(
             last_arrival = arrival
             n_points += 1
         served.append((rid, arrival, (sx, sy), n_points))
+        if len(served) == capacity:
+            break
+    # full: the bus no longer moves, so each candidate left needs only the
+    # ready test against its last position
+    for sx, sy, tk, rid in cands:
+        if tk > t_bound:
+            continue
+        arrival = last_arrival if sx == bx and sy == by else t + (abs(sy - by) + (sx - bx)) * inv_v
+        if tk <= arrival + 1e-12:
+            spilled.append(rid)
     d_y += abs(by)
     if by != 0.0:
         waypoints.append((bx, 0.0))
@@ -331,8 +372,8 @@ def plan_amsod_route(
     for req in requests:
         if not _on_lattice((req.x, req.y), grid):
             raise ValueError(f"request {req.id} is off the street lattice: ({req.x}, {req.y})")
-    cands = [(req.x, req.y, -math.inf, req.id) for req in requests]  # all already due
-    plan, _ = _drive(_visit_order(cands), depart_time, svc, 0.0, grid.gl_x, 0.0, len(requests))
+    pending = _CrossStreets((req.x, req.y, -math.inf, req.id) for req in requests)  # all already due
+    plan, _ = _drive(pending.visit_order(), depart_time, svc, 0.0, grid.gl_x, 0.0, len(requests))
     return plan
 
 
@@ -377,6 +418,44 @@ def evaluate_amsod_trip(
 # --- fixed-route evaluation --------------------------------------------------
 
 
+def _boarding_rows(requests: Sequence[Request], grid: GridGeometry, svc: ServiceConfig) -> tuple:
+    """One array pass over the requests: (rows, stops, ready), one row
+    (boarding stop, ready time at the stop, id, access time) per request,
+    with the stop and ready columns also as arrays."""
+    n = len(requests)
+    x = np.fromiter((r.x for r in requests), float, n)
+    y = np.fromiter((r.y for r in requests), float, n)
+    t_k = np.fromiter((r.t_k for r in requests), float, n)
+    stops, dx = _nearest_stops(grid, x)
+    access = (dx + np.abs(y)) / svc.v_w
+    ready = t_k + access
+    rows = list(zip(stops.tolist(), ready.tolist(), [r.id for r in requests], access.tolist()))
+    return rows, stops, ready
+
+
+def _fixed_costs(
+    rows, dep: float, sched: FixedSchedule, ride: Sequence[float], cost: CostParams, grid: GridGeometry
+) -> TripCosts:
+    """Cost one fixed-route trip departing at dep for its boarding rows,
+    in boarding order; ride[s] is the in-vehicle time from stop s."""
+    offsets = sched.stop_offsets
+    outcomes = []
+    for s, ready, rid, acc in rows:
+        wait = dep + offsets[s] - ready
+        if wait < -1e-9:
+            raise ValueError(f"request {rid} assigned to a departure it cannot catch")
+        outcomes.append(PassengerOutcome(wait=max(0.0, wait), ivtt=ride[s], access=acc))
+    c_a = cost.gamma_a * cost.vot * sum(o.access for o in outcomes)
+    return _trip_costs(cost, outcomes, c_a, cost.gamma_o * grid.gl_x)
+
+
+def _ride_times(grid: GridGeometry, svc: ServiceConfig) -> list:
+    """In-vehicle time from each stop to the corridor end, one dwell per
+    downstream stop."""
+    n_stops = grid.n_stops
+    return [(grid.gl_x - c) / svc.v_d + svc.t_s * (n_stops - s - 1) for s, c in enumerate(grid.stop_chainages)]
+
+
 def evaluate_fixed_trip(
     requests: Sequence[Request],
     departure_index: int,
@@ -391,17 +470,8 @@ def evaluate_fixed_trip(
     then ride to the corridor end with one dwell per downstream stop.
     Operator cost is the full corridor length regardless of boardings.
     """
-    n_stops = grid.n_stops
-    outcomes = []
-    for req in requests:
-        s, acc = access_time(req, grid, svc)
-        wait = sched.stop_arrival(s, departure_index) - (req.t_k + acc)
-        if wait < -1e-9:
-            raise ValueError(f"request {req.id} assigned to a departure it cannot catch")
-        ivtt = (grid.gl_x - grid.stop_chainages[s]) / svc.v_d + svc.t_s * (n_stops - s - 1)
-        outcomes.append(PassengerOutcome(wait=max(0.0, wait), ivtt=ivtt, access=acc))
-    c_a = cost.gamma_a * cost.vot * sum(o.access for o in outcomes)
-    return _trip_costs(cost, outcomes, c_a, cost.gamma_o * grid.gl_x)
+    rows = _boarding_rows(requests, grid, svc)[0]
+    return _fixed_costs(rows, sched.departures[departure_index], sched, _ride_times(grid, svc), cost, grid)
 
 
 # --- request partitioning ----------------------------------------------------
@@ -466,26 +536,26 @@ def _fixed_trips(scenario: Scenario, requests: Sequence[Request]) -> tuple:
     """Pending set: the spill carried from the trip before."""
     grid, svc, cost = scenario.grid, scenario.service, scenario.cost
     sched = build_schedule(grid, svc)
+    ride = _ride_times(grid, svc)
     n_trips = len(sched.departures)
-    cohorts = [[] for _ in range(n_trips)]  # (stop, ready time, id, request)
-    for req in requests:
-        s, acc = access_time(req, grid, svc)
-        ready = req.t_k + acc
-        first = max(0, math.ceil((ready - sched.stop_offsets[s]) / svc.headway - 1e-12))
-        if first < n_trips:
-            cohorts[first].append((s, ready, req.id, req))
+    rows, stops, ready = _boarding_rows(requests, grid, svc)
+    first = np.maximum(0.0, np.ceil((ready - np.asarray(sched.stop_offsets)[stops]) / svc.headway - 1e-12))
+    cohorts = [[] for _ in range(n_trips)]  # rows whose first catchable departure is trip i
+    for row, i in zip(rows, first.tolist()):
+        if i < n_trips:
+            cohorts[int(i)].append(row)
 
     def trip(i, dep, carried):
-        cand = sorted(carried + cohorts[i], key=lambda c: (c[0], c[1], c[2]))  # stop order, FIFO
+        cand = sorted(carried + cohorts[i])  # stop order, then first come first
         served, spilled = cand[: svc.capacity], cand[svc.capacity :]
-        costs = evaluate_fixed_trip([c[3] for c in served], i, sched, cost, grid, svc)
+        costs = _fixed_costs(served, dep, sched, ride, cost, grid)
         return None, costs, tuple(c[2] for c in served), tuple(c[2] for c in spilled), spilled
 
     return [[]], trip
 
 
 def _amsod_trips(scenario: Scenario, requests: Sequence[Request]) -> tuple:
-    """Pending sets: each sub-route's unserved candidates, sorted by (x, id)."""
+    """Pending sets: each sub-route's unserved candidates by cross-street."""
     grid, svc, cost = scenario.grid, scenario.service, scenario.cost
     if svc.n_zones > 1:
         slices = partition_zonal(requests, grid, svc.n_zones)
@@ -502,22 +572,21 @@ def _amsod_trips(scenario: Scenario, requests: Sequence[Request]) -> tuple:
         for req in sub:
             sx, sy = snap_to_streets((req.x, req.y), grid)
             cands.append((min(max(sx, x_lo), x_hi), sy, req.t_k, req.id))  # kept inside the run
-        pending.append(sorted(cands, key=lambda c: (c[0], c[3])))
+        pending.append(_CrossStreets(cands))
         y_max.append(max((abs(c[1]) for c in cands), default=0.0))
 
-    def trip(i, dep, cands):
+    def trip(i, dep, streets):
         k = i % len(bounds)
         start_x, end_x, express_len = bounds[k]
-        n_serv = min(svc.capacity, len(cands))
+        n_serv = min(svc.capacity, streets.size)
         # at most n_serv dwells and n_serv + 1 cross-street moves precede any arrival
         t_bound = dep + (end_x - start_x + (n_serv + 1) * 2.0 * y_max[k]) / svc.v_d + n_serv * svc.t_s_prime
-        plan, spilled = _drive(_visit_order(cands), dep, svc, start_x, end_x, express_len, svc.capacity, t_bound)
+        cands = streets.visit_order(t_bound)
+        plan, spilled = _drive(cands, dep, svc, start_x, end_x, express_len, svc.capacity, t_bound)
         served_ids = tuple(p.request_id for p in plan.pickups)
         costs = evaluate_amsod_trip(plan, cost, svc, [by_id[rid] for rid in served_ids])
-        if served_ids:
-            served_set = set(served_ids)
-            cands = [c for c in cands if c[3] not in served_set]
-        return plan, costs, served_ids, tuple(spilled), cands
+        streets.discard(plan.pickups)
+        return plan, costs, served_ids, tuple(spilled), streets
 
     return pending, trip
 
@@ -575,13 +644,7 @@ def sampled_mean_access(
     simulator's demand distribution."""
     rng = np.random.default_rng(seed)
     x, y, _ = _sample_positions(grid, n_samples, rng)
-    chain = np.asarray(grid.stop_chainages)
-    pos = np.searchsorted(chain, x)
-    pos_lo = np.clip(pos - 1, 0, grid.n_stops - 1)
-    pos_hi = np.clip(pos, 0, grid.n_stops - 1)
-    left = np.abs(x - chain[pos_lo])
-    right = np.abs(chain[pos_hi] - x)
-    dist = np.minimum(left, right) + np.abs(y)
+    dist = _nearest_stops(grid, x)[1] + np.abs(y)
     return float(dist.mean() / svc.v_w)
 
 
