@@ -27,6 +27,20 @@ amsod (semi-on-demand)
     request time (the point must still be ahead of the bus); otherwise it
     waits for the next trip, as do passengers beyond capacity.
 
+    Planning is causal.  A trip departing at dep on the sub-route
+    [x_lo, x_hi] sees a request only if t_k <= t_bound, with
+
+        t_bound = dep + (x_hi - x_lo + (capacity + 1) * 2 * y_hat) / v_d
+                      + capacity * t_s'
+
+    where y_hat is the grid's largest catchment half-width max_gl_y
+    snapped to the street lattice.  t_bound reads no demand, and it bounds
+    every arrival of the trip (at most capacity dwells and capacity + 1
+    cross-street moves of at most 2 * y_hat precede one), so the trip
+    never misses a request it could board in time, while its plan (which
+    requests it visits, and from which end it sweeps a cross-street) never
+    depends on requests made later.
+
 All rules are deterministic given (scenario, mode, seed); replications
 are seeded through independent substreams so results do not depend on
 execution order or worker count.
@@ -38,6 +52,7 @@ import math
 from bisect import insort
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -68,6 +83,7 @@ class FixedSchedule:
 
     departures: tuple  # terminal departure times, hours
     stop_offsets: tuple  # travel + dwell offset from departure to each stop
+    ride_times: tuple  # in-vehicle time from each stop to the corridor end
 
     def stop_arrival(self, stop: int, departure_index: int) -> float:
         return self.departures[departure_index] + self.stop_offsets[stop]
@@ -108,8 +124,11 @@ def departure_times(svc: ServiceConfig) -> tuple:
 
 
 def build_schedule(grid: GridGeometry, svc: ServiceConfig) -> FixedSchedule:
-    offsets = tuple(c / svc.v_d + svc.t_s * s for s, c in enumerate(grid.stop_chainages))
-    return FixedSchedule(departures=departure_times(svc), stop_offsets=offsets)
+    stops_x, n = grid.stop_chainages, grid.n_stops
+    offsets = tuple(c / svc.v_d + svc.t_s * s for s, c in enumerate(stops_x))
+    # one dwell per downstream stop
+    rides = tuple((grid.gl_x - c) / svc.v_d + svc.t_s * (n - s - 1) for s, c in enumerate(stops_x))
+    return FixedSchedule(departures=departure_times(svc), stop_offsets=offsets, ride_times=rides)
 
 
 # --- demand ------------------------------------------------------------------
@@ -168,20 +187,22 @@ def _nearest_stops(grid: GridGeometry, x: np.ndarray) -> tuple:
 # --- street snapping ---------------------------------------------------------
 
 
-def _snap_coord(value: float, spacing: float, tie_toward_zero: bool) -> float:
-    r = value / spacing
-    f = math.floor(r)
+def _snap(values: np.ndarray, spacing: float, tie_toward_zero: bool) -> np.ndarray:
+    """Nearest multiple of spacing for each value."""
+    r = values / spacing
+    f = np.floor(r)
     frac = r - f
-    if abs(frac - 0.5) < _TIE:
-        if tie_toward_zero:
-            k = f if value >= 0 else f + 1  # candidate nearer the axis
-        else:
-            k = f  # backward in x
-    elif frac > 0.5:
-        k = f + 1
+    k = np.where(frac > 0.5, f + 1.0, f)
+    if tie_toward_zero:
+        tie = np.where(values >= 0, f, f + 1.0)  # candidate nearer the axis
     else:
-        k = f
-    return k * spacing
+        tie = f  # backward in x
+    k = np.where(np.abs(frac - 0.5) < _TIE, tie, k)
+    return (k + 0.0) * spacing  # + 0.0 turns -0.0 into 0.0
+
+
+def _snap_points(x: np.ndarray, y: np.ndarray, grid: GridGeometry) -> tuple:
+    return _snap(x, grid.l_x, tie_toward_zero=False), _snap(y, grid.l_y, tie_toward_zero=True)
 
 
 def snap_to_streets(point: tuple, grid: GridGeometry) -> tuple:
@@ -190,8 +211,8 @@ def snap_to_streets(point: tuple, grid: GridGeometry) -> tuple:
     Midpoint ties go toward the route axis in y and backward in x, so
     resnapping is a fixed point.
     """
-    x, y = point
-    return _snap_coord(x, grid.l_x, tie_toward_zero=False), _snap_coord(y, grid.l_y, tie_toward_zero=True)
+    sx, sy = _snap_points(np.array([point[0]], float), np.array([point[1]], float), grid)
+    return sx.item(), sy.item()
 
 
 def _on_lattice(point: tuple, grid: GridGeometry) -> bool:
@@ -203,6 +224,8 @@ def _on_lattice(point: tuple, grid: GridGeometry) -> bool:
 #
 # Candidate tuples are (sx, sy, t_k, request_id).
 
+_Y, _ID, _Y_ID, _T_ID = itemgetter(1), itemgetter(3), itemgetter(1, 3), itemgetter(2, 3)
+
 
 def _sweep(group: list) -> list:
     """Visit order on one cross-street: a monotone y sweep that starts at
@@ -210,40 +233,44 @@ def _sweep(group: list) -> list:
     through to the other extreme, so the bus never reverses on it."""
     if len(group) == 1:
         return group
-    top = max(c[1] for c in group)
-    bot = min(c[1] for c in group)
+    top = max(group, key=_Y)[1]
+    bot = min(group, key=_Y)[1]
     if abs(top) >= abs(bot):
-        return sorted(group, key=lambda c: (-c[1], c[3]))
-    return sorted(group, key=lambda c: (c[1], c[3]))
+        return sorted(sorted(group, key=_ID), key=_Y, reverse=True)  # y descending, then id (stable)
+    return sorted(group, key=_Y_ID)
 
 
 class _CrossStreets:
-    """One sub-route's pending candidates, grouped by snapped cross-street x.
+    """One sub-route's visible pending candidates, grouped by snapped
+    cross-street x.
 
-    The group keys stay sorted by x.  Each group keeps its sweep order and
-    its earliest request time, recomputed only when it gains or loses a
+    Candidates become visible in (request time, id) order as trips' time
+    bounds reach them.  The group keys stay sorted by x, and each group
+    keeps its sweep order, recomputed only when it gains or loses a
     member, so a trip neither re-sorts nor regroups the whole set.
     """
 
-    def __init__(self, cands=()):
+    def __init__(self, cands):
+        self._queue = sorted(cands, key=_T_ID)
+        self._next = 0  # first candidate not yet visible
         self.xs = []  # group keys, ascending
         self.order = {}  # x -> members in sweep order
-        self.earliest = {}  # x -> earliest request time of the members
-        self.size = 0
         self._dirty = set()
-        for c in cands:
-            self.add(c)
 
-    def add(self, cand: tuple) -> None:
-        x = cand[0]
-        group = self.order.get(x)
-        if group is None:
-            insort(self.xs, x)
-            self.order[x] = [cand]
-        else:
-            group.append(cand)
-        self._dirty.add(x)
-        self.size += 1
+    def admit(self, t_bound: float) -> None:
+        """Make visible every candidate requested by t_bound."""
+        queue, i = self._queue, self._next
+        while i < len(queue) and queue[i][2] <= t_bound:
+            cand = queue[i]
+            group = self.order.get(cand[0])
+            if group is None:
+                insort(self.xs, cand[0])
+                self.order[cand[0]] = [cand]
+            else:
+                group.append(cand)
+            self._dirty.add(cand[0])
+            i += 1
+        self._next = i
 
     def discard(self, pickups) -> None:
         """Drop the served pickups' candidates."""
@@ -252,24 +279,20 @@ class _CrossStreets:
             gone.setdefault(p.point[0], set()).add(p.request_id)
         for x, ids in gone.items():
             group = [c for c in self.order[x] if c[3] not in ids]
-            self.size -= len(self.order[x]) - len(group)
             if group:
                 self.order[x] = group
                 self._dirty.add(x)
             else:
-                del self.order[x], self.earliest[x]
+                del self.order[x]
                 self.xs.remove(x)
                 self._dirty.discard(x)
 
-    def visit_order(self, t_bound: float = math.inf):
-        """Candidates in x order, one sweep per cross-street, skipping the
-        cross-streets where nothing is requested by t_bound."""
+    def visit_order(self):
+        """Visible candidates in x order, one sweep per cross-street."""
         for x in self._dirty:
-            group = self.order[x] = _sweep(self.order[x])
-            self.earliest[x] = min(c[2] for c in group)
+            self.order[x] = _sweep(self.order[x])
         self._dirty.clear()
-        earliest = self.earliest
-        return chain.from_iterable(self.order[x] for x in self.xs if earliest[x] <= t_bound)
+        return chain.from_iterable(map(self.order.__getitem__, self.xs))
 
 
 def _drive(
@@ -280,16 +303,13 @@ def _drive(
     end_x: float,
     express_length: float,
     capacity: int,
-    t_bound: float = math.inf,
 ) -> tuple:
     """Drive one trip from (start_x, 0), serving candidates in visit order,
     to the axis at end_x, then express_length km on at v_h.
 
     A candidate whose request time is later than the bus's arrival at its
     point is left for the next trip; ready candidates beyond capacity are
-    spilled.  t_bound is an upper bound on any arrival this trip, used
-    only to skip clearly-not-ready candidates cheaply.  Returns
-    (RoutePlan, spilled_ids).
+    spilled.  Returns (RoutePlan, spilled_ids).
     """
     t = depart
     bx, by = start_x, 0.0
@@ -302,8 +322,6 @@ def _drive(
     inv_v = 1.0 / svc.v_d
     cands = iter(cands)
     for sx, sy, tk, rid in cands:
-        if tk > t_bound:
-            continue
         same_point = bool(served) and sx == bx and sy == by
         if same_point:
             arrival = last_arrival  # boards during the same dwell
@@ -327,11 +345,11 @@ def _drive(
     # full: the bus no longer moves, so each candidate left needs only the
     # ready test against its last position
     for sx, sy, tk, rid in cands:
-        if tk > t_bound:
-            continue
-        arrival = last_arrival if sx == bx and sy == by else t + (abs(sy - by) + (sx - bx)) * inv_v
-        if tk <= arrival + 1e-12:
-            spilled.append(rid)
+        if tk > last_arrival:  # else ready: no arrival comes earlier
+            arrival = last_arrival if sx == bx and sy == by else t + (abs(sy - by) + (sx - bx)) * inv_v
+            if tk > arrival + 1e-12:
+                continue
+        spilled.append(rid)
     d_y += abs(by)
     if by != 0.0:
         waypoints.append((bx, 0.0))
@@ -372,7 +390,8 @@ def plan_amsod_route(
     for req in requests:
         if not _on_lattice((req.x, req.y), grid):
             raise ValueError(f"request {req.id} is off the street lattice: ({req.x}, {req.y})")
-    pending = _CrossStreets((req.x, req.y, -math.inf, req.id) for req in requests)  # all already due
+    pending = _CrossStreets([(req.x, req.y, -math.inf, req.id) for req in requests])  # all already due
+    pending.admit(math.inf)
     plan, _ = _drive(pending.visit_order(), depart_time, svc, 0.0, grid.gl_x, 0.0, len(requests))
     return plan
 
@@ -418,10 +437,10 @@ def evaluate_amsod_trip(
 # --- fixed-route evaluation --------------------------------------------------
 
 
-def _boarding_rows(requests: Sequence[Request], grid: GridGeometry, svc: ServiceConfig) -> tuple:
-    """One array pass over the requests: (rows, stops, ready), one row
-    (boarding stop, ready time at the stop, id, access time) per request,
-    with the stop and ready columns also as arrays."""
+def _boarding_rows(requests: Sequence[Request], sched: FixedSchedule, grid: GridGeometry, svc: ServiceConfig) -> tuple:
+    """One array pass over the requests: a row (boarding stop, ready time
+    at the stop, id, access time) per request, and the index of the first
+    departure that reaches the stop by its ready time."""
     n = len(requests)
     x = np.fromiter((r.x for r in requests), float, n)
     y = np.fromiter((r.y for r in requests), float, n)
@@ -429,31 +448,24 @@ def _boarding_rows(requests: Sequence[Request], grid: GridGeometry, svc: Service
     stops, dx = _nearest_stops(grid, x)
     access = (dx + np.abs(y)) / svc.v_w
     ready = t_k + access
+    wait_from = (ready - np.asarray(sched.stop_offsets)[stops]) / svc.headway
+    first = np.maximum(0.0, np.ceil(wait_from - 1e-12)).astype(np.int64)
     rows = list(zip(stops.tolist(), ready.tolist(), [r.id for r in requests], access.tolist()))
-    return rows, stops, ready
+    return rows, first.tolist()
 
 
-def _fixed_costs(
-    rows, dep: float, sched: FixedSchedule, ride: Sequence[float], cost: CostParams, grid: GridGeometry
-) -> TripCosts:
+def _fixed_costs(rows, dep: float, sched: FixedSchedule, cost: CostParams, grid: GridGeometry) -> TripCosts:
     """Cost one fixed-route trip departing at dep for its boarding rows,
-    in boarding order; ride[s] is the in-vehicle time from stop s."""
-    offsets = sched.stop_offsets
+    in boarding order."""
+    offsets, rides = sched.stop_offsets, sched.ride_times
     outcomes = []
     for s, ready, rid, acc in rows:
         wait = dep + offsets[s] - ready
         if wait < -1e-9:
             raise ValueError(f"request {rid} assigned to a departure it cannot catch")
-        outcomes.append(PassengerOutcome(wait=max(0.0, wait), ivtt=ride[s], access=acc))
+        outcomes.append(PassengerOutcome(wait=max(0.0, wait), ivtt=rides[s], access=acc))
     c_a = cost.gamma_a * cost.vot * sum(o.access for o in outcomes)
     return _trip_costs(cost, outcomes, c_a, cost.gamma_o * grid.gl_x)
-
-
-def _ride_times(grid: GridGeometry, svc: ServiceConfig) -> list:
-    """In-vehicle time from each stop to the corridor end, one dwell per
-    downstream stop."""
-    n_stops = grid.n_stops
-    return [(grid.gl_x - c) / svc.v_d + svc.t_s * (n_stops - s - 1) for s, c in enumerate(grid.stop_chainages)]
 
 
 def evaluate_fixed_trip(
@@ -470,8 +482,8 @@ def evaluate_fixed_trip(
     then ride to the corridor end with one dwell per downstream stop.
     Operator cost is the full corridor length regardless of boardings.
     """
-    rows = _boarding_rows(requests, grid, svc)[0]
-    return _fixed_costs(rows, sched.departures[departure_index], sched, _ride_times(grid, svc), cost, grid)
+    rows, _ = _boarding_rows(requests, sched, grid, svc)
+    return _fixed_costs(rows, sched.departures[departure_index], sched, cost, grid)
 
 
 # --- request partitioning ----------------------------------------------------
@@ -536,19 +548,16 @@ def _fixed_trips(scenario: Scenario, requests: Sequence[Request]) -> tuple:
     """Pending set: the spill carried from the trip before."""
     grid, svc, cost = scenario.grid, scenario.service, scenario.cost
     sched = build_schedule(grid, svc)
-    ride = _ride_times(grid, svc)
     n_trips = len(sched.departures)
-    rows, stops, ready = _boarding_rows(requests, grid, svc)
-    first = np.maximum(0.0, np.ceil((ready - np.asarray(sched.stop_offsets)[stops]) / svc.headway - 1e-12))
     cohorts = [[] for _ in range(n_trips)]  # rows whose first catchable departure is trip i
-    for row, i in zip(rows, first.tolist()):
+    for row, i in zip(*_boarding_rows(requests, sched, grid, svc)):
         if i < n_trips:
-            cohorts[int(i)].append(row)
+            cohorts[i].append(row)
 
     def trip(i, dep, carried):
         cand = sorted(carried + cohorts[i])  # stop order, then first come first
         served, spilled = cand[: svc.capacity], cand[svc.capacity :]
-        costs = _fixed_costs(served, dep, sched, ride, cost, grid)
+        costs = _fixed_costs(served, dep, sched, cost, grid)
         return None, costs, tuple(c[2] for c in served), tuple(c[2] for c in spilled), spilled
 
     return [[]], trip
@@ -566,23 +575,22 @@ def _amsod_trips(scenario: Scenario, requests: Sequence[Request]) -> tuple:
         bounds = [(0.0, grid.gl_x, 0.0)] * svc.n_parallel
 
     by_id = {r.id: r for r in requests}
-    pending, y_max = [], []
+    cap = svc.capacity
+    y_hat = snap_to_streets((0.0, grid.max_gl_y), grid)[1]  # no request snaps further out
+    pending, reach = [], []
     for sub, (x_lo, x_hi, _) in zip(subsets, bounds):
-        cands = []
-        for req in sub:
-            sx, sy = snap_to_streets((req.x, req.y), grid)
-            cands.append((min(max(sx, x_lo), x_hi), sy, req.t_k, req.id))  # kept inside the run
-        pending.append(_CrossStreets(cands))
-        y_max.append(max((abs(c[1]) for c in cands), default=0.0))
+        n = len(sub)
+        sx, sy = _snap_points(np.fromiter((r.x for r in sub), float, n), np.fromiter((r.y for r in sub), float, n), grid)
+        sx = np.minimum(np.maximum(sx, x_lo), x_hi)  # kept inside the run
+        pending.append(_CrossStreets(zip(sx.tolist(), sy.tolist(), [r.t_k for r in sub], [r.id for r in sub])))
+        # at most cap dwells and cap + 1 cross-street moves precede any arrival
+        reach.append((x_hi - x_lo + (cap + 1) * 2.0 * y_hat) / svc.v_d + cap * svc.t_s_prime)
 
     def trip(i, dep, streets):
         k = i % len(bounds)
         start_x, end_x, express_len = bounds[k]
-        n_serv = min(svc.capacity, streets.size)
-        # at most n_serv dwells and n_serv + 1 cross-street moves precede any arrival
-        t_bound = dep + (end_x - start_x + (n_serv + 1) * 2.0 * y_max[k]) / svc.v_d + n_serv * svc.t_s_prime
-        cands = streets.visit_order(t_bound)
-        plan, spilled = _drive(cands, dep, svc, start_x, end_x, express_len, svc.capacity, t_bound)
+        streets.admit(dep + reach[k])  # t_bound: what this trip may know
+        plan, spilled = _drive(streets.visit_order(), dep, svc, start_x, end_x, express_len, cap)
         served_ids = tuple(p.request_id for p in plan.pickups)
         costs = evaluate_amsod_trip(plan, cost, svc, [by_id[rid] for rid in served_ids])
         streets.discard(plan.pickups)

@@ -426,3 +426,101 @@ def test_dispatch_invariants_on_bundled_corridors(request, name, zonal):
                 xs = [p[0] for p in log.plan.waypoints]
                 assert all(x1 <= x2 for x1, x2 in zip(xs, xs[1:]))
                 assert log.plan.d_x + log.plan.d_y == approx(log.plan.rectilinear_length(), abs=1e-9)
+
+
+# --- causal on-demand planning -----------------------------------------------------
+
+
+def test_future_request_does_not_change_earlier_trip(model1):
+    # trip 0 sweeps x = 5.0 from the -0.4 end; a request made 2.9 h later
+    # at +0.6 must not flip it to start from the +0.2 end
+    now = [Request(0, 5.0, 0.2, 0.0, 12), Request(1, 5.0, -0.4, 0.0, 12)]
+    later = Request(2, 5.0, 0.6, 2.9, 12)
+    without = S.simulate_requests(model1, "amsod", now)[0]
+    with_later = S.simulate_requests(model1, "amsod", now + [later])[0]
+    assert [p.request_id for p in without.plan.pickups] == [1, 0]
+    assert with_later.plan == without.plan
+    assert with_later.costs == without.costs
+    assert with_later.served_ids == without.served_ids and with_later.spilled_ids == without.spilled_ids
+
+
+def _reference_amsod(scn, requests):
+    """Per trip: regroup every visible unserved request (t_k <= t_bound)
+    by cross-street and drive the visit order.  Returns one
+    (served, spilled, waypoints, pickups, d_y, end_time) row per trip."""
+    grid, svc = scn.grid, scn.service
+    if svc.n_zones > 1:
+        slices = S.partition_zonal(requests, grid, svc.n_zones)
+        subs = [(z.x_lo, z.x_hi, z.express_length, z.requests) for z in slices]
+    else:
+        subs = [(0.0, grid.gl_x, 0.0, band) for band in S.partition_parallel(requests, grid, svc.n_parallel)]
+    pending = []
+    for x_lo, x_hi, _, reqs in subs:
+        snapped = [S.snap_to_streets((r.x, r.y), grid) + (r.t_k, r.id) for r in reqs]
+        pending.append([(min(max(sx, x_lo), x_hi), sy, tk, rid) for sx, sy, tk, rid in snapped])
+    y_hat = S.snap_to_streets((0.0, grid.max_gl_y), grid)[1]
+    cap, inv_v = svc.capacity, 1.0 / svc.v_d
+    rows = []
+    for i, dep in enumerate(S.departure_times(svc)):
+        k = i % len(subs)
+        x_lo, x_hi, express, _ = subs[k]
+        t_bound = dep + ((x_hi - x_lo + (cap + 1) * 2.0 * y_hat) / svc.v_d + cap * svc.t_s_prime)
+        visible = sorted((c for c in pending[k] if c[2] <= t_bound), key=lambda c: (c[0], c[3]))
+        order = []
+        for x in sorted({c[0] for c in visible}):
+            group = [c for c in visible if c[0] == x]
+            top = abs(max(c[1] for c in group)) >= abs(min(c[1] for c in group))
+            order += sorted(group, key=lambda c: (-c[1] if top else c[1], c[3]))
+        t, bx, by, last, d_y = dep, x_lo, 0.0, dep, 0.0
+        waypoints, served, spilled, points = [(x_lo, 0.0)], [], [], 0
+        for sx, sy, tk, rid in order:
+            same = bool(served) and (sx, sy) == (bx, by)
+            arrival = last if same else t + (abs(sy - by) + (sx - bx)) * inv_v
+            if tk > arrival + 1e-12:
+                continue
+            if len(served) >= cap:
+                spilled.append(rid)
+                continue
+            if not same:
+                d_y += abs(sy - by)
+                waypoints += [p for p, move in (((bx, sy), sy != by), ((sx, sy), sx != bx)) if move]
+                t, bx, by, last, points = arrival + svc.t_s_prime, sx, sy, arrival, points + 1
+            served.append((rid, arrival, (sx, sy), points))
+        d_y += abs(by)
+        waypoints += [p for p, move in (((bx, 0.0), by != 0.0), ((x_hi, 0.0), bx != x_hi)) if move]
+        end = t + (abs(by) + (x_hi - bx)) * inv_v + (express / svc.v_h if express > 1e-9 else 0.0)
+        ids = [rid for rid, *_ in served]
+        pending[k] = [c for c in pending[k] if c[3] not in ids]
+        pickups = [(rid, at, point, points - n) for rid, at, point, n in served]
+        rows.append((ids, spilled, waypoints, pickups, d_y, end))
+    return rows
+
+
+@pytest.mark.parametrize("variant", ["shipped", "zonal3", "parallel2"])
+def test_amsod_matches_per_trip_regrouping_reference(model1, variant):
+    svc = model1.service
+    if variant == "zonal3":
+        svc = replace(svc, n_zones=3, v_h=60.0)
+    elif variant == "parallel2":
+        svc = replace(svc, n_parallel=2)
+    rng = np.random.default_rng(2718)
+    for trial in range(60):
+        scn = replace(model1, service=replace(svc, capacity=int(rng.integers(1, 4))))
+        n = int(rng.integers(0, 40))
+        x = rng.uniform(0.0, scn.grid.gl_x, n).tolist()
+        y = rng.uniform(-scn.grid.max_gl_y, scn.grid.max_gl_y, n).tolist()
+        t_k = np.sort(rng.uniform(0.0, svc.horizon, n)).tolist()
+        reqs = [Request(i, x[i], y[i], t_k[i], 0) for i in range(n)]
+        logs = S.simulate_requests(scn, "amsod", reqs)
+        got = [
+            (
+                list(log.served_ids),
+                list(log.spilled_ids),
+                list(log.plan.waypoints),
+                [(p.request_id, p.time, p.point, p.remaining_stops) for p in log.plan.pickups],
+                log.plan.d_y,
+                log.plan.end_time,
+            )
+            for log in logs
+        ]
+        assert got == _reference_amsod(scn, reqs), f"trial {trial}"
