@@ -34,12 +34,13 @@ amsod (semi-on-demand)
                       + capacity * t_s'
 
     where y_hat is the grid's largest catchment half-width max_gl_y
-    snapped to the street lattice.  t_bound reads no demand, and it bounds
-    every arrival of the trip (at most capacity dwells and capacity + 1
-    cross-street moves of at most 2 * y_hat precede one), so the trip
-    never misses a request it could board in time, while its plan (which
-    requests it visits, and from which end it sweeps a cross-street) never
-    depends on requests made later.
+    snapped to the street lattice.  t_bound reads no demand.  For requests
+    inside the catchment, as sampled, it bounds every arrival of the trip
+    (at most capacity dwells and capacity + 1 cross-street moves of at most
+    2 * y_hat precede one), so the trip never misses a request it could
+    board in time, while its plan (which requests it visits, and from which
+    end it sweeps a cross-street) never depends on requests made after
+    t_bound.
 
 All rules are deterministic given (scenario, mode, seed); replications
 are seeded through independent substreams so results do not depend on
@@ -253,8 +254,8 @@ class _CrossStreets:
     def __init__(self, cands):
         self._queue = sorted(cands, key=_T_ID)
         self._next = 0  # first candidate not yet visible
-        self.xs = []  # group keys, ascending
-        self.order = {}  # x -> members in sweep order
+        self._xs = []  # group keys, ascending
+        self._order = {}  # x -> members in sweep order
         self._dirty = set()
 
     def admit(self, t_bound: float) -> None:
@@ -262,10 +263,10 @@ class _CrossStreets:
         queue, i = self._queue, self._next
         while i < len(queue) and queue[i][2] <= t_bound:
             cand = queue[i]
-            group = self.order.get(cand[0])
+            group = self._order.get(cand[0])
             if group is None:
-                insort(self.xs, cand[0])
-                self.order[cand[0]] = [cand]
+                insort(self._xs, cand[0])
+                self._order[cand[0]] = [cand]
             else:
                 group.append(cand)
             self._dirty.add(cand[0])
@@ -278,21 +279,21 @@ class _CrossStreets:
         for p in pickups:
             gone.setdefault(p.point[0], set()).add(p.request_id)
         for x, ids in gone.items():
-            group = [c for c in self.order[x] if c[3] not in ids]
+            group = [c for c in self._order[x] if c[3] not in ids]
             if group:
-                self.order[x] = group
+                self._order[x] = group
                 self._dirty.add(x)
             else:
-                del self.order[x]
-                self.xs.remove(x)
+                del self._order[x]
+                self._xs.remove(x)
                 self._dirty.discard(x)
 
     def visit_order(self):
         """Visible candidates in x order, one sweep per cross-street."""
         for x in self._dirty:
-            self.order[x] = _sweep(self.order[x])
+            self._order[x] = _sweep(self._order[x])
         self._dirty.clear()
-        return chain.from_iterable(map(self.order.__getitem__, self.xs))
+        return chain.from_iterable(map(self._order.__getitem__, self._xs))
 
 
 def _drive(
@@ -345,7 +346,7 @@ def _drive(
     # full: the bus no longer moves, so each candidate left needs only the
     # ready test against its last position
     for sx, sy, tk, rid in cands:
-        if tk > last_arrival:  # else ready: no arrival comes earlier
+        if tk > last_arrival:  # else ready: no arrival left is earlier
             arrival = last_arrival if sx == bx and sy == by else t + (abs(sy - by) + (sx - bx)) * inv_v
             if tk > arrival + 1e-12:
                 continue
@@ -579,8 +580,9 @@ def _amsod_trips(scenario: Scenario, requests: Sequence[Request]) -> tuple:
     y_hat = snap_to_streets((0.0, grid.max_gl_y), grid)[1]  # no request snaps further out
     pending, reach = [], []
     for sub, (x_lo, x_hi, _) in zip(subsets, bounds):
-        n = len(sub)
-        sx, sy = _snap_points(np.fromiter((r.x for r in sub), float, n), np.fromiter((r.y for r in sub), float, n), grid)
+        x = np.fromiter((r.x for r in sub), float, len(sub))
+        y = np.fromiter((r.y for r in sub), float, len(sub))
+        sx, sy = _snap_points(x, y, grid)
         sx = np.minimum(np.maximum(sx, x_lo), x_hi)  # kept inside the run
         pending.append(_CrossStreets(zip(sx.tolist(), sy.tolist(), [r.t_k for r in sub], [r.id for r in sub])))
         # at most cap dwells and cap + 1 cross-street moves precede any arrival
