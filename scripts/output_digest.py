@@ -9,8 +9,10 @@ section it changes.  Sections:
            crowded (capacity 5, lambda 200/h) and backlogged (shipped
            capacity, lambda 480/h)
   logs     the TripLog reprs of run_timeline, both modes, same scenarios
-  cli      stdout and written files of simulate, screen, analytic --v-h 50
-           and sweep (output directories replaced by a placeholder)
+  cli      stdout and written files of simulate, screen, analytic --v-h 50,
+           sweep, and ingest of the two bundled boardings CSVs with their
+           own templates (output and data directories replaced by
+           placeholders)
   trace    the trace files of simulate --trace
 
 Usage, from a checkout (point PYTHONPATH at another checkout's src/ to
@@ -38,6 +40,8 @@ from semibus.model import load_scenario
 
 REPLICATIONS = 40
 CLI_REPLICATIONS = "10"
+DATA = cli.bundled_path("cta126").parent
+INGEST = (("cta126", "126"), ("cta84", "84"))
 
 
 def variants():
@@ -93,6 +97,8 @@ def cli_commands() -> list:
         ["sweep", "--scenario", "model1", "--dimension", "capacity", "--values", "10,20,30"]
         + ["--replications", CLI_REPLICATIONS]
     )
+    for name, route in INGEST:
+        commands.append(["ingest", "--data", str(DATA / f"{name}_boardings.csv"), "--route-id", route, "--template", name])
     return commands
 
 
@@ -102,10 +108,14 @@ def digest_cli() -> tuple:
     with tempfile.TemporaryDirectory() as tmp:
         for i, argv in enumerate(cli_commands()):
             out = Path(tmp) / str(i)
+            out_arg = out
+            if argv[0] == "ingest":  # its --out names the file written
+                out.mkdir()
+                out_arg = out / "scenario.json"
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
-                rc = cli.main(argv + ["--out", str(out)])
-            h_cli.update(f"{' '.join(argv)} -> {rc}\n".encode())
+                rc = cli.main(argv + ["--out", str(out_arg)])
+            h_cli.update(f"{' '.join(argv)} -> {rc}\n".replace(str(DATA), "<data>").encode())
             h_cli.update(stdout.getvalue().replace(str(out), "<out>").encode())
             for path in sorted(out.iterdir()) if out.is_dir() else ():
                 target = h_trace if path.name.endswith("_trace.csv") else h_cli

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import analytic, experiments, ingest
 from .experiments import sig4
-from .model import Scenario, ScenarioError, load_scenario, save_scenario, scenario_problems
+from .model import Scenario, ScenarioError, load_scenario, require_valid, save_scenario, scenario_problems
 from .simulator import run_timeline, write_trace
 
 BUNDLED = ("model1", "model2", "cta126", "cta84")
@@ -77,6 +77,8 @@ def write_screen_ranking(rows: list, out_dir) -> Path:
 
 def cmd_analytic(args) -> int:
     scenario = resolve_scenario(args.scenario)
+    if args.v_h is not None:
+        scenario = require_valid(replace(scenario, service=replace(scenario.service, v_h=args.v_h)))
     row = screen_row(scenario)
     md, mean_access = row["md_km"], row["mean_access_min"] / 60.0
     svc = scenario.service
@@ -92,9 +94,8 @@ def cmd_analytic(args) -> int:
     print(f"parallel bound      {sig4(par.demand_bound)} /hour")
 
     report = dict(row, si_p=par.si, parallel_bound=par.demand_bound, n_p=n_p)
-    v_h = args.v_h if args.v_h is not None else svc.v_h
-    if v_h is not None and svc.demand_rate > 0:
-        plan = analytic.zonal_plan(scenario.cost, scenario.grid, replace(svc, v_h=v_h), md, args.n_max)
+    if svc.v_h is not None and svc.demand_rate > 0:
+        plan = analytic.zonal_plan(scenario.cost, scenario.grid, svc, md, args.n_max)
         print(f"zones n_o           {plan.n_opt} (continuous {sig4(plan.n_continuous)})")
         print("n  zone_headway_min  wait  ride  operator  total  ($/h)")
         for rowz in plan.table:
@@ -163,10 +164,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     scenario = resolve_scenario(args.scenario)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
     spec = experiments.SweepSpec(
         dimension=args.dimension,
-        values=tuple(values),
+        values=args.values,
         replications=args.replications,
         scenario=scenario,
     )
@@ -213,6 +213,11 @@ def seed_arg(text: str) -> int:
     return _int_at_least(text, 0)
 
 
+def values_arg(text: str) -> tuple:
+    """argparse type of sweep --values: comma-separated numbers; blank items are skipped."""
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="semibus", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -242,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="sensitivity sweep")
     p.add_argument("--scenario", required=True)
     p.add_argument("--dimension", choices=("capacity", "lambda"), required=True)
-    p.add_argument("--values", required=True, help="comma-separated, strictly increasing")
+    p.add_argument("--values", type=values_arg, required=True, help="comma-separated, strictly increasing")
     p.add_argument("--replications", type=count_arg, default=1000)
     p.add_argument("--seed", type=seed_arg, default=None)
     p.add_argument("--out", default=".")

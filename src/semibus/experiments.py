@@ -20,7 +20,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .model import MetricSummary, Scenario, ScenarioStats, ServiceConfig, require_valid
+from .model import MetricSummary, Scenario, ScenarioError, ScenarioStats, ServiceConfig, require_valid
+from .model import scenario_from_dict, scenario_to_dict
 from .simulator import sample_requests, simulate_requests
 
 METRICS = (
@@ -205,13 +206,22 @@ class SweepSpec:
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if self.dimension not in ("capacity", "lambda"):
-            raise ValueError(f"unknown sweep dimension {self.dimension!r}")
+            raise ScenarioError(f"unknown sweep dimension {self.dimension!r}")
         if not self.values:
-            raise ValueError("sweep values must be nonempty")
+            raise ScenarioError("sweep values must be nonempty")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
-            raise ValueError("sweep values must be strictly increasing")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+            raise ScenarioError("sweep values must be strictly increasing")
+        for value in self.values:
+            self.scenario_at(value)
+
+    def scenario_at(self, value: float) -> Scenario:
+        """The scenario at one sweep value: the swept service key (the
+        dimension's name in scenario files) and the run's replications are
+        set, then parsed and validated as a scenario file would be."""
+        data = scenario_to_dict(self.scenario)
+        data["service"][self.dimension] = value
+        data["run"]["replications"] = self.replications
+        return scenario_from_dict(data)
 
 
 @dataclass(frozen=True)
@@ -244,12 +254,11 @@ def sweep(spec: SweepSpec, seed=None, workers: int = 1) -> SweepResult:
     rows = []
     runs = []
     for idx, value in enumerate(spec.values):
+        swept = spec.scenario_at(value)
         if spec.dimension == "capacity":
-            scn = base
-            amsod_svc = replace(base.service, capacity=int(value))
+            scn, amsod_svc = base, swept.service
         else:
-            scn = replace(base, service=replace(base.service, demand_rate=float(value)))
-            amsod_svc = None
+            scn, amsod_svc = swept, None
         run = run_scenario(
             scn,
             replications=spec.replications,

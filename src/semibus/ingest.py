@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .model import GridGeometry, Scenario
+from .model import GridGeometry, Scenario, scenario_from_dict, scenario_to_dict
 
 _KM_PER_DEG_LAT = 110.574
 _KM_PER_DEG_LON_EQ = 111.320
@@ -158,6 +158,7 @@ def build_route_model(
 
     Service-level figures (demand rate, headway, speeds, dwells) stay as
     configured in the template; boardings shape only where demand sits.
+    Raises ScenarioError unless the result would load from a scenario file.
     """
     grid = build_grid(
         records,
@@ -166,4 +167,4 @@ def build_route_model(
         d_xs=template.grid.d_xs,
         default_catchment_km=default_catchment_km,
     )
-    return replace(template, grid=grid, name=name or template.name)
+    return scenario_from_dict(scenario_to_dict(replace(template, grid=grid, name=name or template.name)))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -20,10 +20,11 @@ DEFAULT_SEED = 1729
 DEFAULT_REPLICATIONS = 10_000
 
 _WEIGHT_TOL = 1e-9
+_FLOAT_MAX = sys.float_info.max
 
 
 class ScenarioError(ValueError):
-    """A scenario failed parsing or validation."""
+    """A scenario, or a value that overrides part of one, failed parsing or validation."""
 
     def __init__(self, problems: Sequence["Violation"] | str):
         if isinstance(problems, str):
@@ -221,6 +222,90 @@ class Scenario:
     replications: int = DEFAULT_REPLICATIONS
 
 
+# --- scenario schema ---------------------------------------------------------
+#
+# One table per file object, in the order its keys are written; an entry is
+# (field, unit family, key written, sign rule).  A unit family maps key
+# suffixes to factors to the canonical unit; _COUNT marks an integer count.
+# Each sign test is false for NaN.  Fields with no dataclass default are required.
+
+_TIME = {"_h": 1.0, "_hours": 1.0, "_min": 1.0 / 60.0, "_s": 1.0 / 3600.0}
+_DIST = {"_km": 1.0, "_m": 1.0 / 1000.0}
+_SPEED = {"_kmh": 1.0}
+_PLAIN = {}
+_COUNT = None
+
+_POSITIVE = (lambda v: v > 0, "non-positive parameter")
+_NON_NEGATIVE = (lambda v: v >= 0, "negative parameter")
+_AT_LEAST_ONE = (lambda v: v >= 1, "invalid count")
+
+_SCHEMA = {
+    "cost": (CostParams, (
+        ("gamma_a", _PLAIN, "gamma_a", _POSITIVE),
+        ("gamma_w", _PLAIN, "gamma_w", _POSITIVE),
+        ("gamma_r", _PLAIN, "gamma_r", _POSITIVE),
+        ("gamma_o", _PLAIN, "gamma_o", _POSITIVE),
+        ("vot", _PLAIN, "vot", _POSITIVE),
+    )),
+    "grid": (GridGeometry, (
+        ("l_x", _DIST, "l_x_km", _POSITIVE),
+        ("l_y", _DIST, "l_y_km", _POSITIVE),
+        ("gl_x", _DIST, "gl_x_km", _POSITIVE),
+        ("gl_y", _DIST, "gl_y_km", _POSITIVE),
+        ("d_xs", _DIST, "d_xs_km", _POSITIVE),
+        ("stop_chainages", _DIST, "stop_chainages_km", None),
+        ("stop_weights", _PLAIN, "stop_weights", None),
+    )),
+    "service": (ServiceConfig, (
+        ("headway", _TIME, "headway_h", _POSITIVE),
+        ("capacity", _COUNT, "capacity", _AT_LEAST_ONE),
+        ("n_parallel", _COUNT, "n_parallel", _AT_LEAST_ONE),
+        ("n_zones", _COUNT, "n_zones", _AT_LEAST_ONE),
+        ("v_d", _SPEED, "v_d", None),
+        ("v_w", _SPEED, "v_w", None),
+        ("t_s", _TIME, "t_s_h", _NON_NEGATIVE),
+        ("t_s_prime", _TIME, "t_s_prime_h", _NON_NEGATIVE),
+        ("demand_rate", _PLAIN, "lambda", _NON_NEGATIVE),
+        ("s_o", _TIME, "s_o_h", _POSITIVE),
+        ("horizon", _TIME, "horizon_h", _POSITIVE),
+        ("warmup_window", _TIME, "warmup_window_h", None),
+        ("v_h", _SPEED, "v_h", None),
+    )),
+    "run": (Scenario, (
+        ("seed", _COUNT, "seed", _NON_NEGATIVE),
+        ("replications", _COUNT, "replications", _AT_LEAST_ONE),
+    )),
+}
+
+
+def _parse_rules(cls, table) -> tuple:
+    """({accepted key: (field, factor to the canonical unit, or None for a count)}, required fields)."""
+    keys = {}
+    for field, family, written, _ in table:
+        keys[field] = keys[written] = (field, None if family is _COUNT else 1.0)
+        for suffix, factor in (family or {}).items():
+            keys[field + suffix] = (field, factor)
+    return keys, tuple(f.name for f in fields(cls) if f.name in keys and f.default is f.default_factory is MISSING)
+
+
+_PARSE = {section: _parse_rules(cls, table) for section, (cls, table) in _SCHEMA.items()}
+
+
+def _sign_problems(section: str, obj) -> list:
+    """Violations of the table's sign rules; a per-stop tuple reports its first bad value."""
+    out = []
+    for field, _, _, sign in _SCHEMA[section][1]:
+        if sign is None:
+            continue
+        test, rule = sign
+        value = getattr(obj, field)
+        for v in value if isinstance(value, tuple) else (value,):
+            if not test(v):
+                out.append(Violation(f"{section}.{field}", rule, detail=f"value {v!r}"))
+                break
+    return out
+
+
 def validate_scenario(cost: CostParams, grid: GridGeometry, svc: ServiceConfig) -> list:
     """Check every type invariant; return all violations (possibly empty).
 
@@ -228,28 +313,10 @@ def validate_scenario(cost: CostParams, grid: GridGeometry, svc: ServiceConfig) 
     warning, not an error: widening s_o is a legitimate design (wide
     catchments simply imply long walks for the fixed-route baseline).
     """
-    out: list[Violation] = []
+    out = _sign_problems("cost", cost) + _sign_problems("grid", grid) + _sign_problems("service", svc)
 
-    def positive(fieldname, value):
-        if not value > 0:
-            out.append(Violation(fieldname, "non-positive parameter", detail=f"value {value!r}"))
-
-    positive("cost.gamma_a", cost.gamma_a)
-    positive("cost.gamma_w", cost.gamma_w)
-    positive("cost.gamma_r", cost.gamma_r)
-    positive("cost.gamma_o", cost.gamma_o)
-    positive("cost.vot", cost.vot)
-
-    positive("grid.l_x", grid.l_x)
-    positive("grid.l_y", grid.l_y)
-    positive("grid.gl_x", grid.gl_x)
-    positive("grid.d_xs", grid.d_xs)
     if grid.n_stops == 0:
         out.append(Violation("grid.stop_chainages", "no stops"))
-    for g in grid.gl_y:
-        if not g > 0:
-            out.append(Violation("grid.gl_y", "non-positive parameter", detail=f"value {g!r}"))
-            break
     if any(b <= a for a, b in zip(grid.stop_chainages, grid.stop_chainages[1:])):
         out.append(Violation("grid.stop_chainages", "unsorted stops"))
     if grid.stop_chainages and (
@@ -268,24 +335,11 @@ def validate_scenario(cost: CostParams, grid: GridGeometry, svc: ServiceConfig) 
     if len(grid.gl_y) != grid.n_stops:
         out.append(Violation("grid.gl_y", "catchment length mismatch"))
 
-    positive("service.headway", svc.headway)
-    positive("service.s_o", svc.s_o)
-    positive("service.horizon", svc.horizon)
-    if svc.t_s < 0 or svc.t_s_prime < 0:
-        out.append(Violation("service.t_s", "non-positive parameter", detail="dwell must be >= 0"))
-    if svc.demand_rate < 0:
-        out.append(Violation("service.lambda", "non-positive parameter", detail="demand rate must be >= 0"))
-    if svc.capacity < 1:
-        out.append(Violation("service.capacity", "invalid count"))
-    if svc.n_parallel < 1:
-        out.append(Violation("service.n_parallel", "invalid count"))
-    if svc.n_zones < 1:
-        out.append(Violation("service.n_zones", "invalid count"))
     if svc.n_parallel > 1 and svc.n_zones > 1:
         out.append(Violation("service.n_zones", "zonal and parallel variants cannot combine"))
     if not svc.v_w > 0 or not svc.v_d > svc.v_w:
         out.append(Violation("service.v_d", "speed ordering", detail="require v_d > v_w > 0"))
-    if svc.v_h is not None and svc.v_h < svc.v_d:
+    if svc.v_h is not None and not svc.v_h >= svc.v_d:
         out.append(Violation("service.v_h", "speed ordering", detail="require v_h >= v_d"))
     if svc.n_zones > 1 and svc.v_h is None:
         out.append(Violation("service.v_h", "missing v_h", detail="required when n_zones > 1"))
@@ -307,7 +361,7 @@ def validate_scenario(cost: CostParams, grid: GridGeometry, svc: ServiceConfig) 
 
 
 def scenario_problems(scenario: Scenario) -> list:
-    return validate_scenario(scenario.cost, scenario.grid, scenario.service)
+    return validate_scenario(scenario.cost, scenario.grid, scenario.service) + _sign_problems("run", scenario)
 
 
 def require_valid(scenario: Scenario) -> Scenario:
@@ -319,60 +373,13 @@ def require_valid(scenario: Scenario) -> Scenario:
 
 
 # --- scenario file parsing -------------------------------------------------
-#
-# Unit suffix convention: a field may carry a suffix naming its unit; the
-# bare name means the canonical unit (km, hours, km/h).
-
-_TIME_SUFFIX = {"_h": 1.0, "_hours": 1.0, "_min": 1.0 / 60.0, "_s": 1.0 / 3600.0}
-_DIST_SUFFIX = {"_km": 1.0, "_m": 1.0 / 1000.0}
-_SPEED_SUFFIX = {"_kmh": 1.0}
-
-
-def _aliases(fields: dict) -> dict:
-    """{accepted key: (field name, factor to the canonical unit)}."""
-    table = {}
-    for name, suffixes in fields.items():
-        table[name] = (name, 1.0)
-        for suffix, factor in (suffixes or {}).items():
-            table[name + suffix] = (name, factor)
-    return table
-
-
-_COST_FIELDS = _aliases({"gamma_a": None, "gamma_w": None, "gamma_r": None, "gamma_o": None, "vot": None})
-_GRID_FIELDS = _aliases({
-    "l_x": _DIST_SUFFIX,
-    "l_y": _DIST_SUFFIX,
-    "gl_x": _DIST_SUFFIX,
-    "gl_y": _DIST_SUFFIX,
-    "d_xs": _DIST_SUFFIX,
-    "stop_chainages": _DIST_SUFFIX,
-    "stop_weights": None,
-})
-_SERVICE_FIELDS = _aliases({
-    "headway": _TIME_SUFFIX,
-    "capacity": None,
-    "n_parallel": None,
-    "n_zones": None,
-    "v_d": _SPEED_SUFFIX,
-    "v_w": _SPEED_SUFFIX,
-    "v_h": _SPEED_SUFFIX,
-    "t_s": _TIME_SUFFIX,
-    "t_s_prime": _TIME_SUFFIX,
-    "lambda": None,
-    "demand_rate": None,
-    "s_o": _TIME_SUFFIX,
-    "horizon": _TIME_SUFFIX,
-    "warmup_window": _TIME_SUFFIX,
-})
-_RUN_FIELDS = _aliases({"seed": None, "replications": None})
-_COUNTS = {"capacity", "n_parallel", "n_zones", "seed", "replications"}
 
 
 def _scaled(field: str, value, factor: float) -> float:
     """A finite JSON number converted to the canonical unit."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError([Violation(field, "non-numeric value", detail=f"value {value!r}")])
-    if not abs(value) <= sys.float_info.max:  # false for inf, nan and integers beyond the float range
+    if not abs(value) <= _FLOAT_MAX:  # false for inf, nan and integers beyond the float range
         raise ScenarioError([Violation(field, "non-finite number", detail=f"value {value!r}")])
     return value * factor
 
@@ -387,100 +394,57 @@ def _count(field: str, value) -> int:
     return value
 
 
-def _parse_section(section: str, raw: dict, aliases: dict) -> dict:
+def _parse_section(section: str, data: dict) -> dict:
+    if section not in data:
+        raise ScenarioError(f"missing object {section!r}")
+    raw = data[section]
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"object {section!r} must be a mapping")
+    accepted, required = _PARSE[section]
     parsed = {}
     for key, value in raw.items():
-        if key not in aliases:
+        if key not in accepted:
             raise ScenarioError(f"{section}: unknown field {key!r}")
-        base, factor = aliases[key]
+        base, factor = accepted[key]
         if base in parsed:
             raise ScenarioError(f"{section}: field {base!r} given twice")
         field = f"{section}.{key}"
-        if base in _COUNTS:
+        if factor is None:
             parsed[base] = _count(field, value)
         elif isinstance(value, list):
             parsed[base] = [_scaled(field, v, factor) for v in value]
         else:
             parsed[base] = _scaled(field, value, factor)
+    for missing in required:
+        if missing not in parsed:
+            raise ScenarioError(f"{section}: missing field {missing!r}")
     return parsed
 
 
 def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     """Build a Scenario from parsed JSON; raises ScenarioError on any defect."""
     data = {"run": {}, **data}
-    for section in ("cost", "grid", "service", "run"):
-        if section not in data:
-            raise ScenarioError(f"missing object {section!r}")
-        if not isinstance(data[section], dict):
-            raise ScenarioError(f"object {section!r} must be a mapping")
-
-    cost_kw = _parse_section("cost", data["cost"], _COST_FIELDS)
-    grid_kw = _parse_section("grid", data["grid"], _GRID_FIELDS)
-    svc_kw = _parse_section("service", data["service"], _SERVICE_FIELDS)
-    if "lambda" in svc_kw:
-        if "demand_rate" in svc_kw:
-            raise ScenarioError("service: give either lambda or demand_rate, not both")
-        svc_kw["demand_rate"] = svc_kw.pop("lambda")
-
-    for missing in ("headway", "capacity", "v_d", "v_w", "t_s", "t_s_prime", "demand_rate", "s_o"):
-        if missing not in svc_kw:
-            raise ScenarioError(f"service: missing field {missing!r}")
-    for missing in ("l_x", "l_y", "gl_x", "gl_y", "d_xs", "stop_chainages", "stop_weights"):
-        if missing not in grid_kw:
-            raise ScenarioError(f"grid: missing field {missing!r}")
-
-    if "warmup_window" in svc_kw and len(svc_kw["warmup_window"]) != 2:
+    kw = {section: _parse_section(section, data) for section in _PARSE}
+    if "warmup_window" in kw["service"] and len(kw["service"]["warmup_window"]) != 2:
         raise ScenarioError("service.warmup_window: expected [start, end]")
-
-    run_kw = {"seed": DEFAULT_SEED, "replications": DEFAULT_REPLICATIONS}
-    run_kw.update(_parse_section("run", data["run"], _RUN_FIELDS))
-    for key, low, rule in (("seed", 0, "negative seed"), ("replications", 1, "invalid count")):
-        if run_kw[key] < low:
-            raise ScenarioError([Violation(f"run.{key}", rule, detail=f"value {run_kw[key]!r}")])
     scenario = Scenario(
         name=str(data.get("name", name)),
-        cost=CostParams(**cost_kw),
-        grid=GridGeometry(**grid_kw),
-        service=ServiceConfig(**svc_kw),
-        **run_kw,
+        cost=CostParams(**kw["cost"]),
+        grid=GridGeometry(**kw["grid"]),
+        service=ServiceConfig(**kw["service"]),
+        **kw["run"],
     )
     return require_valid(scenario)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Serialize with explicit canonical-unit suffixes; round-trips exactly."""
-    c, g, s = scenario.cost, scenario.grid, scenario.service
-    svc = {
-        "headway_h": s.headway,
-        "capacity": s.capacity,
-        "n_parallel": s.n_parallel,
-        "n_zones": s.n_zones,
-        "v_d": s.v_d,
-        "v_w": s.v_w,
-        "t_s_h": s.t_s,
-        "t_s_prime_h": s.t_s_prime,
-        "lambda": s.demand_rate,
-        "s_o_h": s.s_o,
-        "horizon_h": s.horizon,
-        "warmup_window_h": list(s.warmup_window),
-    }
-    if s.v_h is not None:
-        svc["v_h"] = s.v_h
-    return {
-        "name": scenario.name,
-        "cost": {"gamma_a": c.gamma_a, "gamma_w": c.gamma_w, "gamma_r": c.gamma_r, "gamma_o": c.gamma_o, "vot": c.vot},
-        "grid": {
-            "l_x_km": g.l_x,
-            "l_y_km": g.l_y,
-            "gl_x_km": g.gl_x,
-            "gl_y_km": list(g.gl_y),
-            "d_xs_km": g.d_xs,
-            "stop_chainages_km": list(g.stop_chainages),
-            "stop_weights": list(g.stop_weights),
-        },
-        "service": svc,
-        "run": {"seed": scenario.seed, "replications": scenario.replications},
-    }
+    data = {"name": scenario.name}
+    for section, (cls, table) in _SCHEMA.items():
+        obj = scenario if cls is Scenario else getattr(scenario, section)
+        values = ((written, getattr(obj, field)) for field, _, written, _ in table)
+        data[section] = {k: list(v) if isinstance(v, tuple) else v for k, v in values if v is not None}
+    return data
 
 
 def load_scenario(path: Union[str, Path]) -> Scenario:

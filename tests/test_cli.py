@@ -259,3 +259,41 @@ def test_script_count_flags_below_one_are_usage_errors(script, flag, tmp_path):
     assert proc.returncode == 2  # argparse's usage-error status
     assert "must be at least 1" in proc.stderr and "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("v_h", ["0", "-5", "nan"])
+def test_analytic_bad_v_h_exits_1(v_h, tmp_path, capsys):
+    assert main(["analytic", "--scenario", "model1", f"--v-h={v_h}", "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert "service.v_h: speed ordering" in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "dimension,values,message",
+    [
+        ("capacity", "15.5,20", "service.capacity: non-integer count"),
+        ("lambda", "abc", "usage"),
+        ("lambda", "nan", "service.lambda: non-finite number"),
+        ("capacity", "inf", "service.capacity: non-finite number"),
+        ("lambda", "60,40", "strictly increasing"),
+        ("lambda", ",", "nonempty"),
+    ],
+)
+def test_bad_sweep_values_exit_1(dimension, values, message, tmp_path, capsys):
+    argv = ["sweep", "--scenario", "model1", "--dimension", dimension, "--values", values]
+    assert main(argv + ["--replications", "2", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("catchment", ["-1", "nan"])
+def test_ingest_refuses_what_the_loader_would(catchment, tmp_path, capsys):
+    data = tmp_path / "stops.csv"
+    data.write_text("stop_id,routes,chainage_km,boardings\na,1,0.0,5\nb,1,0.5,6\nc,1,1.0,7\n")
+    out = tmp_path / "built.json"
+    argv = ["ingest", "--data", str(data), "--route-id", "1", "--template", "model1", "--out", str(out)]
+    assert main(argv + [f"--default-catchment-km={catchment}"]) == 1
+    assert "grid.gl_y" in capsys.readouterr().err
+    assert not out.exists()

@@ -6,7 +6,7 @@ import pytest
 from pytest import approx
 
 from semibus import experiments as E
-from semibus.model import MetricSummary
+from semibus.model import MetricSummary, ScenarioError
 from semibus.simulator import sample_requests, simulate_requests
 
 
@@ -78,6 +78,22 @@ def test_sweep_validation(model1):
         E.SweepSpec(dimension="lambda", values=(2.0, 1.0), replications=1, scenario=model1)
     with pytest.raises(ValueError, match="nonempty"):
         E.SweepSpec(dimension="lambda", values=(), replications=1, scenario=model1)
+
+
+@pytest.mark.parametrize(
+    "dimension,value,field",
+    [
+        ("capacity", 15.5, "service.capacity"),
+        ("capacity", 0.0, "service.capacity"),
+        ("lambda", float("nan"), "service.lambda"),
+        ("lambda", float("inf"), "service.lambda"),
+        ("lambda", -5.0, "service.demand_rate"),
+    ],
+)
+def test_sweep_values_checked_like_scenario_file_values(model1, dimension, value, field):
+    with pytest.raises(ScenarioError) as info:
+        E.SweepSpec(dimension=dimension, values=(value,), replications=1, scenario=model1)
+    assert [p.field for p in info.value.problems] == [field]
 
 
 def test_capacity_sweep_keeps_fixed_side(model1):

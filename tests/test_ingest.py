@@ -3,7 +3,7 @@ from pytest import approx
 
 from semibus import ingest
 from semibus.cli import bundled_path
-from semibus.model import scenario_problems
+from semibus.model import ScenarioError, scenario_problems
 
 
 def write_csv(path, rows, header="stop_id,routes,chainage_km,boardings,catchment_km"):
@@ -119,3 +119,10 @@ def test_built_scenarios_validate(tmp_path, cta126):
     scenario = ingest.build_route_model(records, cta126, name="mini")
     assert not any(v.severity == "error" for v in scenario_problems(scenario))
     assert scenario.name == "mini"
+
+
+def test_non_finite_boardings_refused(tmp_path, cta126):
+    rows = ["a,126,0.0,5,", "b,126,0.5,nan,", "c,126,1.0,7,"]
+    records = ingest.parse_boardings(write_csv(tmp_path / "s.csv", rows), "126")
+    with pytest.raises(ScenarioError, match="stop_weights"):
+        ingest.build_route_model(records, cta126)

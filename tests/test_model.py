@@ -181,3 +181,34 @@ def test_integer_valued_counts_accepted(model1):
     scenario = scenario_from_dict(data)
     assert scenario.service.capacity == 30 and isinstance(scenario.service.capacity, int)
     assert scenario.seed == 10**30
+
+
+@pytest.mark.parametrize("name", ["model1", "model2", "cta126", "cta84"])
+def test_bundled_files_resave_byte_identical(name, tmp_path):
+    from semibus.cli import bundled_path
+
+    path = tmp_path / f"{name}.json"
+    save_scenario(load_scenario(bundled_path(name)), path)
+    assert path.read_bytes() == bundled_path(name).read_bytes()
+
+
+def test_lambda_and_demand_rate_together_refused(model1):
+    data = scenario_to_dict(model1)
+    data["service"]["demand_rate"] = data["service"]["lambda"]
+    with pytest.raises(ScenarioError, match="demand_rate"):
+        scenario_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("demand_rate", float("nan")),
+        ("t_s", float("nan")),
+        ("t_s_prime", float("nan")),
+        ("v_h", float("nan")),
+        ("t_s_prime", -0.1),
+    ],
+)
+def test_bad_service_values_named_by_field(field, value):
+    problems = validate_scenario(CostParams(), grid_m1(), replace(svc_m1(), **{field: value}))
+    assert [p.field for p in problems if p.severity == "error"] == [f"service.{field}"]
