@@ -22,7 +22,7 @@ import numpy as np
 
 from .model import MetricSummary, Scenario, ScenarioError, ScenarioStats, ServiceConfig, require_valid
 from .model import scenario_from_dict, scenario_to_dict
-from .simulator import sample_requests, simulate_requests
+from .simulator import sample_requests, trip_records
 
 METRICS = (
     "avg_wait_min",
@@ -50,27 +50,28 @@ def summarize(values: Sequence[float]) -> MetricSummary:
     return MetricSummary(median=float(med), p2_5=float(lo), p97_5=float(hi))
 
 
-def replication_metrics(scenario: Scenario, requests, logs) -> dict:
-    """Aggregate one replication to the reported metrics.
+def _window_metrics(scenario: Scenario, trips) -> dict:
+    """Aggregate one replication's trip records, each starting (c_o,
+    passenger rows (id, t_k, wait, ivtt, access)), to the reported metrics.
 
     Averages cover passengers whose request time falls in the warm-up
     counting window and who were actually served; operator cost covers
-    every departure.
+    every departure.  Sums run left to right in trip, then boarding order;
+    reported numbers depend on that order.
     """
     cost, svc = scenario.cost, scenario.service
     w0, w1 = svc.warmup_window
-    t_k = {r.id: r.t_k for r in requests}
     counted = 0
     wait_sum = ivtt_sum = access_sum = 0.0
     c_o = 0.0
-    for log in logs:
-        c_o += log.costs.c_o
-        for rid, outcome in zip(log.served_ids, log.costs.per_passenger):
-            if w0 <= t_k[rid] < w1:
+    for trip_c_o, rows, *_ in trips:
+        c_o += trip_c_o
+        for _, t_k, wait, ivtt, access in rows:
+            if w0 <= t_k < w1:
                 counted += 1
-                wait_sum += outcome.wait
-                ivtt_sum += outcome.ivtt
-                access_sum += outcome.access
+                wait_sum += wait
+                ivtt_sum += ivtt
+                access_sum += access
     c_a = cost.gamma_a * cost.vot * access_sum
     c_w = cost.gamma_w * cost.vot * wait_sum
     c_r = cost.gamma_r * cost.vot * ivtt_sum
@@ -84,6 +85,14 @@ def replication_metrics(scenario: Scenario, requests, logs) -> dict:
         "generalized_cost": c_a + c_w + c_r + c_o,
         "passengers": float(counted),
     }
+
+
+def replication_metrics(scenario: Scenario, requests, logs) -> dict:
+    """Aggregate one replication's trip logs to the reported metrics, as
+    run_scenario aggregates the trip rules' rows."""
+    t_k = {r.id: r.t_k for r in requests}
+    trips = [(log.costs.c_o, zip(log.served_ids, log.costs.per_passenger)) for log in logs]
+    return _window_metrics(scenario, [(c_o, [(i, t_k[i], o.wait, o.ivtt, o.access) for i, o in pairs]) for c_o, pairs in trips])
 
 
 @dataclass(frozen=True)
@@ -122,10 +131,7 @@ def replication_rng(entropy: tuple, rep: int) -> np.random.Generator:
 def _one_replication(args):
     scenario, mode_scenarios, modes, entropy, rep = args
     requests = sample_requests(scenario.grid, scenario.service, replication_rng(entropy, rep))
-    per_mode = []
-    for mode, scn in zip(modes, mode_scenarios):
-        logs = simulate_requests(scn, mode, requests)
-        per_mode.append(replication_metrics(scn, requests, logs))
+    per_mode = (_window_metrics(scn, trip_records(scn, mode, requests)) for mode, scn in zip(modes, mode_scenarios))
     return rep, tuple(per_mode)
 
 
@@ -145,27 +151,21 @@ def run_scenario(
     request realizations stay shared.
     """
     require_valid(scenario)
-    J = scenario.replications if replications is None else int(replications)
-    if J < 1:
-        raise ValueError("replications must be >= 1")
+    J = scenario.replications if replications is None else replications
+    if isinstance(J, bool) or not float(J).is_integer() or J < 1:
+        raise ValueError(f"replications must be an integer >= 1, got {J!r}")
+    J = int(J)
     entropy = _entropy(scenario.seed if seed is None else seed)
 
-    mode_scenarios = []
-    for mode in modes:
-        if mode == "amsod" and amsod_service is not None:
-            svc = amsod_service
-            base = scenario.service
-            if (svc.demand_rate, svc.horizon, svc.warmup_window) != (
-                base.demand_rate,
-                base.horizon,
-                base.warmup_window,
-            ):
-                raise ValueError("amsod_service must keep demand and horizon of the base scenario")
-            mode_scenarios.append(replace(scenario, service=svc))
-        else:
-            mode_scenarios.append(scenario)
+    amsod = scenario
+    if amsod_service is not None:
+        shared = ("demand_rate", "horizon", "warmup_window")
+        if any(getattr(amsod_service, f) != getattr(scenario.service, f) for f in shared):
+            raise ValueError("amsod_service must keep demand and horizon of the base scenario")
+        amsod = require_valid(replace(scenario, service=amsod_service))
+    mode_scenarios = tuple(amsod if mode == "amsod" else scenario for mode in modes)
 
-    jobs = [(scenario, tuple(mode_scenarios), tuple(modes), entropy, rep) for rep in range(J)]
+    jobs = [(scenario, mode_scenarios, tuple(modes), entropy, rep) for rep in range(J)]
     if workers <= 1:
         results = [_one_replication(job) for job in jobs]
     else:
@@ -173,18 +173,12 @@ def run_scenario(
             results = list(pool.map(_one_replication, jobs, chunksize=max(1, J // (workers * 8))))
     results.sort(key=lambda item: item[0])
 
-    per_mode_values = [{m: [] for m in METRICS} for _ in modes]
-    delta = []
-    for _, per_mode in results:
-        for k, metrics in enumerate(per_mode):
-            for m in METRICS:
-                per_mode_values[k][m].append(metrics[m])
-        delta.append(per_mode[-1]["generalized_cost"] - per_mode[0]["generalized_cost"])
-
+    per_rep = [per_mode for _, per_mode in results]
     stats = tuple(
-        ScenarioStats(metrics={m: summarize(vals[m]) for m in METRICS}, replications=J)
-        for vals in per_mode_values
+        ScenarioStats(metrics={m: summarize([p[k][m] for p in per_rep]) for m in METRICS}, replications=J)
+        for k in range(len(modes))
     )
+    delta = [p[-1]["generalized_cost"] - p[0]["generalized_cost"] for p in per_rep]
     return ScenarioRun(
         scenario_name=scenario.name,
         modes=tuple(modes),

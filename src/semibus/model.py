@@ -14,7 +14,7 @@ import json
 import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Union, get_args, get_type_hints
 
 DEFAULT_SEED = 1729
 DEFAULT_REPLICATIONS = 10_000
@@ -78,7 +78,7 @@ class GridGeometry:
     l_x: float  # x block length, km
     l_y: float  # y block length, km
     gl_x: float  # corridor length, km
-    gl_y: tuple  # catchment half-width per stop, km
+    gl_y: Union[float, tuple]  # catchment half-width per stop, km
     stop_chainages: tuple  # stop x positions, km, ascending
     stop_weights: tuple  # demand share per stop, sums to 1
     d_xs: float  # nominal stop spacing, km
@@ -279,12 +279,15 @@ _SCHEMA = {
 
 
 def _parse_rules(cls, table) -> tuple:
-    """({accepted key: (field, factor to the canonical unit, or None for a count)}, required fields)."""
-    keys = {}
+    """({accepted key: (field, factor to the canonical unit or None for a count, shape)}, required
+    fields); shape, from the field's type hint, is "list" (tuple), "number" or None (either)."""
+    keys, hints = {}, get_type_hints(cls)
     for field, family, written, _ in table:
-        keys[field] = keys[written] = (field, None if family is _COUNT else 1.0)
+        kinds = get_args(hints[field]) or (hints[field],)
+        shape = "list" if kinds == (tuple,) else None if tuple in kinds else "number"
+        keys[field] = keys[written] = (field, None if family is _COUNT else 1.0, shape)
         for suffix, factor in (family or {}).items():
-            keys[field + suffix] = (field, factor)
+            keys[field + suffix] = (field, factor, shape)
     return keys, tuple(f.name for f in fields(cls) if f.name in keys and f.default is f.default_factory is MISSING)
 
 
@@ -405,12 +408,14 @@ def _parse_section(section: str, data: dict) -> dict:
     for key, value in raw.items():
         if key not in accepted:
             raise ScenarioError(f"{section}: unknown field {key!r}")
-        base, factor = accepted[key]
+        base, factor, shape = accepted[key]
         if base in parsed:
             raise ScenarioError(f"{section}: field {base!r} given twice")
         field = f"{section}.{key}"
         if factor is None:
             parsed[base] = _count(field, value)
+        elif shape not in (None, "list" if isinstance(value, list) else "number"):
+            raise ScenarioError([Violation(field, f"expected a {shape}", detail=f"value {value!r}")])
         elif isinstance(value, list):
             parsed[base] = [_scaled(field, v, factor) for v in value]
         else:

@@ -3,9 +3,15 @@
 The corridor runs along x from 0 to gl_x; buses depart the terminal every
 headway and always finish on the axis at the corridor end.  Two service
 modes share each demand realization and one departure loop
-(simulate_requests): trip i serves sub-route i mod n, takes that
-sub-route's pending set, applies the mode's trip rule, and keeps what
-the trip did not serve for the sub-route's next trip.
+(trip_records): trip i serves sub-route i mod n, takes that sub-route's
+pending set, applies the mode's trip rule, and keeps what the trip did
+not serve for the sub-route's next trip.  A trip rule emits plain
+records: a row (id, t_k, wait, ivtt, access) per passenger in boarding
+order, the trip's operator cost and its spilled ids.  The loop has two
+consumers.  simulate_requests (and so run_timeline and the trace) builds
+TripLogs from the records; experiments.run_scenario folds the rows
+straight into its window sums.  Both sum left to right in trip, then
+boarding order, and reported numbers depend on that order.
 
 fixed
     One sub-route.  Passengers walk to the nearest stop and board the
@@ -52,7 +58,7 @@ import csv
 import math
 from bisect import insort
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -202,23 +208,14 @@ def _snap(values: np.ndarray, spacing: float, tie_toward_zero: bool) -> np.ndarr
     return (k + 0.0) * spacing  # + 0.0 turns -0.0 into 0.0
 
 
-def _snap_points(x: np.ndarray, y: np.ndarray, grid: GridGeometry) -> tuple:
-    return _snap(x, grid.l_x, tie_toward_zero=False), _snap(y, grid.l_y, tie_toward_zero=True)
-
-
 def snap_to_streets(point: tuple, grid: GridGeometry) -> tuple:
     """Snap a point to the nearest street intersection.
 
     Midpoint ties go toward the route axis in y and backward in x, so
     resnapping is a fixed point.
     """
-    sx, sy = _snap_points(np.array([point[0]], float), np.array([point[1]], float), grid)
-    return sx.item(), sy.item()
-
-
-def _on_lattice(point: tuple, grid: GridGeometry) -> bool:
-    sx, sy = snap_to_streets(point, grid)
-    return abs(sx - point[0]) < 1e-9 and abs(sy - point[1]) < 1e-9
+    sx = _snap(np.array([point[0]], float), grid.l_x, tie_toward_zero=False)
+    return sx.item(), _snap(np.array([point[1]], float), grid.l_y, tie_toward_zero=True).item()
 
 
 # --- on-demand routing -------------------------------------------------------
@@ -273,13 +270,11 @@ class _CrossStreets:
             i += 1
         self._next = i
 
-    def discard(self, pickups) -> None:
-        """Drop the served pickups' candidates."""
-        gone = {}
-        for p in pickups:
-            gone.setdefault(p.point[0], set()).add(p.request_id)
-        for x, ids in gone.items():
-            group = [c for c in self._order[x] if c[3] not in ids]
+    def discard(self, served) -> None:
+        """Drop the candidates of _drive's served records."""
+        gone = {rec[0] for rec in served}
+        for x in {rec[3][0] for rec in served}:
+            group = [c for c in self._order[x] if c[3] not in gone]
             if group:
                 self._order[x] = group
                 self._dirty.add(x)
@@ -296,30 +291,20 @@ class _CrossStreets:
         return chain.from_iterable(map(self._order.__getitem__, self._xs))
 
 
-def _drive(
-    cands,
-    depart: float,
-    svc: ServiceConfig,
-    start_x: float,
-    end_x: float,
-    express_length: float,
-    capacity: int,
-) -> tuple:
+def _drive(cands, depart: float, svc: ServiceConfig, start_x: float, end_x: float, express_length: float, capacity: int) -> tuple:
     """Drive one trip from (start_x, 0), serving candidates in visit order,
     to the axis at end_x, then express_length km on at v_h.
 
     A candidate whose request time is later than the bus's arrival at its
     point is left for the next trip; ready candidates beyond capacity are
-    spilled.  Returns (RoutePlan, spilled_ids).
+    spilled.  Returns (served, spilled_ids, route): served records
+    (request_id, t_k, arrival, point) in boarding order, and route =
+    (start_x, end_x, d_y, express_legs, end_time).
     """
-    t = depart
+    t = last_arrival = depart
     bx, by = start_x, 0.0
     d_y = 0.0
-    waypoints = [(start_x, 0.0)]
-    served = []  # (request_id, pickup_time, point, 1-based index of the point)
-    spilled = []
-    n_points = 0
-    last_arrival = depart
+    served, spilled = [], []
     inv_v = 1.0 / svc.v_d
     cands = iter(cands)
     for sx, sy, tk, rid in cands:
@@ -332,15 +317,10 @@ def _drive(
             continue  # requested after the bus passes; next trip
         if not same_point:
             d_y += abs(sy - by)
-            if sy != by:
-                waypoints.append((bx, sy))
-            if sx != bx:
-                waypoints.append((sx, sy))
             t = arrival + svc.t_s_prime
             bx, by = sx, sy
             last_arrival = arrival
-            n_points += 1
-        served.append((rid, arrival, (sx, sy), n_points))
+        served.append((rid, tk, arrival, (sx, sy)))
         if len(served) == capacity:
             break
     # full: the bus no longer moves, so each candidate left needs only the
@@ -352,18 +332,31 @@ def _drive(
                 continue
         spilled.append(rid)
     d_y += abs(by)
-    if by != 0.0:
-        waypoints.append((bx, 0.0))
-    if bx != end_x:
-        waypoints.append((end_x, 0.0))
     end_time = t + (abs(by) + (end_x - bx)) * inv_v
     express_legs = ()
     if express_length > _EPS:
         express_legs = ((express_length, svc.v_h),)
         end_time += express_length / svc.v_h
+    return served, spilled, (start_x, end_x, d_y, express_legs, end_time)
+
+
+def _route_plan(depart: float, served, route) -> RoutePlan:
+    """The RoutePlan of a trip driven by _drive: y-then-x moves through the
+    served points, then to the axis at the corridor end."""
+    start_x, end_x, d_y, express_legs, end_time = route
+    points = [point for _, _, _, point in served]
+    dwells = [i == 0 or p != points[i - 1] for i, p in enumerate(points)]  # consecutive passengers share one
+    waypoints, (bx, by) = [(start_x, 0.0)], (start_x, 0.0)
+    for sx, sy in points + [(end_x, 0.0)]:
+        if sy != by:
+            waypoints.append((bx, sy))
+        if sx != bx:
+            waypoints.append((sx, sy))
+        bx, by = sx, sy
+    n = sum(dwells)
     pickups = tuple(
-        Pickup(request_id=rid, time=t_ak, point=point, remaining_stops=n_points - k)
-        for rid, t_ak, point, k in served
+        Pickup(request_id=rid, time=arrival, point=point, remaining_stops=n - k)
+        for (rid, _, arrival, point), k in zip(served, accumulate(dwells))
     )
     return RoutePlan(
         waypoints=tuple(waypoints),
@@ -373,14 +366,11 @@ def _drive(
         express_legs=express_legs,
         depart_time=depart,
         end_time=end_time,
-    ), spilled
+    )
 
 
 def plan_amsod_route(
-    requests: Sequence[Request],
-    grid: GridGeometry,
-    svc: ServiceConfig,
-    depart_time: float = 0.0,
+    requests: Sequence[Request], grid: GridGeometry, svc: ServiceConfig, depart_time: float = 0.0
 ) -> RoutePlan:
     """Plan one trip serving all given requests, whatever their request
     times (evaluate_amsod_trip still checks those).
@@ -389,50 +379,57 @@ def plan_amsod_route(
     starts at the terminal (0, 0) and ends on the axis at the corridor end.
     """
     for req in requests:
-        if not _on_lattice((req.x, req.y), grid):
+        sx, sy = snap_to_streets((req.x, req.y), grid)
+        if not (abs(sx - req.x) < 1e-9 and abs(sy - req.y) < 1e-9):
             raise ValueError(f"request {req.id} is off the street lattice: ({req.x}, {req.y})")
     pending = _CrossStreets([(req.x, req.y, -math.inf, req.id) for req in requests])  # all already due
     pending.admit(math.inf)
-    plan, _ = _drive(pending.visit_order(), depart_time, svc, 0.0, grid.gl_x, 0.0, len(requests))
-    return plan
+    served, _, route = _drive(pending.visit_order(), depart_time, svc, 0.0, grid.gl_x, 0.0, len(requests))
+    return _route_plan(depart_time, served, route)
 
 
-def _trip_costs(cost: CostParams, outcomes: list, c_a: float, c_o: float) -> TripCosts:
-    """Sums run left to right in boarding order; reported costs depend on that order."""
+def _trip_costs(cost: CostParams, c_o: float, rows) -> TripCosts:
+    """TripCosts of one trip from its passenger rows (id, t_k, wait, ivtt,
+    access).  Sums run left to right in boarding order; reported costs
+    depend on that order."""
+    outcomes = tuple(PassengerOutcome(wait=w, ivtt=v, access=a) for _, _, w, v, a in rows)
     return TripCosts(
-        c_a=c_a,
+        c_a=cost.gamma_a * cost.vot * sum(o.access for o in outcomes),
         c_w=cost.gamma_w * cost.vot * sum(o.wait for o in outcomes),
         c_r=cost.gamma_r * cost.vot * sum(o.ivtt for o in outcomes),
         c_o=c_o,
-        per_passenger=tuple(outcomes),
+        per_passenger=outcomes,
         k_j=len(outcomes),
     )
 
 
-def evaluate_amsod_trip(
-    plan: RoutePlan,
-    cost: CostParams,
-    svc: ServiceConfig,
-    requests: Sequence[Request],
-) -> TripCosts:
-    """Cost one on-demand trip from its plan.
+def _amsod_rows(served, route, cost: CostParams, svc: ServiceConfig) -> tuple:
+    """(c_o, passenger rows) of one on-demand trip from its served records
+    (request_id, t_k, arrival, point) and route.
 
-    Access cost is identically zero.  Wait runs from request time to the
-    bus's arrival at the pickup point; in-vehicle time from when the bus
-    leaves that point (so a lone passenger carries no dwell at all) to
-    the corridor end, express legs included.  Operator cost is per km
-    over the whole path.
+    Access is identically zero.  Wait runs from request time to the bus's
+    arrival at the pickup point; in-vehicle time from when the bus leaves
+    that point (so a lone passenger carries no dwell at all) to the
+    corridor end, express legs included.  Operator cost is per km over
+    the whole path.
     """
-    by_id = {r.id: r for r in requests}
-    outcomes = []
-    for p in plan.pickups:
-        wait = p.time - by_id[p.request_id].t_k
+    start_x, end_x, d_y, express_legs, end_time = route
+    rows = []
+    for rid, t_k, arrival, _ in served:
+        wait = arrival - t_k
         if wait < -1e-9:
-            raise ValueError(f"negative wait for request {p.request_id}: {wait}")
-        ivtt = plan.end_time - p.time - svc.t_s_prime
-        outcomes.append(PassengerOutcome(wait=max(0.0, wait), ivtt=max(0.0, ivtt), access=0.0))
-    express_km = sum(length for length, _ in plan.express_legs)
-    return _trip_costs(cost, outcomes, 0.0, cost.gamma_o * (plan.d_x + plan.d_y + express_km))
+            raise ValueError(f"negative wait for request {rid}: {wait}")
+        rows.append((rid, t_k, max(0.0, wait), max(0.0, end_time - arrival - svc.t_s_prime), 0.0))
+    return cost.gamma_o * (end_x - start_x + d_y + sum(length for length, _ in express_legs)), rows
+
+
+def evaluate_amsod_trip(plan: RoutePlan, cost: CostParams, svc: ServiceConfig, requests: Sequence[Request]) -> TripCosts:
+    """Cost one on-demand trip from its plan, by the trip rule's costing
+    (_amsod_rows)."""
+    t_k = {r.id: r.t_k for r in requests}
+    served = [(p.request_id, t_k[p.request_id], p.time, p.point) for p in plan.pickups]
+    route = (plan.waypoints[0][0], plan.waypoints[-1][0], plan.d_y, plan.express_legs, plan.end_time)
+    return _trip_costs(cost, *_amsod_rows(served, route, cost, svc))
 
 
 # --- fixed-route evaluation --------------------------------------------------
@@ -440,51 +437,46 @@ def evaluate_amsod_trip(
 
 def _boarding_rows(requests: Sequence[Request], sched: FixedSchedule, grid: GridGeometry, svc: ServiceConfig) -> tuple:
     """One array pass over the requests: a row (boarding stop, ready time
-    at the stop, id, access time) per request, and the index of the first
-    departure that reaches the stop by its ready time."""
+    at the stop, id, access time, request time) per request, and the index
+    of the first departure that reaches the stop by its ready time."""
     n = len(requests)
     x = np.fromiter((r.x for r in requests), float, n)
     y = np.fromiter((r.y for r in requests), float, n)
-    t_k = np.fromiter((r.t_k for r in requests), float, n)
+    t_k = [r.t_k for r in requests]
     stops, dx = _nearest_stops(grid, x)
     access = (dx + np.abs(y)) / svc.v_w
-    ready = t_k + access
+    ready = np.array(t_k, float) + access
     wait_from = (ready - np.asarray(sched.stop_offsets)[stops]) / svc.headway
     first = np.maximum(0.0, np.ceil(wait_from - 1e-12)).astype(np.int64)
-    rows = list(zip(stops.tolist(), ready.tolist(), [r.id for r in requests], access.tolist()))
+    rows = list(zip(stops.tolist(), ready.tolist(), [r.id for r in requests], access.tolist(), t_k))
     return rows, first.tolist()
 
 
-def _fixed_costs(rows, dep: float, sched: FixedSchedule, cost: CostParams, grid: GridGeometry) -> TripCosts:
-    """Cost one fixed-route trip departing at dep for its boarding rows,
-    in boarding order."""
-    offsets, rides = sched.stop_offsets, sched.ride_times
-    outcomes = []
-    for s, ready, rid, acc in rows:
-        wait = dep + offsets[s] - ready
-        if wait < -1e-9:
-            raise ValueError(f"request {rid} assigned to a departure it cannot catch")
-        outcomes.append(PassengerOutcome(wait=max(0.0, wait), ivtt=rides[s], access=acc))
-    c_a = cost.gamma_a * cost.vot * sum(o.access for o in outcomes)
-    return _trip_costs(cost, outcomes, c_a, cost.gamma_o * grid.gl_x)
-
-
-def evaluate_fixed_trip(
-    requests: Sequence[Request],
-    departure_index: int,
-    sched: FixedSchedule,
-    cost: CostParams,
-    grid: GridGeometry,
-    svc: ServiceConfig,
-) -> TripCosts:
-    """Cost one fixed-route trip for the passengers boarding it.
+def _fixed_rows(boarding, dep: float, sched: FixedSchedule, cost: CostParams, grid: GridGeometry) -> tuple:
+    """(c_o, passenger rows) of one fixed-route trip departing at dep for
+    its boarding rows, in boarding order.
 
     Per passenger: walk to the nearest stop, wait for the stop arrival,
     then ride to the corridor end with one dwell per downstream stop.
     Operator cost is the full corridor length regardless of boardings.
     """
-    rows, _ = _boarding_rows(requests, sched, grid, svc)
-    return _fixed_costs(rows, sched.departures[departure_index], sched, cost, grid)
+    offsets, rides = sched.stop_offsets, sched.ride_times
+    rows = []
+    for s, ready, rid, acc, t_k in boarding:
+        wait = dep + offsets[s] - ready
+        if wait < -1e-9:
+            raise ValueError(f"request {rid} assigned to a departure it cannot catch")
+        rows.append((rid, t_k, max(0.0, wait), rides[s], acc))
+    return cost.gamma_o * grid.gl_x, rows
+
+
+def evaluate_fixed_trip(
+    requests: Sequence[Request], departure_index: int, sched: FixedSchedule, cost: CostParams, grid: GridGeometry, svc: ServiceConfig
+) -> TripCosts:
+    """Cost one fixed-route trip for the passengers boarding it, by the
+    trip rule's costing (_fixed_rows)."""
+    boarding, _ = _boarding_rows(requests, sched, grid, svc)
+    return _trip_costs(cost, *_fixed_rows(boarding, sched.departures[departure_index], sched, cost, grid))
 
 
 # --- request partitioning ----------------------------------------------------
@@ -542,7 +534,9 @@ def partition_zonal(requests: Sequence[Request], grid: GridGeometry, n: int) -> 
 # --- dispatch ----------------------------------------------------------------
 #
 # A mode supplies (per-sub-route pending sets, trip rule), the rule being
-# (i, dep, pending) -> (plan, costs, served_ids, spilled_ids, still_pending).
+# (i, dep, pending) -> (c_o, rows, spilled_ids, drive, still_pending): the
+# trip's operator cost, its passenger rows (id, t_k, wait, ivtt, access) in
+# boarding order, and, on demand, _drive's (served, route) for the plan.
 
 
 def _fixed_trips(scenario: Scenario, requests: Sequence[Request]) -> tuple:
@@ -557,9 +551,8 @@ def _fixed_trips(scenario: Scenario, requests: Sequence[Request]) -> tuple:
 
     def trip(i, dep, carried):
         cand = sorted(carried + cohorts[i])  # stop order, then first come first
-        served, spilled = cand[: svc.capacity], cand[svc.capacity :]
-        costs = _fixed_costs(served, dep, sched, cost, grid)
-        return None, costs, tuple(c[2] for c in served), tuple(c[2] for c in spilled), spilled
+        spilled = cand[svc.capacity :]
+        return (*_fixed_rows(cand[: svc.capacity], dep, sched, cost, grid), [c[2] for c in spilled], None, spilled)
 
     return [[]], trip
 
@@ -575,14 +568,12 @@ def _amsod_trips(scenario: Scenario, requests: Sequence[Request]) -> tuple:
         subsets = partition_parallel(requests, grid, svc.n_parallel)
         bounds = [(0.0, grid.gl_x, 0.0)] * svc.n_parallel
 
-    by_id = {r.id: r for r in requests}
     cap = svc.capacity
     y_hat = snap_to_streets((0.0, grid.max_gl_y), grid)[1]  # no request snaps further out
     pending, reach = [], []
     for sub, (x_lo, x_hi, _) in zip(subsets, bounds):
-        x = np.fromiter((r.x for r in sub), float, len(sub))
-        y = np.fromiter((r.y for r in sub), float, len(sub))
-        sx, sy = _snap_points(x, y, grid)
+        sx = _snap(np.fromiter((r.x for r in sub), float, len(sub)), grid.l_x, tie_toward_zero=False)
+        sy = _snap(np.fromiter((r.y for r in sub), float, len(sub)), grid.l_y, tie_toward_zero=True)
         sx = np.minimum(np.maximum(sx, x_lo), x_hi)  # kept inside the run
         pending.append(_CrossStreets(zip(sx.tolist(), sy.tolist(), [r.t_k for r in sub], [r.id for r in sub])))
         # at most cap dwells and cap + 1 cross-street moves precede any arrival
@@ -592,30 +583,38 @@ def _amsod_trips(scenario: Scenario, requests: Sequence[Request]) -> tuple:
         k = i % len(bounds)
         start_x, end_x, express_len = bounds[k]
         streets.admit(dep + reach[k])  # t_bound: what this trip may know
-        plan, spilled = _drive(streets.visit_order(), dep, svc, start_x, end_x, express_len, cap)
-        served_ids = tuple(p.request_id for p in plan.pickups)
-        costs = evaluate_amsod_trip(plan, cost, svc, [by_id[rid] for rid in served_ids])
-        streets.discard(plan.pickups)
-        return plan, costs, served_ids, tuple(spilled), streets
+        served, spilled, route = _drive(streets.visit_order(), dep, svc, start_x, end_x, express_len, cap)
+        streets.discard(served)
+        return (*_amsod_rows(served, route, cost, svc), spilled, (served, route), streets)
 
     return pending, trip
 
 
-def simulate_requests(scenario: Scenario, mode: str, requests: Sequence[Request]) -> list:
-    """Run the dispatch timeline for one mode over a given demand
-    realization (the common-random-numbers entry point)."""
-    require_valid(scenario)
+def trip_records(scenario: Scenario, mode: str, requests: Sequence[Request]):
+    """The departure loop of one mode over a demand realization: yields
+    (c_o, rows, spilled_ids, drive, depart time) per trip, as the mode's
+    trip rule emits them.  Unvalidated: simulate_requests validates."""
     if mode == "fixed":
         pending, trip = _fixed_trips(scenario, requests)
     elif mode == "amsod":
         pending, trip = _amsod_trips(scenario, requests)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    logs = []
     for i, dep in enumerate(departure_times(scenario.service)):
         k = i % len(pending)
-        plan, costs, served_ids, spilled_ids, pending[k] = trip(i, dep, pending[k])
-        logs.append(TripLog(i, mode, dep, plan, costs, served_ids, spilled_ids))
+        *record, pending[k] = trip(i, dep, pending[k])
+        yield (*record, dep)
+
+
+def simulate_requests(scenario: Scenario, mode: str, requests: Sequence[Request]) -> list:
+    """Run the dispatch timeline for one mode over a given demand
+    realization (the common-random-numbers entry point); returns TripLogs."""
+    require_valid(scenario)
+    logs = []
+    for i, (c_o, rows, spilled_ids, drive, dep) in enumerate(trip_records(scenario, mode, requests)):
+        plan = None if drive is None else _route_plan(dep, *drive)
+        costs = _trip_costs(scenario.cost, c_o, rows)
+        logs.append(TripLog(i, mode, dep, plan, costs, tuple(r[0] for r in rows), tuple(spilled_ids)))
     return logs
 
 

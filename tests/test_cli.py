@@ -297,3 +297,24 @@ def test_ingest_refuses_what_the_loader_would(catchment, tmp_path, capsys):
     assert main(argv + [f"--default-catchment-km={catchment}"]) == 1
     assert "grid.gl_y" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("service", "headway_h", [0.25]),
+        ("grid", "l_x_km", [0.2]),
+        ("service", "warmup_window_h", 1.0),
+        ("grid", "stop_chainages_km", 0.4),
+    ],
+)
+def test_wrong_value_shape_exits_1(section, key, value, tmp_path, capsys):
+    from semibus.cli import bundled_path
+
+    data = json.loads(bundled_path("model1").read_text())
+    data[section][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["analytic", "--scenario", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert f"{section}.{key}: expected a {'number' if isinstance(value, list) else 'list'}" in err

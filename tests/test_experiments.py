@@ -150,3 +150,46 @@ def test_emit_report_byte_identical(tmp_path, model1):
         E.emit_report(run, d)
     for name in ("model1_stats.json", "model1_table.csv", "model1_delta_tc_hist.csv"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_amsod_service_override_validated_before_any_replication(model1, workers):
+    bad = replace(model1.service, capacity=0)
+    with pytest.raises(ScenarioError) as info:
+        E.run_scenario(model1, replications=4, seed=1, workers=workers, amsod_service=bad)
+    assert [p.field for p in info.value.problems] == ["service.capacity"]
+
+
+@pytest.mark.parametrize("replications", [2.5, 0, -1, float("nan"), True])
+def test_non_integer_or_small_replication_count_refused(model1, replications):
+    with pytest.raises(ValueError, match="replications"):
+        E.run_scenario(model1, replications=replications, seed=1)
+
+
+@pytest.mark.parametrize("replications", [3, 3.0, np.int64(3)])
+def test_integer_valued_replication_count_runs(model1, replications):
+    run = E.run_scenario(model1, replications=replications, seed=1)
+    assert run.replications == 3 and len(run.delta_tc_values) == 3
+
+
+def _consumer_variants(scn):
+    svc = scn.service
+    yield "shipped", scn
+    yield "zonal3", replace(scn, service=replace(svc, n_parallel=1, n_zones=3, v_h=60.0))
+    yield "parallel2", replace(scn, service=replace(svc, n_parallel=2, n_zones=1))
+    yield "lam4x", replace(scn, service=replace(svc, demand_rate=4.0 * svc.demand_rate))
+
+
+@pytest.mark.parametrize("name", ["model1", "model2", "cta126", "cta84"])
+def test_summing_consumer_equals_logging_consumer(request, name):
+    # run_scenario folds the trip rules' rows; replication_metrics sums the
+    # TripLogs of simulate_requests.  Both must give the same floats.
+    for label, scn in _consumer_variants(request.getfixturevalue(name)):
+        for s in range(20):
+            run = E.run_scenario(scn, replications=1, seed=(s,))
+            reqs = sample_requests(scn.grid, scn.service, E.replication_rng((s,), 0))
+            ref = {mode: E.replication_metrics(scn, reqs, simulate_requests(scn, mode, reqs)) for mode in run.modes}
+            for mode in run.modes:
+                got = {m: run.stats_for(mode).metrics[m].median for m in E.METRICS}
+                assert got == ref[mode], f"{label} seed {s} {mode}"
+            assert run.delta_tc_values == (ref["amsod"]["generalized_cost"] - ref["fixed"]["generalized_cost"],)
