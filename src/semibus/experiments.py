@@ -22,7 +22,7 @@ import numpy as np
 
 from .model import MetricSummary, Scenario, ScenarioError, ScenarioStats, ServiceConfig, require_valid
 from .model import scenario_from_dict, scenario_to_dict
-from .simulator import sample_requests, trip_records
+from .simulator import sample_demand, trip_records
 
 METRICS = (
     "avg_wait_min",
@@ -118,9 +118,10 @@ class ScenarioRun:
 
 
 def _entropy(seed) -> tuple:
-    if isinstance(seed, (int, np.integer)):
-        return (int(seed),)
-    return tuple(int(s) for s in seed)
+    items = list(seed) if hasattr(seed, "__iter__") else [seed]
+    if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s >= 0 for s in items):
+        raise ValueError(f"seed must be a non-negative integer or a sequence of them, got {seed!r}")
+    return tuple(int(s) for s in items)
 
 
 def replication_rng(entropy: tuple, rep: int) -> np.random.Generator:
@@ -130,9 +131,9 @@ def replication_rng(entropy: tuple, rep: int) -> np.random.Generator:
 
 def _one_replication(args):
     scenario, mode_scenarios, modes, entropy, rep = args
-    requests = sample_requests(scenario.grid, scenario.service, replication_rng(entropy, rep))
-    per_mode = (_window_metrics(scn, trip_records(scn, mode, requests)) for mode, scn in zip(modes, mode_scenarios))
-    return rep, tuple(per_mode)
+    demand = sample_demand(scenario.grid, scenario.service, replication_rng(entropy, rep))
+    per_mode = (_window_metrics(scn, trip_records(scn, mode, demand)) for mode, scn in zip(modes, mode_scenarios))
+    return tuple(per_mode)
 
 
 def run_scenario(
@@ -156,6 +157,8 @@ def run_scenario(
         raise ValueError(f"replications must be an integer >= 1, got {J!r}")
     J = int(J)
     entropy = _entropy(scenario.seed if seed is None else seed)
+    if not modes or any(mode not in ("fixed", "amsod") for mode in modes):
+        raise ValueError(f"modes must be a nonempty sequence of 'fixed' and 'amsod', got {modes!r}")
 
     amsod = scenario
     if amsod_service is not None:
@@ -167,13 +170,10 @@ def run_scenario(
 
     jobs = [(scenario, mode_scenarios, tuple(modes), entropy, rep) for rep in range(J)]
     if workers <= 1:
-        results = [_one_replication(job) for job in jobs]
-    else:
+        per_rep = [_one_replication(job) for job in jobs]
+    else:  # map keeps job order
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_one_replication, jobs, chunksize=max(1, J // (workers * 8))))
-    results.sort(key=lambda item: item[0])
-
-    per_rep = [per_mode for _, per_mode in results]
+            per_rep = list(pool.map(_one_replication, jobs, chunksize=max(1, J // (workers * 8))))
     stats = tuple(
         ScenarioStats(metrics={m: summarize([p[k][m] for p in per_rep]) for m in METRICS}, replications=J)
         for k in range(len(modes))

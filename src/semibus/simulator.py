@@ -13,6 +13,12 @@ TripLogs from the records; experiments.run_scenario folds the rows
 straight into its window sums.  Both sum left to right in trip, then
 boarding order, and reported numbers depend on that order.
 
+Demand travels as columns (Demand: id, x, y, t_k, home_stop) from the
+draw (sample_demand) to both trip rules.  Request objects appear only at
+the public entry points: sample_requests builds them, and
+simulate_requests and partition_* turn them back into columns through
+one helper.  The arrays a draw reads from a grid are built once per grid.
+
 fixed
     One sub-route.  Passengers walk to the nearest stop and board the
     first departure arriving there after they do, capacity permitting:
@@ -28,10 +34,12 @@ amsod (semi-on-demand)
     turns off at the current cross-street, covers the y difference, then
     runs forward along the grid (y-then-x).  Several requests snapped to
     one cross-street are served in a single sweep, entering from the side
-    whose extreme lies further from the axis.  A request is served by the
-    first trip whose arrival at its pickup point is no earlier than its
-    request time (the point must still be ahead of the bus); otherwise it
-    waits for the next trip, as do passengers beyond capacity.
+    whose extreme lies further from the axis; each cross-street keeps its
+    own sweep order, redone only when it gains or loses a request.  A
+    request is served by the first trip whose arrival at its pickup point
+    is no earlier than its request time (the point must still be ahead of
+    the bus); otherwise it waits for the next trip, as do passengers
+    beyond capacity.
 
     Planning is causal.  A trip departing at dep on the sub-route
     [x_lo, x_hi] sees a request only if t_k <= t_bound, with
@@ -56,12 +64,13 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -141,47 +150,69 @@ def build_schedule(grid: GridGeometry, svc: ServiceConfig) -> FixedSchedule:
 # --- demand ------------------------------------------------------------------
 
 
+class Demand(NamedTuple):
+    """One demand realization as columns named like the Request fields."""
+
+    id: np.ndarray  # int
+    x: np.ndarray
+    y: np.ndarray
+    t_k: np.ndarray
+    home_stop: np.ndarray  # int
+
+
+def _demand(requests: Sequence[Request]) -> Demand:
+    """The columns of the given Requests, in their order."""
+    return Demand(*(np.fromiter(map(attrgetter(f), requests), int if f in ("id", "home_stop") else float) for f in Demand._fields))
+
+
+@lru_cache(maxsize=16)
+def _grid_arrays(grid: GridGeometry) -> tuple:
+    """(stop CDF, chainages, catchment half-widths) of a grid, read-only.
+    Generator.choice builds the same CDF, so the stop draws match it."""
+    weights = np.asarray(grid.stop_weights, dtype=float)
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    arrays = (cdf, np.asarray(grid.stop_chainages), np.asarray(grid.gl_y))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _sample_positions(grid: GridGeometry, n: int, rng: np.random.Generator):
     """Draw n demand points: stop by weight, then uniform around the stop,
-    rejected until the rectilinear offset fits inside the stop's catchment
-    and the point lies on the corridor."""
-    weights = np.asarray(grid.stop_weights, dtype=float)
-    weights = weights / weights.sum()
-    stops = rng.choice(grid.n_stops, size=n, p=weights)
-    chain = np.asarray(grid.stop_chainages)[stops]
-    gl = np.asarray(grid.gl_y)[stops]
-    dx = rng.uniform(-grid.d_xs / 2.0, grid.d_xs / 2.0, n)
-    y = rng.uniform(-gl, gl)
-    x = chain + dx
-    bad = (np.abs(dx) + np.abs(y) > gl) | (x < 0.0) | (x > grid.gl_x)
-    while bad.any():
-        idx = np.nonzero(bad)[0]
-        dx[idx] = rng.uniform(-grid.d_xs / 2.0, grid.d_xs / 2.0, idx.size)
-        y[idx] = rng.uniform(-gl[idx], gl[idx])
-        x[idx] = chain[idx] + dx[idx]
-        bad[idx] = (np.abs(dx[idx]) + np.abs(y[idx]) > gl[idx]) | (x[idx] < 0.0) | (x[idx] > grid.gl_x)
+    redrawn until its rectilinear offset fits the catchment, on the corridor."""
+    cdf, chainage, gl_y = _grid_arrays(grid)
+    stops = cdf.searchsorted(rng.random(n), side="right")
+    chain, gl = chainage[stops], gl_y[stops]
+    x, y, left = np.empty(n), np.empty(n), np.arange(n)  # left: points still to draw
+    while left.size:
+        dx = rng.uniform(-grid.d_xs / 2.0, grid.d_xs / 2.0, left.size)
+        g = gl[left]
+        y[left] = yt = rng.uniform(-g, g)
+        x[left] = xt = chain[left] + dx
+        left = left[(np.abs(dx) + np.abs(yt) > g) | (xt < 0.0) | (xt > grid.gl_x)]
     return x, y, stops
 
 
-def sample_requests(grid: GridGeometry, svc: ServiceConfig, seed: SeedLike) -> list:
-    """Homogeneous Poisson request process over [0, horizon].
-
-    Deterministic given (seed, scenario).  Returns requests sorted by
-    request time with ids in that order.
-    """
+def sample_demand(grid: GridGeometry, svc: ServiceConfig, seed: SeedLike) -> Demand:
+    """Homogeneous Poisson request process over [0, horizon] as columns,
+    deterministic given (seed, scenario); ids follow request time order."""
     rng = np.random.default_rng(seed)
     n = int(rng.poisson(svc.demand_rate * svc.horizon))
     times = np.sort(rng.uniform(0.0, svc.horizon, n))
-    if n == 0:
-        return []
     x, y, stops = _sample_positions(grid, n, rng)
-    return list(map(Request, range(n), x.tolist(), y.tolist(), times.tolist(), stops.tolist()))
+    return Demand(np.arange(n), x, y, times, stops)
+
+
+def sample_requests(grid: GridGeometry, svc: ServiceConfig, seed: SeedLike) -> list:
+    """The draw of sample_demand as a list of Requests."""
+    return list(map(Request, *(column.tolist() for column in sample_demand(grid, svc, seed))))
 
 
 def _nearest_stops(grid: GridGeometry, x: np.ndarray) -> tuple:
     """(nearest stop, x distance to it) for each x by rectilinear
     distance; ties go downstream."""
-    chainage = np.asarray(grid.stop_chainages)
+    chainage = _grid_arrays(grid)[1]
     pos = np.searchsorted(chainage, x)
     pos_lo = np.clip(pos - 1, 0, grid.n_stops - 1)
     pos_hi = np.clip(pos, 0, grid.n_stops - 1)
@@ -222,36 +253,20 @@ def snap_to_streets(point: tuple, grid: GridGeometry) -> tuple:
 #
 # Candidate tuples are (sx, sy, t_k, request_id).
 
-_Y, _ID, _Y_ID, _T_ID = itemgetter(1), itemgetter(3), itemgetter(1, 3), itemgetter(2, 3)
-
-
-def _sweep(group: list) -> list:
-    """Visit order on one cross-street: a monotone y sweep that starts at
-    the extreme with the larger |y| (positive side on a tie) and runs
-    through to the other extreme, so the bus never reverses on it."""
-    if len(group) == 1:
-        return group
-    top = max(group, key=_Y)[1]
-    bot = min(group, key=_Y)[1]
-    if abs(top) >= abs(bot):
-        return sorted(sorted(group, key=_ID), key=_Y, reverse=True)  # y descending, then id (stable)
-    return sorted(group, key=_Y_ID)
+_ID, _T_ID = itemgetter(3), itemgetter(2, 3)
 
 
 class _CrossStreets:
-    """One sub-route's visible pending candidates, grouped by snapped
-    cross-street x.
-
-    Candidates become visible in (request time, id) order as trips' time
-    bounds reach them.  The group keys stay sorted by x, and each group
-    keeps its sweep order, recomputed only when it gains or loses a
-    member, so a trip neither re-sorts nor regroups the whole set.
-    """
+    """One sub-route's visible pending candidates by cross-street x, then
+    point y, made visible in (request time, id) order.  Street xs and ys
+    stay sorted and each point's members in id order, so a street's sweep
+    is a walk over its ys, redone only when the street changes."""
 
     def __init__(self, cands):
         self._queue = sorted(cands, key=_T_ID)
         self._next = 0  # first candidate not yet visible
-        self._xs = []  # group keys, ascending
+        self._xs = []  # cross-street keys, ascending
+        self._streets = {}  # x -> (point ys ascending, {y: members in id order})
         self._order = {}  # x -> members in sweep order
         self._dirty = set()
 
@@ -259,34 +274,41 @@ class _CrossStreets:
         """Make visible every candidate requested by t_bound."""
         queue, i = self._queue, self._next
         while i < len(queue) and queue[i][2] <= t_bound:
-            cand = queue[i]
-            group = self._order.get(cand[0])
-            if group is None:
-                insort(self._xs, cand[0])
-                self._order[cand[0]] = [cand]
+            x, y, _, _ = cand = queue[i]
+            if x not in self._streets:
+                insort(self._xs, x)
+                self._streets[x] = ([], {})
+            ys, points = self._streets[x]
+            if y in points:
+                insort(points[y], cand, key=_ID)
             else:
-                group.append(cand)
-            self._dirty.add(cand[0])
+                insort(ys, y)
+                points[y] = [cand]
+            self._dirty.add(x)
             i += 1
         self._next = i
 
     def discard(self, served) -> None:
         """Drop the candidates of _drive's served records."""
         gone = {rec[0] for rec in served}
-        for x in {rec[3][0] for rec in served}:
-            group = [c for c in self._order[x] if c[3] not in gone]
-            if group:
-                self._order[x] = group
+        for x, y in {rec[3] for rec in served}:
+            ys, points = self._streets[x]
+            points[y] = [c for c in points[y] if c[3] not in gone]
+            if not points[y]:
+                del points[y], ys[bisect_left(ys, y)]
+            if ys:
                 self._dirty.add(x)
             else:
-                del self._order[x]
-                self._xs.remove(x)
+                del self._streets[x], self._order[x], self._xs[bisect_left(self._xs, x)]
                 self._dirty.discard(x)
 
     def visit_order(self):
-        """Visible candidates in x order, one sweep per cross-street."""
+        """Visible candidates in x order, one monotone y sweep per street
+        from the end with the larger |y| (the positive end on a tie)."""
         for x in self._dirty:
-            self._order[x] = _sweep(self._order[x])
+            ys, points = self._streets[x]
+            walk = reversed(ys) if abs(ys[-1]) >= abs(ys[0]) else ys
+            self._order[x] = [c for y in walk for c in points[y]]
         self._dirty.clear()
         return chain.from_iterable(map(self._order.__getitem__, self._xs))
 
@@ -369,9 +391,7 @@ def _route_plan(depart: float, served, route) -> RoutePlan:
     )
 
 
-def plan_amsod_route(
-    requests: Sequence[Request], grid: GridGeometry, svc: ServiceConfig, depart_time: float = 0.0
-) -> RoutePlan:
+def plan_amsod_route(requests: Sequence[Request], grid: GridGeometry, svc: ServiceConfig, depart_time: float = 0.0) -> RoutePlan:
     """Plan one trip serving all given requests, whatever their request
     times (evaluate_amsod_trip still checks those).
 
@@ -435,20 +455,16 @@ def evaluate_amsod_trip(plan: RoutePlan, cost: CostParams, svc: ServiceConfig, r
 # --- fixed-route evaluation --------------------------------------------------
 
 
-def _boarding_rows(requests: Sequence[Request], sched: FixedSchedule, grid: GridGeometry, svc: ServiceConfig) -> tuple:
-    """One array pass over the requests: a row (boarding stop, ready time
-    at the stop, id, access time, request time) per request, and the index
-    of the first departure that reaches the stop by its ready time."""
-    n = len(requests)
-    x = np.fromiter((r.x for r in requests), float, n)
-    y = np.fromiter((r.y for r in requests), float, n)
-    t_k = [r.t_k for r in requests]
-    stops, dx = _nearest_stops(grid, x)
-    access = (dx + np.abs(y)) / svc.v_w
-    ready = np.array(t_k, float) + access
+def _boarding_rows(demand: Demand, sched: FixedSchedule, grid: GridGeometry, svc: ServiceConfig) -> tuple:
+    """One array pass over the demand: a row (boarding stop, ready time at
+    the stop, id, access time, request time) per request, and the index of
+    the first departure that reaches the stop by its ready time."""
+    stops, dx = _nearest_stops(grid, demand.x)
+    access = (dx + np.abs(demand.y)) / svc.v_w
+    ready = demand.t_k + access
     wait_from = (ready - np.asarray(sched.stop_offsets)[stops]) / svc.headway
     first = np.maximum(0.0, np.ceil(wait_from - 1e-12)).astype(np.int64)
-    rows = list(zip(stops.tolist(), ready.tolist(), [r.id for r in requests], access.tolist(), t_k))
+    rows = list(zip(stops.tolist(), ready.tolist(), demand.id.tolist(), access.tolist(), demand.t_k.tolist()))
     return rows, first.tolist()
 
 
@@ -475,60 +491,52 @@ def evaluate_fixed_trip(
 ) -> TripCosts:
     """Cost one fixed-route trip for the passengers boarding it, by the
     trip rule's costing (_fixed_rows)."""
-    boarding, _ = _boarding_rows(requests, sched, grid, svc)
+    boarding, _ = _boarding_rows(_demand(requests), sched, grid, svc)
     return _trip_costs(cost, *_fixed_rows(boarding, sched.departures[departure_index], sched, cost, grid))
 
 
 # --- request partitioning ----------------------------------------------------
 
 
-def _band_index(y: float, gl: float, n_p: int) -> int:
-    w = 2.0 * gl / n_p
-    r = (y + gl) / w
-    k = round(r)
-    if abs(r - k) < 1e-9 and 0 < k < n_p:
-        # boundary: the band whose centre is nearer the axis wins; on a
-        # symmetric tie take the lower band
-        c_lo = -gl + (k - 0.5) * w
-        c_up = -gl + (k + 0.5) * w
-        idx = k - 1 if abs(c_lo) <= abs(c_up) else k
-    else:
-        idx = math.floor(r)
-    return min(n_p - 1, max(0, idx))
+def _sub_routes(demand: Demand, grid: GridGeometry, n_zones: int, n_parallel: int) -> tuple:
+    """(sub-route of each request, (x_lo, x_hi, express length) of each):
+    equal zones along x if n_zones > 1, else equal bands of each stop's
+    catchment; an edge goes to the band centred nearer the axis (a tie to
+    the lower band)."""
+    if n_zones > 1:
+        length = grid.gl_x / n_zones
+        bounds = [(z * length, (z + 1) * length, grid.gl_x - (z + 1) * length) for z in range(n_zones)]
+        return np.minimum(n_zones - 1, (demand.x / length).astype(int)), bounds
+    bounds = [(0.0, grid.gl_x, 0.0)] * n_parallel
+    if n_parallel == 1:
+        return np.zeros(len(demand.x), int), bounds
+    gl = _grid_arrays(grid)[2][demand.home_stop]
+    w = 2.0 * gl / n_parallel
+    r = (demand.y + gl) / w
+    k = np.round(r)
+    edge = (np.abs(r - k) < 1e-9) & (0 < k) & (k < n_parallel)
+    lower = np.abs(-gl + (k - 0.5) * w) <= np.abs(-gl + (k + 0.5) * w)
+    return np.clip(np.where(edge, np.where(lower, k - 1, k), np.floor(r)), 0, n_parallel - 1).astype(int), bounds
+
+
+def _split(requests: Sequence[Request], grid: GridGeometry, n_zones: int, n_parallel: int) -> list:
+    sub, bounds = _sub_routes(_demand(requests), grid, n_zones, n_parallel)
+    return [[requests[i] for i in np.flatnonzero(sub == k).tolist()] for k in range(len(bounds))], bounds
 
 
 def partition_parallel(requests: Sequence[Request], grid: GridGeometry, n_p: int) -> list:
     """Split requests into n_p equal-width y bands (per-stop catchment)."""
     if n_p < 1:
         raise ValueError("n_p must be >= 1")
-    if n_p == 1:
-        return [list(requests)]
-    bands = [[] for _ in range(n_p)]
-    for req in requests:
-        gl = grid.gl_y_at(req.home_stop)
-        bands[_band_index(req.y, gl, n_p)].append(req)
-    return bands
+    return _split(requests, grid, 1, n_p)[0]
 
 
 def partition_zonal(requests: Sequence[Request], grid: GridGeometry, n: int) -> list:
     """Split the corridor into n equal-length zones with exit express legs."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    length = grid.gl_x / n
-    buckets = [[] for _ in range(n)]
-    for req in requests:
-        idx = min(n - 1, int(req.x / length))
-        buckets[idx].append(req)
-    return [
-        ZoneSlice(
-            zone=z,
-            x_lo=z * length,
-            x_hi=(z + 1) * length,
-            express_length=grid.gl_x - (z + 1) * length,
-            requests=tuple(buckets[z]),
-        )
-        for z in range(n)
-    ]
+    buckets, bounds = _split(requests, grid, n, 1)
+    return [ZoneSlice(z, *bounds[z], tuple(bucket)) for z, bucket in enumerate(buckets)]
 
 
 # --- dispatch ----------------------------------------------------------------
@@ -539,13 +547,13 @@ def partition_zonal(requests: Sequence[Request], grid: GridGeometry, n: int) -> 
 # boarding order, and, on demand, _drive's (served, route) for the plan.
 
 
-def _fixed_trips(scenario: Scenario, requests: Sequence[Request]) -> tuple:
+def _fixed_trips(scenario: Scenario, demand: Demand) -> tuple:
     """Pending set: the spill carried from the trip before."""
     grid, svc, cost = scenario.grid, scenario.service, scenario.cost
     sched = build_schedule(grid, svc)
     n_trips = len(sched.departures)
     cohorts = [[] for _ in range(n_trips)]  # rows whose first catchable departure is trip i
-    for row, i in zip(*_boarding_rows(requests, sched, grid, svc)):
+    for row, i in zip(*_boarding_rows(demand, sched, grid, svc)):
         if i < n_trips:
             cohorts[i].append(row)
 
@@ -557,25 +565,19 @@ def _fixed_trips(scenario: Scenario, requests: Sequence[Request]) -> tuple:
     return [[]], trip
 
 
-def _amsod_trips(scenario: Scenario, requests: Sequence[Request]) -> tuple:
+def _amsod_trips(scenario: Scenario, demand: Demand) -> tuple:
     """Pending sets: each sub-route's unserved candidates by cross-street."""
     grid, svc, cost = scenario.grid, scenario.service, scenario.cost
-    if svc.n_zones > 1:
-        slices = partition_zonal(requests, grid, svc.n_zones)
-        subsets = [s.requests for s in slices]
-        bounds = [(s.x_lo, s.x_hi, s.express_length) for s in slices]
-    else:
-        subsets = partition_parallel(requests, grid, svc.n_parallel)
-        bounds = [(0.0, grid.gl_x, 0.0)] * svc.n_parallel
-
+    sub, bounds = _sub_routes(demand, grid, svc.n_zones, svc.n_parallel)
+    sx_all = _snap(demand.x, grid.l_x, tie_toward_zero=False)
+    sy_all = _snap(demand.y, grid.l_y, tie_toward_zero=True)
     cap = svc.capacity
     y_hat = snap_to_streets((0.0, grid.max_gl_y), grid)[1]  # no request snaps further out
     pending, reach = [], []
-    for sub, (x_lo, x_hi, _) in zip(subsets, bounds):
-        sx = _snap(np.fromiter((r.x for r in sub), float, len(sub)), grid.l_x, tie_toward_zero=False)
-        sy = _snap(np.fromiter((r.y for r in sub), float, len(sub)), grid.l_y, tie_toward_zero=True)
-        sx = np.minimum(np.maximum(sx, x_lo), x_hi)  # kept inside the run
-        pending.append(_CrossStreets(zip(sx.tolist(), sy.tolist(), [r.t_k for r in sub], [r.id for r in sub])))
+    for k, (x_lo, x_hi, _) in enumerate(bounds):
+        mine = sub == k  # keeps id order
+        sx = np.minimum(np.maximum(sx_all[mine], x_lo), x_hi)  # kept inside the run
+        pending.append(_CrossStreets(zip(sx.tolist(), sy_all[mine].tolist(), demand.t_k[mine].tolist(), demand.id[mine].tolist())))
         # at most cap dwells and cap + 1 cross-street moves precede any arrival
         reach.append((x_hi - x_lo + (cap + 1) * 2.0 * y_hat) / svc.v_d + cap * svc.t_s_prime)
 
@@ -590,14 +592,14 @@ def _amsod_trips(scenario: Scenario, requests: Sequence[Request]) -> tuple:
     return pending, trip
 
 
-def trip_records(scenario: Scenario, mode: str, requests: Sequence[Request]):
+def trip_records(scenario: Scenario, mode: str, demand: Demand):
     """The departure loop of one mode over a demand realization: yields
     (c_o, rows, spilled_ids, drive, depart time) per trip, as the mode's
     trip rule emits them.  Unvalidated: simulate_requests validates."""
     if mode == "fixed":
-        pending, trip = _fixed_trips(scenario, requests)
+        pending, trip = _fixed_trips(scenario, demand)
     elif mode == "amsod":
-        pending, trip = _amsod_trips(scenario, requests)
+        pending, trip = _amsod_trips(scenario, demand)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     for i, dep in enumerate(departure_times(scenario.service)):
@@ -611,7 +613,7 @@ def simulate_requests(scenario: Scenario, mode: str, requests: Sequence[Request]
     realization (the common-random-numbers entry point); returns TripLogs."""
     require_valid(scenario)
     logs = []
-    for i, (c_o, rows, spilled_ids, drive, dep) in enumerate(trip_records(scenario, mode, requests)):
+    for i, (c_o, rows, spilled_ids, drive, dep) in enumerate(trip_records(scenario, mode, _demand(requests))):
         plan = None if drive is None else _route_plan(dep, *drive)
         costs = _trip_costs(scenario.cost, c_o, rows)
         logs.append(TripLog(i, mode, dep, plan, costs, tuple(r[0] for r in rows), tuple(spilled_ids)))
@@ -628,9 +630,7 @@ def run_timeline(scenario: Scenario, mode: str, seed: SeedLike) -> list:
 def classify_requests(requests: Sequence[Request], logs: Sequence[TripLog], svc: ServiceConfig) -> RequestLedger:
     """Partition request ids into counted-served / uncounted-served /
     unserved-at-horizon."""
-    served = set()
-    for log in logs:
-        served.update(log.served_ids)
+    served = {rid for log in logs for rid in log.served_ids}
     w0, w1 = svc.warmup_window
     counted, uncounted, unserved = [], [], []
     for req in requests:

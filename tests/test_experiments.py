@@ -6,6 +6,7 @@ import pytest
 from pytest import approx
 
 from semibus import experiments as E
+from semibus import simulator
 from semibus.model import MetricSummary, ScenarioError
 from semibus.simulator import sample_requests, simulate_requests
 
@@ -164,6 +165,38 @@ def test_amsod_service_override_validated_before_any_replication(model1, workers
 def test_non_integer_or_small_replication_count_refused(model1, replications):
     with pytest.raises(ValueError, match="replications"):
         E.run_scenario(model1, replications=replications, seed=1)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"modes": ()}, "modes"),
+        ({"modes": ("fixed", "bus")}, "modes"),
+        ({"modes": ("fixed", "bus"), "workers": 2}, "modes"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"seed": (4, 2.5)}, "seed"),
+    ],
+)
+def test_bad_run_arguments_refused_before_any_replication(model1, monkeypatch, kwargs, name):
+    def no_draw(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(E, "sample_demand", no_draw)
+    with pytest.raises(ValueError, match=name):
+        E.run_scenario(model1, replications=2, **kwargs)
+
+
+def test_run_scenario_builds_no_request(model1, model2, monkeypatch):
+    def no_request(*args):
+        raise AssertionError("a Request was built")
+
+    monkeypatch.setattr(simulator, "Request", no_request)
+    zonal3 = replace(model1, service=replace(model1.service, n_zones=3, v_h=60.0))
+    for scn in (model2, zonal3):
+        assert len(E.run_scenario(scn, replications=3, seed=8).delta_tc_values) == 3
+    with pytest.raises(AssertionError, match="Request"):
+        sample_requests(model1.grid, model1.service, 8)
 
 
 @pytest.mark.parametrize("replications", [3, 3.0, np.int64(3)])

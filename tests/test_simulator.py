@@ -49,6 +49,35 @@ def test_request_counts_match_poisson_moments(model1):
     assert np.var(counts) == approx(lam_t, abs=10.0)
 
 
+def _reference_positions(grid, n, rng):
+    """The sampler written with Generator.choice for the stops and a
+    rejection loop that rescans every point after each redraw."""
+    weights = np.asarray(grid.stop_weights, dtype=float)
+    stops = rng.choice(grid.n_stops, size=n, p=weights / weights.sum())
+    chain, gl = np.asarray(grid.stop_chainages)[stops], np.asarray(grid.gl_y)[stops]
+    dx = rng.uniform(-grid.d_xs / 2.0, grid.d_xs / 2.0, n)
+    y = rng.uniform(-gl, gl)
+    bad = (np.abs(dx) + np.abs(y) > gl) | (chain + dx < 0.0) | (chain + dx > grid.gl_x)
+    while bad.any():
+        idx = np.nonzero(bad)[0]
+        dx[idx] = rng.uniform(-grid.d_xs / 2.0, grid.d_xs / 2.0, idx.size)
+        y[idx] = rng.uniform(-gl[idx], gl[idx])
+        x = chain[idx] + dx[idx]
+        bad[idx] = (np.abs(dx[idx]) + np.abs(y[idx]) > gl[idx]) | (x < 0.0) | (x > grid.gl_x)
+    return chain + dx, y, stops
+
+
+@pytest.mark.parametrize("name", ["model1", "model2", "cta126", "cta84"])
+def test_stop_draws_match_generator_choice(request, name):
+    grid = request.getfixturevalue(name).grid
+    for seed, n in [(0, 1), (1, 7), (2, 180), (3, 2000)]:
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = S._sample_positions(grid, n, a), _reference_positions(grid, n, b)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        assert a.bit_generator.state == b.bit_generator.state
+
+
 # --- street snapping ----------------------------------------------------------
 
 
@@ -195,6 +224,32 @@ def test_parallel_bands_balanced(model2):
         hi += len(bands[1])
     n = lo + hi
     assert abs(lo - hi) <= 3 * math.sqrt(n)
+
+
+def test_band_edges(model1):
+    # stop 0 has half-width 1 km and stop 1 0.5 km: a request is banded by
+    # its own stop's catchment
+    n_stops = model1.grid.n_stops
+    grid = replace(model1.grid, gl_y=(1.0, 0.5) + (1.0,) * (n_stops - 2))
+    # (y, home stop, band); on an inner edge the band whose centre is
+    # nearer the axis wins, on a symmetric tie the lower one
+    cases = {
+        2: [(-1.0, 0, 0), (0.0, 0, 0), (1.0, 0, 1), (-0.5, 1, 0), (0.0, 1, 0), (0.5, 1, 1)],
+        3: [(-1.0, 0, 0), (-1 / 3, 0, 1), (1 / 3, 0, 1), (1.0, 0, 2), (-1 / 6, 1, 1), (1 / 6, 1, 1), (0.5, 1, 2)],
+        4: [(-1.0, 0, 0), (-0.5, 0, 1), (0.0, 0, 1), (0.5, 0, 2), (1.0, 0, 3), (-0.25, 1, 1), (0.0, 1, 1), (0.25, 1, 2)],
+    }
+    for n_p, rows in cases.items():
+        reqs = [Request(i, 5.0, y, 0.0, stop) for i, (y, stop, _) in enumerate(rows)]
+        bands = S.partition_parallel(reqs, grid, n_p)
+        assert [next(b for b, band in enumerate(bands) if r in band) for r in reqs] == [b for *_, b in rows], n_p
+
+
+def test_zone_edges(model1):
+    gl_x = model1.grid.gl_x
+    for n, ends in {2: [5.0], 3: [10 / 3, 20 / 3], 4: [2.5, 5.0, 7.5]}.items():
+        slices = S.partition_zonal([Request(i, x, 0.0, 0.0, 0) for i, x in enumerate([0.0] + ends + [gl_x])], model1.grid, n)
+        assert [s.x_lo for s in slices[1:]] == ends
+        assert [[r.x for r in s.requests] for s in slices] == [[0.0]] + [[x] for x in ends[:-1]] + [[ends[-1], gl_x]]
 
 
 def test_zonal_identity(model1):
@@ -511,6 +566,43 @@ def test_amsod_matches_per_trip_regrouping_reference(model1, variant):
         y = rng.uniform(-scn.grid.max_gl_y, scn.grid.max_gl_y, n).tolist()
         t_k = np.sort(rng.uniform(0.0, svc.horizon, n)).tolist()
         reqs = [Request(i, x[i], y[i], t_k[i], 0) for i in range(n)]
+        logs = S.simulate_requests(scn, "amsod", reqs)
+        got = [
+            (
+                list(log.served_ids),
+                list(log.spilled_ids),
+                list(log.plan.waypoints),
+                [(p.request_id, p.time, p.point, p.remaining_stops) for p in log.plan.pickups],
+                log.plan.d_y,
+                log.plan.end_time,
+            )
+            for log in logs
+        ]
+        assert got == _reference_amsod(scn, reqs), f"trial {trial}"
+
+
+@pytest.mark.parametrize("variant", ["shipped", "zonal3", "parallel2"])
+def test_amsod_matches_reference_on_crowded_points(model1, variant):
+    # about six lattice points on three cross-streets, so most points hold
+    # several requests, with ids shuffled against request times: pins id
+    # order within a point, both sweep directions and a capacity cut inside
+    # a point
+    svc = model1.service
+    if variant == "zonal3":
+        svc = replace(svc, n_zones=3, v_h=60.0)
+    elif variant == "parallel2":
+        svc = replace(svc, n_parallel=2)
+    rng = np.random.default_rng(1618)
+    for trial in range(60):
+        scn = replace(model1, service=replace(svc, capacity=int(rng.integers(1, 4))))
+        streets = rng.choice(np.arange(1, 50) * 0.2, 3, replace=False)
+        points = [(streets[rng.integers(3)], 0.1 * int(rng.integers(-5, 6))) for _ in range(6)]
+        n = int(rng.integers(6, 40))
+        at = rng.integers(0, len(points), n)
+        jitter = rng.uniform(-0.04, 0.04, (n, 2))  # stays on the same lattice point
+        t_k = np.sort(rng.uniform(0.0, svc.horizon, n)).tolist()
+        ids = rng.permutation(n).tolist()
+        reqs = [Request(ids[i], points[at[i]][0] + jitter[i, 0], points[at[i]][1] + jitter[i, 1], t_k[i], 0) for i in range(n)]
         logs = S.simulate_requests(scn, "amsod", reqs)
         got = [
             (
