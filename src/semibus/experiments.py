@@ -159,6 +159,8 @@ def run_scenario(
     entropy = _entropy(scenario.seed if seed is None else seed)
     if not modes or any(mode not in ("fixed", "amsod") for mode in modes):
         raise ValueError(f"modes must be a nonempty sequence of 'fixed' and 'amsod', got {modes!r}")
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
 
     amsod = scenario
     if amsod_service is not None:
@@ -169,7 +171,7 @@ def run_scenario(
     mode_scenarios = tuple(amsod if mode == "amsod" else scenario for mode in modes)
 
     jobs = [(scenario, mode_scenarios, tuple(modes), entropy, rep) for rep in range(J)]
-    if workers <= 1:
+    if workers == 1:
         per_rep = [_one_replication(job) for job in jobs]
     else:  # map keeps job order
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -8,7 +8,7 @@ pending set, applies the mode's trip rule, and keeps what the trip did
 not serve for the sub-route's next trip.  A trip rule emits plain
 records: a row (id, t_k, wait, ivtt, access) per passenger in boarding
 order, the trip's operator cost and its spilled ids.  The loop has two
-consumers.  simulate_requests (and so run_timeline and the trace) builds
+consumers.  simulate_requests and run_timeline (and so the trace) build
 TripLogs from the records; experiments.run_scenario folds the rows
 straight into its window sums.  Both sum left to right in trip, then
 boarding order, and reported numbers depend on that order.
@@ -35,11 +35,11 @@ amsod (semi-on-demand)
     runs forward along the grid (y-then-x).  Several requests snapped to
     one cross-street are served in a single sweep, entering from the side
     whose extreme lies further from the axis; each cross-street keeps its
-    own sweep order, redone only when it gains or loses a request.  A
-    request is served by the first trip whose arrival at its pickup point
-    is no earlier than its request time (the point must still be ahead of
-    the bus); otherwise it waits for the next trip, as do passengers
-    beyond capacity.
+    requests in one list sorted by (y, id), and a trip reads its sweep
+    from that list.  A request is served by the first trip whose arrival
+    at its pickup point is no earlier than its request time (the point
+    must still be ahead of the bus); otherwise it waits for the next trip,
+    as do passengers beyond capacity.
 
     Planning is causal.  A trip departing at dep on the sub-route
     [x_lo, x_hi] sees a request only if t_k <= t_bound, with
@@ -253,64 +253,46 @@ def snap_to_streets(point: tuple, grid: GridGeometry) -> tuple:
 #
 # Candidate tuples are (sx, sy, t_k, request_id).
 
-_ID, _T_ID = itemgetter(3), itemgetter(2, 3)
+_Y, _Y_ID, _T_ID = itemgetter(1), itemgetter(1, 3), itemgetter(2, 3)
 
 
 class _CrossStreets:
-    """One sub-route's visible pending candidates by cross-street x, then
-    point y, made visible in (request time, id) order.  Street xs and ys
-    stay sorted and each point's members in id order, so a street's sweep
-    is a walk over its ys, redone only when the street changes."""
+    """One sub-route's visible pending candidates, made visible in (request
+    time, id) order, in one list per cross-street x kept sorted by (y, id);
+    a trip reads each street's sweep from its list."""
 
     def __init__(self, cands):
         self._queue = sorted(cands, key=_T_ID)
         self._next = 0  # first candidate not yet visible
         self._xs = []  # cross-street keys, ascending
-        self._streets = {}  # x -> (point ys ascending, {y: members in id order})
-        self._order = {}  # x -> members in sweep order
-        self._dirty = set()
+        self._streets = {}  # x -> members sorted by (y, id)
 
     def admit(self, t_bound: float) -> None:
         """Make visible every candidate requested by t_bound."""
         queue, i = self._queue, self._next
         while i < len(queue) and queue[i][2] <= t_bound:
-            x, y, _, _ = cand = queue[i]
+            x = queue[i][0]
             if x not in self._streets:
                 insort(self._xs, x)
-                self._streets[x] = ([], {})
-            ys, points = self._streets[x]
-            if y in points:
-                insort(points[y], cand, key=_ID)
-            else:
-                insort(ys, y)
-                points[y] = [cand]
-            self._dirty.add(x)
+                self._streets[x] = []
+            insort(self._streets[x], queue[i], key=_Y_ID)
             i += 1
         self._next = i
 
     def discard(self, served) -> None:
         """Drop the candidates of _drive's served records."""
         gone = {rec[0] for rec in served}
-        for x, y in {rec[3] for rec in served}:
-            ys, points = self._streets[x]
-            points[y] = [c for c in points[y] if c[3] not in gone]
-            if not points[y]:
-                del points[y], ys[bisect_left(ys, y)]
-            if ys:
-                self._dirty.add(x)
-            else:
-                del self._streets[x], self._order[x], self._xs[bisect_left(self._xs, x)]
-                self._dirty.discard(x)
+        for x in {rec[3][0] for rec in served}:
+            self._streets[x] = members = [c for c in self._streets[x] if c[3] not in gone]
+            if not members:
+                del self._streets[x], self._xs[bisect_left(self._xs, x)]
 
     def visit_order(self):
         """Visible candidates in x order, one monotone y sweep per street
-        from the end with the larger |y| (the positive end on a tie)."""
-        for x in self._dirty:
-            ys, points = self._streets[x]
-            walk = reversed(ys) if abs(ys[-1]) >= abs(ys[0]) else ys
-            self._order[x] = [c for y in walk for c in points[y]]
-        self._dirty.clear()
-        return chain.from_iterable(map(self._order.__getitem__, self._xs))
+        from the end with the larger |y| (the positive end on a tie), ids
+        ascending within a point (the sort is stable)."""
+        streets = map(self._streets.__getitem__, self._xs)
+        return chain.from_iterable(sorted(m, key=_Y, reverse=True) if abs(m[-1][1]) >= abs(m[0][1]) else m for m in streets)
 
 
 def _drive(cands, depart: float, svc: ServiceConfig, start_x: float, end_x: float, express_length: float, capacity: int) -> tuple:
@@ -515,7 +497,7 @@ def _sub_routes(demand: Demand, grid: GridGeometry, n_zones: int, n_parallel: in
     r = (demand.y + gl) / w
     k = np.round(r)
     edge = (np.abs(r - k) < 1e-9) & (0 < k) & (k < n_parallel)
-    lower = np.abs(-gl + (k - 0.5) * w) <= np.abs(-gl + (k + 0.5) * w)
+    lower = 2 * k >= n_parallel  # edge k lies on or above the axis
     return np.clip(np.where(edge, np.where(lower, k - 1, k), np.floor(r)), 0, n_parallel - 1).astype(int), bounds
 
 
@@ -595,7 +577,7 @@ def _amsod_trips(scenario: Scenario, demand: Demand) -> tuple:
 def trip_records(scenario: Scenario, mode: str, demand: Demand):
     """The departure loop of one mode over a demand realization: yields
     (c_o, rows, spilled_ids, drive, depart time) per trip, as the mode's
-    trip rule emits them.  Unvalidated: simulate_requests validates."""
+    trip rule emits them.  Unvalidated: its public callers validate."""
     if mode == "fixed":
         pending, trip = _fixed_trips(scenario, demand)
     elif mode == "amsod":
@@ -608,23 +590,25 @@ def trip_records(scenario: Scenario, mode: str, demand: Demand):
         yield (*record, dep)
 
 
+def _trip_logs(scenario: Scenario, mode: str, demand: Demand):
+    """The TripLogs of trip_records over a demand realization."""
+    for i, (c_o, rows, spilled_ids, drive, dep) in enumerate(trip_records(scenario, mode, demand)):
+        plan = None if drive is None else _route_plan(dep, *drive)
+        costs = _trip_costs(scenario.cost, c_o, rows)
+        yield TripLog(i, mode, dep, plan, costs, tuple(r[0] for r in rows), tuple(spilled_ids))
+
+
 def simulate_requests(scenario: Scenario, mode: str, requests: Sequence[Request]) -> list:
     """Run the dispatch timeline for one mode over a given demand
     realization (the common-random-numbers entry point); returns TripLogs."""
     require_valid(scenario)
-    logs = []
-    for i, (c_o, rows, spilled_ids, drive, dep) in enumerate(trip_records(scenario, mode, _demand(requests))):
-        plan = None if drive is None else _route_plan(dep, *drive)
-        costs = _trip_costs(scenario.cost, c_o, rows)
-        logs.append(TripLog(i, mode, dep, plan, costs, tuple(r[0] for r in rows), tuple(spilled_ids)))
-    return logs
+    return list(_trip_logs(scenario, mode, _demand(requests)))
 
 
 def run_timeline(scenario: Scenario, mode: str, seed: SeedLike) -> list:
     """Sample demand and run the dispatch timeline; returns TripLogs."""
     require_valid(scenario)
-    requests = sample_requests(scenario.grid, scenario.service, seed)
-    return simulate_requests(scenario, mode, requests)
+    return list(_trip_logs(scenario, mode, sample_demand(scenario.grid, scenario.service, seed)))
 
 
 def classify_requests(requests: Sequence[Request], logs: Sequence[TripLog], svc: ServiceConfig) -> RequestLedger:

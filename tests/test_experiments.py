@@ -176,6 +176,10 @@ def test_non_integer_or_small_replication_count_refused(model1, replications):
         ({"seed": 1.5}, "seed"),
         ({"seed": -1}, "seed"),
         ({"seed": (4, 2.5)}, "seed"),
+        ({"workers": 2.5}, "workers"),
+        ({"workers": 0}, "workers"),
+        ({"workers": -1}, "workers"),
+        ({"workers": True}, "workers"),
     ],
 )
 def test_bad_run_arguments_refused_before_any_replication(model1, monkeypatch, kwargs, name):

@@ -227,10 +227,10 @@ def test_parallel_bands_balanced(model2):
 
 
 def test_band_edges(model1):
-    # stop 0 has half-width 1 km and stop 1 0.5 km: a request is banded by
-    # its own stop's catchment
+    # stops 0-4 have half-widths 1, 0.5, 0.6, 1.2 and 1.4 km: a request is
+    # banded by its own stop's catchment
     n_stops = model1.grid.n_stops
-    grid = replace(model1.grid, gl_y=(1.0, 0.5) + (1.0,) * (n_stops - 2))
+    grid = replace(model1.grid, gl_y=(1.0, 0.5, 0.6, 1.2, 1.4) + (1.0,) * (n_stops - 5))
     # (y, home stop, band); on an inner edge the band whose centre is
     # nearer the axis wins, on a symmetric tie the lower one
     cases = {
@@ -238,6 +238,11 @@ def test_band_edges(model1):
         3: [(-1.0, 0, 0), (-1 / 3, 0, 1), (1 / 3, 0, 1), (1.0, 0, 2), (-1 / 6, 1, 1), (1 / 6, 1, 1), (0.5, 1, 2)],
         4: [(-1.0, 0, 0), (-0.5, 0, 1), (0.0, 0, 1), (0.5, 0, 2), (1.0, 0, 3), (-0.25, 1, 1), (0.0, 1, 1), (0.25, 1, 2)],
     }
+    # widths whose band centres are inexact in floating point
+    for stop, gl in (2, 0.6), (3, 1.2), (4, 1.4):
+        cases[2] += [(0.0, stop, 0)]
+        cases[3] += [(-gl / 3, stop, 1), (gl / 3, stop, 1)]
+        cases[4] += [(-gl / 2, stop, 1), (0.0, stop, 1), (gl / 2, stop, 2)]
     for n_p, rows in cases.items():
         reqs = [Request(i, 5.0, y, 0.0, stop) for i, (y, stop, _) in enumerate(rows)]
         bands = S.partition_parallel(reqs, grid, n_p)
