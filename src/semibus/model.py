@@ -342,8 +342,8 @@ def validate_scenario(cost: CostParams, grid: GridGeometry, svc: ServiceConfig) 
         out.append(Violation("service.n_zones", "zonal and parallel variants cannot combine"))
     if not svc.v_w > 0 or not svc.v_d > svc.v_w:
         out.append(Violation("service.v_d", "speed ordering", detail="require v_d > v_w > 0"))
-    if svc.v_h is not None and not svc.v_h >= svc.v_d:
-        out.append(Violation("service.v_h", "speed ordering", detail="require v_h >= v_d"))
+    if svc.v_h is not None and not svc.v_d <= svc.v_h <= _FLOAT_MAX:  # false for inf and nan
+        out.append(Violation("service.v_h", "speed ordering", detail="require finite v_h >= v_d"))
     if svc.n_zones > 1 and svc.v_h is None:
         out.append(Violation("service.v_h", "missing v_h", detail="required when n_zones > 1"))
     w0, w1 = svc.warmup_window

@@ -2,19 +2,18 @@
 
 The corridor runs along x from 0 to gl_x; buses depart the terminal every
 headway and always finish on the axis at the corridor end.  Two service
-modes share each demand realization and one departure loop
-(trip_records): trip i serves sub-route i mod n, takes that sub-route's
-pending set, applies the mode's trip rule, and keeps what the trip did
-not serve for the sub-route's next trip.  A trip rule emits plain
-records: a row (id, t_k, wait, ivtt, access) per passenger in boarding
-order, the trip's operator cost and its spilled ids.  The loop has two
-consumers.  simulate_requests and run_timeline (and so the trace) build
-TripLogs from the records; experiments.run_scenario folds the rows
-straight into its window sums.  Both sum left to right in trip, then
-boarding order, and reported numbers depend on that order.
+modes share each demand realization; each has its own departure loop, in
+which trip i serves sub-route i mod n.  Both admit a request at the
+first trip that may take it (_arrivals); what a trip does not serve
+waits for the sub-route's next trip.  A trip yields a row (id, t_k, wait,
+ivtt, access) per passenger in boarding order, its operator cost and its
+spilled ids.  simulate_requests and run_timeline (and so the trace)
+build TripLogs from these records; experiments.run_scenario folds the
+rows straight into its window sums.  Both sum left to right in trip,
+then boarding order, and reported numbers depend on that order.
 
 Demand travels as columns (Demand: id, x, y, t_k, home_stop) from the
-draw (sample_demand) to both trip rules.  Request objects appear only at
+draw (sample_demand) to both loops.  Request objects appear only at
 the public entry points: sample_requests builds them, and
 simulate_requests and partition_* turn them back into columns through
 one helper.  The arrays a draw reads from a grid are built once per grid.
@@ -42,7 +41,7 @@ amsod (semi-on-demand)
     as do passengers beyond capacity.
 
     Planning is causal.  A trip departing at dep on the sub-route
-    [x_lo, x_hi] sees a request only if t_k <= t_bound, with
+    [x_lo, x_hi] may take a request only if t_k <= t_bound, with
 
         t_bound = dep + (x_hi - x_lo + (capacity + 1) * 2 * y_hat) / v_d
                       + capacity * t_s'
@@ -253,31 +252,25 @@ def snap_to_streets(point: tuple, grid: GridGeometry) -> tuple:
 #
 # Candidate tuples are (sx, sy, t_k, request_id).
 
-_Y, _Y_ID, _T_ID = itemgetter(1), itemgetter(1, 3), itemgetter(2, 3)
+_Y, _Y_ID = itemgetter(1), itemgetter(1, 3)
 
 
 class _CrossStreets:
-    """One sub-route's visible pending candidates, made visible in (request
-    time, id) order, in one list per cross-street x kept sorted by (y, id);
-    a trip reads each street's sweep from its list."""
+    """One sub-route's pending candidates in one list per cross-street x
+    kept sorted by (y, id); a trip reads each street's sweep from its list."""
 
-    def __init__(self, cands):
-        self._queue = sorted(cands, key=_T_ID)
-        self._next = 0  # first candidate not yet visible
+    def __init__(self, cands=()):
         self._xs = []  # cross-street keys, ascending
         self._streets = {}  # x -> members sorted by (y, id)
+        self.add(cands)
 
-    def admit(self, t_bound: float) -> None:
-        """Make visible every candidate requested by t_bound."""
-        queue, i = self._queue, self._next
-        while i < len(queue) and queue[i][2] <= t_bound:
-            x = queue[i][0]
-            if x not in self._streets:
-                insort(self._xs, x)
-                self._streets[x] = []
-            insort(self._streets[x], queue[i], key=_Y_ID)
-            i += 1
-        self._next = i
+    def add(self, cands) -> None:
+        """Make the candidates pending."""
+        for c in cands:
+            if c[0] not in self._streets:
+                insort(self._xs, c[0])
+                self._streets[c[0]] = []
+            insort(self._streets[c[0]], c, key=_Y_ID)
 
     def discard(self, served) -> None:
         """Drop the candidates of _drive's served records."""
@@ -384,8 +377,7 @@ def plan_amsod_route(requests: Sequence[Request], grid: GridGeometry, svc: Servi
         sx, sy = snap_to_streets((req.x, req.y), grid)
         if not (abs(sx - req.x) < 1e-9 and abs(sy - req.y) < 1e-9):
             raise ValueError(f"request {req.id} is off the street lattice: ({req.x}, {req.y})")
-    pending = _CrossStreets([(req.x, req.y, -math.inf, req.id) for req in requests])  # all already due
-    pending.admit(math.inf)
+    pending = _CrossStreets((req.x, req.y, -math.inf, req.id) for req in requests)  # all already due
     served, _, route = _drive(pending.visit_order(), depart_time, svc, 0.0, grid.gl_x, 0.0, len(requests))
     return _route_plan(depart_time, served, route)
 
@@ -426,8 +418,8 @@ def _amsod_rows(served, route, cost: CostParams, svc: ServiceConfig) -> tuple:
 
 
 def evaluate_amsod_trip(plan: RoutePlan, cost: CostParams, svc: ServiceConfig, requests: Sequence[Request]) -> TripCosts:
-    """Cost one on-demand trip from its plan, by the trip rule's costing
-    (_amsod_rows)."""
+    """Cost one on-demand trip from its plan, by the on-demand loop's
+    costing (_amsod_rows)."""
     t_k = {r.id: r.t_k for r in requests}
     served = [(p.request_id, t_k[p.request_id], p.time, p.point) for p in plan.pickups]
     route = (plan.waypoints[0][0], plan.waypoints[-1][0], plan.d_y, plan.express_legs, plan.end_time)
@@ -472,7 +464,7 @@ def evaluate_fixed_trip(
     requests: Sequence[Request], departure_index: int, sched: FixedSchedule, cost: CostParams, grid: GridGeometry, svc: ServiceConfig
 ) -> TripCosts:
     """Cost one fixed-route trip for the passengers boarding it, by the
-    trip rule's costing (_fixed_rows)."""
+    fixed-route loop's costing (_fixed_rows)."""
     boarding, _ = _boarding_rows(_demand(requests), sched, grid, svc)
     return _trip_costs(cost, *_fixed_rows(boarding, sched.departures[departure_index], sched, cost, grid))
 
@@ -522,72 +514,67 @@ def partition_zonal(requests: Sequence[Request], grid: GridGeometry, n: int) -> 
 
 
 # --- dispatch ----------------------------------------------------------------
-#
-# A mode supplies (per-sub-route pending sets, trip rule), the rule being
-# (i, dep, pending) -> (c_o, rows, spilled_ids, drive, still_pending): the
-# trip's operator cost, its passenger rows (id, t_k, wait, ivtt, access) in
-# boarding order, and, on demand, _drive's (served, route) for the plan.
 
 
-def _fixed_trips(scenario: Scenario, demand: Demand) -> tuple:
-    """Pending set: the spill carried from the trip before."""
+def _arrivals(items, first, n_trips: int) -> list:
+    """The items grouped by trip: item j arrives at trip first[j], and an
+    index >= n_trips never arrives."""
+    arrivals = [[] for _ in range(n_trips)]
+    for item, i in zip(items, first):
+        if i < n_trips:
+            arrivals[i].append(item)
+    return arrivals
+
+
+def _fixed_records(scenario: Scenario, demand: Demand):
+    """Each trip boards, up to capacity, the spill of the trip before and
+    the rows whose first catchable departure it is, in stop order and
+    first come first."""
     grid, svc, cost = scenario.grid, scenario.service, scenario.cost
     sched = build_schedule(grid, svc)
-    n_trips = len(sched.departures)
-    cohorts = [[] for _ in range(n_trips)]  # rows whose first catchable departure is trip i
-    for row, i in zip(*_boarding_rows(demand, sched, grid, svc)):
-        if i < n_trips:
-            cohorts[i].append(row)
-
-    def trip(i, dep, carried):
-        cand = sorted(carried + cohorts[i])  # stop order, then first come first
+    spilled = []
+    for dep, new in zip(sched.departures, _arrivals(*_boarding_rows(demand, sched, grid, svc), len(sched.departures))):
+        cand = sorted(spilled + new)
         spilled = cand[svc.capacity :]
-        return (*_fixed_rows(cand[: svc.capacity], dep, sched, cost, grid), [c[2] for c in spilled], None, spilled)
-
-    return [[]], trip
+        yield (*_fixed_rows(cand[: svc.capacity], dep, sched, cost, grid), [c[2] for c in spilled], None, dep)
 
 
-def _amsod_trips(scenario: Scenario, demand: Demand) -> tuple:
-    """Pending sets: each sub-route's unserved candidates by cross-street."""
+def _amsod_records(scenario: Scenario, demand: Demand):
+    """Each trip drives its sub-route's pending candidates, kept by
+    cross-street; a request arrives at the first trip of its sub-route
+    whose t_bound it does not exceed."""
     grid, svc, cost = scenario.grid, scenario.service, scenario.cost
     sub, bounds = _sub_routes(demand, grid, svc.n_zones, svc.n_parallel)
     sx_all = _snap(demand.x, grid.l_x, tie_toward_zero=False)
     sy_all = _snap(demand.y, grid.l_y, tie_toward_zero=True)
-    cap = svc.capacity
+    cap, n, deps = svc.capacity, len(bounds), departure_times(svc)
     y_hat = snap_to_streets((0.0, grid.max_gl_y), grid)[1]  # no request snaps further out
-    pending, reach = [], []
+    sx, first = np.empty(len(sub)), np.empty(len(sub), np.int64)
     for k, (x_lo, x_hi, _) in enumerate(bounds):
-        mine = sub == k  # keeps id order
-        sx = np.minimum(np.maximum(sx_all[mine], x_lo), x_hi)  # kept inside the run
-        pending.append(_CrossStreets(zip(sx.tolist(), sy_all[mine].tolist(), demand.t_k[mine].tolist(), demand.id[mine].tolist())))
+        mine = sub == k
+        sx[mine] = np.minimum(np.maximum(sx_all[mine], x_lo), x_hi)  # kept inside the run
         # at most cap dwells and cap + 1 cross-street moves precede any arrival
-        reach.append((x_hi - x_lo + (cap + 1) * 2.0 * y_hat) / svc.v_d + cap * svc.t_s_prime)
-
-    def trip(i, dep, streets):
-        k = i % len(bounds)
-        start_x, end_x, express_len = bounds[k]
-        streets.admit(dep + reach[k])  # t_bound: what this trip may know
-        served, spilled, route = _drive(streets.visit_order(), dep, svc, start_x, end_x, express_len, cap)
-        streets.discard(served)
-        return (*_amsod_rows(served, route, cost, svc), spilled, (served, route), streets)
-
-    return pending, trip
+        reach = (x_hi - x_lo + (cap + 1) * 2.0 * y_hat) / svc.v_d + cap * svc.t_s_prime
+        first[mine] = k + n * np.searchsorted(np.asarray(deps[k::n]) + reach, demand.t_k[mine])  # t_k <= t_bound
+    arrivals = _arrivals(zip(sx.tolist(), sy_all.tolist(), demand.t_k.tolist(), demand.id.tolist()), first.tolist(), len(deps))
+    streets = [_CrossStreets() for _ in bounds]
+    for i, (dep, new) in enumerate(zip(deps, arrivals)):
+        pending, (start_x, end_x, express_len) = streets[i % n], bounds[i % n]
+        pending.add(new)
+        served, spilled, route = _drive(pending.visit_order(), dep, svc, start_x, end_x, express_len, cap)
+        pending.discard(served)
+        yield (*_amsod_rows(served, route, cost, svc), spilled, (served, route), dep)
 
 
 def trip_records(scenario: Scenario, mode: str, demand: Demand):
-    """The departure loop of one mode over a demand realization: yields
-    (c_o, rows, spilled_ids, drive, depart time) per trip, as the mode's
-    trip rule emits them.  Unvalidated: its public callers validate."""
-    if mode == "fixed":
-        pending, trip = _fixed_trips(scenario, demand)
-    elif mode == "amsod":
-        pending, trip = _amsod_trips(scenario, demand)
-    else:
+    """The departure loop of one mode over a demand realization.  It yields
+    per trip (c_o, rows, spilled_ids, drive, depart time): the operator
+    cost, the passenger rows (id, t_k, wait, ivtt, access) in boarding
+    order, the spilled ids and, on demand, _drive's (served, route) for
+    the plan.  Unvalidated: its public callers validate."""
+    if mode not in ("fixed", "amsod"):
         raise ValueError(f"unknown mode {mode!r}")
-    for i, dep in enumerate(departure_times(scenario.service)):
-        k = i % len(pending)
-        *record, pending[k] = trip(i, dep, pending[k])
-        yield (*record, dep)
+    return (_fixed_records if mode == "fixed" else _amsod_records)(scenario, demand)
 
 
 def _trip_logs(scenario: Scenario, mode: str, demand: Demand):

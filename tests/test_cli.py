@@ -261,7 +261,34 @@ def test_script_count_flags_below_one_are_usage_errors(script, flag, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("v_h", ["0", "-5", "nan"])
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [("--capacities", "15.5", "service.capacity: non-integer count"), ("--demands", "abc", "invalid values_arg value")],
+)
+def test_sensitivity_script_bad_values_are_usage_errors(flag, value, message, tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import semibus
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_sensitivity.py"
+    src = str(Path(semibus.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(path), "--replications", "1", flag, value, "--out", str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2  # argparse's usage-error status
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("v_h", ["0", "-5", "nan", "inf"])
 def test_analytic_bad_v_h_exits_1(v_h, tmp_path, capsys):
     assert main(["analytic", "--scenario", "model1", f"--v-h={v_h}", "--out", str(tmp_path / "out")]) == 1
     captured = capsys.readouterr()

@@ -504,6 +504,24 @@ def test_future_request_does_not_change_earlier_trip(model1):
     assert with_later.served_ids == without.served_ids and with_later.spilled_ids == without.spilled_ids
 
 
+def test_request_at_t_bound_is_admitted(model1):
+    # a request made exactly at trip 0's t_bound is admitted: the bus passes
+    # before it is made, but it flips the sweep of x = 5.0 to start from its
+    # +0.6 end; made one ulp later, it is left to a later trip
+    grid, svc = model1.grid, model1.service
+    cap, y_hat = svc.capacity, S.snap_to_streets((0.0, grid.max_gl_y), grid)[1]
+    t_bound = 0.0 + ((grid.gl_x - 0.0 + (cap + 1) * 2.0 * y_hat) / svc.v_d + cap * svc.t_s_prime)
+    now = [Request(0, 5.0, 0.2, 0.0, 12), Request(1, 5.0, -0.4, 0.0, 12)]
+    for t, pickups in [(t_bound, [0, 1]), (math.nextafter(t_bound, math.inf), [1, 0])]:
+        first = S.simulate_requests(model1, "amsod", now + [Request(2, 5.0, 0.6, t, 12)])[0]
+        assert [p.request_id for p in first.plan.pickups] == pickups
+
+
+def test_unknown_mode_refused(model1):
+    with pytest.raises(ValueError, match="'bus'"):
+        S.simulate_requests(model1, "bus", [Request(0, 5.0, 0.2, 0.0, 12)])
+
+
 def _reference_amsod(scn, requests):
     """Per trip: regroup every visible unserved request (t_k <= t_bound)
     by cross-street and drive the visit order.  Returns one
