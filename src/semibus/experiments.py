@@ -363,5 +363,6 @@ def emit_sweep(result: SweepResult, scenario_name: str, out_dir: Union[str, Path
         fh.write(",".join(f.name for f in fields(SweepRow)) + "\n")
         for row in result.rows:
             value, *medians = astuple(row)
-            fh.write(",".join([sig4(value)] + [repr(m) for m in medians]) + "\n")
+            cell = sig4(value) if float(sig4(value)) == value else repr(value)  # float(cell) == value
+            fh.write(",".join([cell] + [repr(m) for m in medians]) + "\n")
     return path

@@ -70,11 +70,15 @@ def parse_boardings(path: Union[str, Path], route_id: str, axis: Optional[RouteA
             raise ValueError(f"{path.name}: need either chainage_km or lat+lon columns")
         if not has_chainage and axis is None:
             raise ValueError(f"{path.name}: lat/lon input requires a route axis")
+        required = ("stop_id", "routes", "boardings") + (("chainage_km",) if has_chainage else ("lat", "lon"))
         for row in reader:
+            line = reader.line_num
+            missing = [col for col in required if row[col] is None]  # DictReader's fill for a short row
+            if missing:
+                raise ValueError(f"{path.name} line {line}: missing {', '.join(missing)}")
             routes = {r.strip() for r in row["routes"].replace(";", ",").split(",")}
             if route_id not in routes:
                 continue
-            line = reader.line_num
             try:
                 boardings = float(row["boardings"])
             except (TypeError, ValueError):
@@ -87,7 +91,11 @@ def parse_boardings(path: Union[str, Path], route_id: str, axis: Optional[RouteA
                 except (TypeError, ValueError):
                     raise ValueError(f"{path.name} line {line}: non-numeric chainage {row['chainage_km']!r}")
             else:
-                chainage = axis.chainage(float(row["lat"]), float(row["lon"]))
+                try:
+                    lat, lon = float(row["lat"]), float(row["lon"])
+                except ValueError:
+                    raise ValueError(f"{path.name} line {line}: non-numeric lat/lon {row['lat']!r}, {row['lon']!r}")
+                chainage = axis.chainage(lat, lon)
             catchment = None
             raw = (row.get("catchment_km") or "").strip()
             if raw:

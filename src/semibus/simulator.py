@@ -33,12 +33,13 @@ amsod (semi-on-demand)
     turns off at the current cross-street, covers the y difference, then
     runs forward along the grid (y-then-x).  Several requests snapped to
     one cross-street are served in a single sweep, entering from the side
-    whose extreme lies further from the axis; each cross-street keeps its
-    requests in one list sorted by (y, id), and a trip reads its sweep
-    from that list.  A request is served by the first trip whose arrival
-    at its pickup point is no earlier than its request time (the point
-    must still be ahead of the bus); otherwise it waits for the next trip,
-    as do passengers beyond capacity.
+    whose extreme lies further from the axis.  Each sub-route keeps its
+    pending requests in one dict from cross-street x to a list sorted by
+    (y, id); a trip visits the streets by ascending x and reads each
+    sweep from its list.  A request is served by the first trip whose
+    arrival at its pickup point is no earlier than its request time (the
+    point must still be ahead of the bus); otherwise it waits for the next
+    trip, as do passengers beyond capacity.
 
     Planning is causal.  A trip departing at dep on the sub-route
     [x_lo, x_hi] may take a request only if t_k <= t_bound, with
@@ -63,7 +64,7 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain
@@ -255,42 +256,13 @@ def snap_to_streets(point: tuple, grid: GridGeometry) -> tuple:
 _Y, _Y_ID = itemgetter(1), itemgetter(1, 3)
 
 
-class _CrossStreets:
-    """One sub-route's pending candidates in one list per cross-street x
-    kept sorted by (y, id); a trip reads each street's sweep from its list."""
-
-    def __init__(self, cands=()):
-        self._xs = []  # cross-street keys, ascending
-        self._streets = {}  # x -> members sorted by (y, id)
-        self.add(cands)
-
-    def add(self, cands) -> None:
-        """Make the candidates pending."""
-        for c in cands:
-            if c[0] not in self._streets:
-                insort(self._xs, c[0])
-                self._streets[c[0]] = []
-            insort(self._streets[c[0]], c, key=_Y_ID)
-
-    def discard(self, served) -> None:
-        """Drop the candidates of _drive's served records."""
-        gone = {rec[0] for rec in served}
-        for x in {rec[3][0] for rec in served}:
-            self._streets[x] = members = [c for c in self._streets[x] if c[3] not in gone]
-            if not members:
-                del self._streets[x], self._xs[bisect_left(self._xs, x)]
-
-    def visit_order(self):
-        """Visible candidates in x order, one monotone y sweep per street
-        from the end with the larger |y| (the positive end on a tie), ids
-        ascending within a point (the sort is stable)."""
-        streets = map(self._streets.__getitem__, self._xs)
-        return chain.from_iterable(sorted(m, key=_Y, reverse=True) if abs(m[-1][1]) >= abs(m[0][1]) else m for m in streets)
-
-
-def _drive(cands, depart: float, svc: ServiceConfig, start_x: float, end_x: float, express_length: float, capacity: int) -> tuple:
-    """Drive one trip from (start_x, 0), serving candidates in visit order,
-    to the axis at end_x, then express_length km on at v_h.
+def _drive(streets: dict, depart: float, svc: ServiceConfig, start_x: float, end_x: float, express_length: float, capacity: int) -> tuple:
+    """Drive one trip from (start_x, 0) to the axis at end_x, then
+    express_length km on at v_h, serving the pending candidates of streets
+    (cross-street x -> candidates sorted by (y, id)) in visit order: streets
+    by ascending x, each in one monotone y sweep from the end with the
+    larger |y| (the positive end on a tie), ids ascending within a point
+    (the sort is stable).
 
     A candidate whose request time is later than the bus's arrival at its
     point is left for the next trip; ready candidates beyond capacity are
@@ -303,7 +275,7 @@ def _drive(cands, depart: float, svc: ServiceConfig, start_x: float, end_x: floa
     d_y = 0.0
     served, spilled = [], []
     inv_v = 1.0 / svc.v_d
-    cands = iter(cands)
+    cands = chain.from_iterable(sorted(m, key=_Y, reverse=True) if abs(m[-1][1]) >= abs(m[0][1]) else m for _, m in sorted(streets.items()))
     for sx, sy, tk, rid in cands:
         same_point = bool(served) and sx == bx and sy == by
         if same_point:
@@ -377,8 +349,10 @@ def plan_amsod_route(requests: Sequence[Request], grid: GridGeometry, svc: Servi
         sx, sy = snap_to_streets((req.x, req.y), grid)
         if not (abs(sx - req.x) < 1e-9 and abs(sy - req.y) < 1e-9):
             raise ValueError(f"request {req.id} is off the street lattice: ({req.x}, {req.y})")
-    pending = _CrossStreets((req.x, req.y, -math.inf, req.id) for req in requests)  # all already due
-    served, _, route = _drive(pending.visit_order(), depart_time, svc, 0.0, grid.gl_x, 0.0, len(requests))
+    streets = {}
+    for req in requests:
+        insort(streets.setdefault(req.x, []), (req.x, req.y, -math.inf, req.id), key=_Y_ID)  # all already due
+    served, _, route = _drive(streets, depart_time, svc, 0.0, grid.gl_x, 0.0, len(requests))
     return _route_plan(depart_time, served, route)
 
 
@@ -540,9 +514,9 @@ def _fixed_records(scenario: Scenario, demand: Demand):
 
 
 def _amsod_records(scenario: Scenario, demand: Demand):
-    """Each trip drives its sub-route's pending candidates, kept by
-    cross-street; a request arrives at the first trip of its sub-route
-    whose t_bound it does not exceed."""
+    """Each trip drives its sub-route's pending candidates, kept in one dict
+    from cross-street x to a list sorted by (y, id); a request arrives at
+    the first trip of its sub-route whose t_bound it does not exceed."""
     grid, svc, cost = scenario.grid, scenario.service, scenario.cost
     sub, bounds = _sub_routes(demand, grid, svc.n_zones, svc.n_parallel)
     sx_all = _snap(demand.x, grid.l_x, tie_toward_zero=False)
@@ -557,12 +531,17 @@ def _amsod_records(scenario: Scenario, demand: Demand):
         reach = (x_hi - x_lo + (cap + 1) * 2.0 * y_hat) / svc.v_d + cap * svc.t_s_prime
         first[mine] = k + n * np.searchsorted(np.asarray(deps[k::n]) + reach, demand.t_k[mine])  # t_k <= t_bound
     arrivals = _arrivals(zip(sx.tolist(), sy_all.tolist(), demand.t_k.tolist(), demand.id.tolist()), first.tolist(), len(deps))
-    streets = [_CrossStreets() for _ in bounds]
+    streets = [{} for _ in bounds]
     for i, (dep, new) in enumerate(zip(deps, arrivals)):
         pending, (start_x, end_x, express_len) = streets[i % n], bounds[i % n]
-        pending.add(new)
-        served, spilled, route = _drive(pending.visit_order(), dep, svc, start_x, end_x, express_len, cap)
-        pending.discard(served)
+        for c in new:
+            insort(pending.setdefault(c[0], []), c, key=_Y_ID)
+        served, spilled, route = _drive(pending, dep, svc, start_x, end_x, express_len, cap)
+        gone = {rec[0] for rec in served}
+        for x in {rec[3][0] for rec in served}:
+            pending[x] = [c for c in pending[x] if c[3] not in gone]
+            if not pending[x]:
+                del pending[x]
         yield (*_amsod_rows(served, route, cost, svc), spilled, (served, route), dep)
 
 

@@ -326,6 +326,15 @@ def test_ingest_refuses_what_the_loader_would(catchment, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ingest_short_row_exits_2(tmp_path, capsys):
+    data = tmp_path / "stops.csv"
+    data.write_text("stop_id,routes,chainage_km,boardings\na,1,0.0,5\nb\nc,1,1.0,7\n")
+    out = tmp_path / "built.json"
+    assert main(["ingest", "--data", str(data), "--route-id", "1", "--template", "model1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: stops.csv line 3: missing routes, boardings, chainage_km"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "section,key,value",
     [

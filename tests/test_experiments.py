@@ -106,6 +106,15 @@ def test_capacity_sweep_keeps_fixed_side(model1):
     assert swept.rows[0].amsod_wait_min > swept.rows[1].amsod_wait_min
 
 
+def test_emit_sweep_values_round_trip(tmp_path):
+    values = (10.0, 0.1, 1000.1, 1000.2, 12345.0)
+    rows = tuple(E.SweepRow(v, 1.0, 2.0, 3.0, 4.0, 5.0) for v in values)
+    path = E.emit_sweep(E.SweepResult("lambda", rows, ()), "hand", tmp_path)
+    cells = [line.split(",")[0] for line in path.read_text().splitlines()[1:]]
+    assert [float(c) for c in cells] == list(values)
+    assert cells[:2] == ["10", "0.1"]  # sig4's text where it round-trips
+
+
 def test_emit_report_files(tmp_path, model1):
     run = E.run_scenario(model1, replications=20, seed=7)
     paths = E.emit_report(run, tmp_path)

@@ -20,6 +20,9 @@ def test_parse_well_formed_rows(tmp_path):
     assert len(records) == 3
     assert records[1].catchment_km == approx(0.3)
     assert records[2].chainage_km == approx(1.0)
+    # a row may leave out the trailing catchment_km
+    short = write_csv(tmp_path / "short.csv", ["a,126,0.0,10", "b,126,0.5,20,0.3"])
+    assert [r.catchment_km for r in ingest.parse_boardings(short, "126")] == [None, approx(0.3)]
 
 
 def test_parse_filters_other_routes(tmp_path):
@@ -32,6 +35,13 @@ def test_parse_bad_boardings_names_line(tmp_path):
     path = write_csv(tmp_path / "stops.csv", ["a,126,0.0,10,", "b,126,0.5,n/a,"])
     with pytest.raises(ValueError, match="line 3"):
         ingest.parse_boardings(path, "126")
+    short = write_csv(tmp_path / "short.csv", ["a,126,0.0,10,", "b"])  # a stop id only
+    with pytest.raises(ValueError, match="short.csv line 3: missing routes, boardings, chainage_km"):
+        ingest.parse_boardings(short, "126")
+    latlon = write_csv(tmp_path / "latlon.csv", ["a,9,41.877,-87.70,10", "b,9,abc,-87.65,10"], header="stop_id,routes,lat,lon,boardings")
+    axis = ingest.RouteAxis(lat0=41.877, lon0=-87.70, lat1=41.877, lon1=-87.60)
+    with pytest.raises(ValueError, match="latlon.csv line 3: non-numeric lat/lon 'abc'"):
+        ingest.parse_boardings(latlon, "9", axis=axis)
 
 
 def test_parse_missing_column(tmp_path):

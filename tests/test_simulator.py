@@ -439,14 +439,16 @@ def _zonal3(scenario):
 
 
 def test_zonal_bus_never_backs_up_at_zone_end(model1):
-    # 3.32 lies in zone 0 (ends at 10/3 km) but snaps to the 3.4 cross-street
-    scn = _zonal3(model1)
-    logs = S.simulate_requests(scn, "amsod", [Request(0, 3.32, 0.2, 0.0, 8)])
-    plan = logs[0].plan
-    assert logs[0].served_ids == (0,)
-    xs = [p[0] for p in plan.waypoints]
-    assert all(x1 <= x2 for x1, x2 in zip(xs, xs[1:]))
-    assert plan.d_x + plan.d_y == approx(plan.rectilinear_length(), abs=1e-12)
+    # 3.32 lies in zone 0 (ends at 10/3 km) but snaps to the 3.4 cross-street;
+    # on a single route ending off the lattice at 10.95 km, 10.92 snaps to 11.0
+    off_lattice_end = replace(model1, grid=replace(model1.grid, gl_x=10.95))
+    for scn, x, stop in (_zonal3(model1), 3.32, 8), (off_lattice_end, 10.92, model1.grid.n_stops - 1):
+        logs = S.simulate_requests(scn, "amsod", [Request(0, x, 0.2, 0.0, stop)])
+        plan = logs[0].plan
+        assert logs[0].served_ids == (0,)
+        xs = [p[0] for p in plan.waypoints]
+        assert all(x1 <= x2 for x1, x2 in zip(xs, xs[1:]))
+        assert plan.d_x + plan.d_y == approx(plan.rectilinear_length(), abs=1e-12)
 
 
 def test_request_caught_by_first_trip_past_the_snapped_width(model1):
