@@ -76,6 +76,8 @@ def parse_boardings(path: Union[str, Path], route_id: str, axis: Optional[RouteA
             missing = [col for col in required if row[col] is None]  # DictReader's fill for a short row
             if missing:
                 raise ValueError(f"{path.name} line {line}: missing {', '.join(missing)}")
+            if None in row:  # DictReader's key for the fields past the header
+                raise ValueError(f"{path.name} line {line}: {len(header) + len(row[None])} fields, header has {len(header)}")
             routes = {r.strip() for r in row["routes"].replace(";", ",").split(",")}
             if route_id not in routes:
                 continue

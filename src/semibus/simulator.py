@@ -6,11 +6,12 @@ modes share each demand realization; each has its own departure loop, in
 which trip i serves sub-route i mod n.  Both admit a request at the
 first trip that may take it (_arrivals); what a trip does not serve
 waits for the sub-route's next trip.  A trip yields a row (id, t_k, wait,
-ivtt, access) per passenger in boarding order, its operator cost and its
-spilled ids.  simulate_requests and run_timeline (and so the trace)
-build TripLogs from these records; experiments.run_scenario folds the
-rows straight into its window sums.  Both sum left to right in trip,
-then boarding order, and reported numbers depend on that order.
+ivtt, access) per passenger in boarding order, its operator cost and a
+lazy iterator over its spilled ids.  simulate_requests and run_timeline
+(and so the trace) build TripLogs from these records and read the spill;
+experiments.run_scenario folds the rows into its window sums and never
+runs it.  Both sum left to right in trip, then boarding order, and
+reported numbers depend on that order.
 
 Demand travels as columns (Demand: id, x, y, t_k, home_stop) from the
 draw (sample_demand) to both loops.  Request objects appear only at
@@ -267,13 +268,14 @@ def _drive(streets: dict, depart: float, svc: ServiceConfig, start_x: float, end
     A candidate whose request time is later than the bus's arrival at its
     point is left for the next trip; ready candidates beyond capacity are
     spilled.  Returns (served, spilled_ids, route): served records
-    (request_id, t_k, arrival, point) in boarding order, and route =
-    (start_x, end_x, d_y, express_legs, end_time).
+    (request_id, t_k, arrival, point) in boarding order, a lazy iterator
+    over the spilled ids that reads the street lists as it goes, and
+    route = (start_x, end_x, d_y, express_legs, end_time).
     """
     t = last_arrival = depart
     bx, by = start_x, 0.0
     d_y = 0.0
-    served, spilled = [], []
+    served = []
     inv_v = 1.0 / svc.v_d
     cands = chain.from_iterable(sorted(m, key=_Y, reverse=True) if abs(m[-1][1]) >= abs(m[0][1]) else m for _, m in sorted(streets.items()))
     for sx, sy, tk, rid in cands:
@@ -292,14 +294,10 @@ def _drive(streets: dict, depart: float, svc: ServiceConfig, start_x: float, end
         served.append((rid, tk, arrival, (sx, sy)))
         if len(served) == capacity:
             break
-    # full: the bus no longer moves, so each candidate left needs only the
-    # ready test against its last position
-    for sx, sy, tk, rid in cands:
-        if tk > last_arrival:  # else ready: no arrival left is earlier
-            arrival = last_arrival if sx == bx and sy == by else t + (abs(sy - by) + (sx - bx)) * inv_v
-            if tk > arrival + 1e-12:
-                continue
-        spilled.append(rid)
+    # full: the bus no longer moves, so a candidate left needs only the ready
+    # test at its last position; lazy, so only a reader of the spill walks it
+    spilled = (rid for sx, sy, tk, rid in cands
+               if tk <= last_arrival or tk <= (last_arrival if sx == bx and sy == by else t + (abs(sy - by) + (sx - bx)) * inv_v) + 1e-12)
     d_y += abs(by)
     end_time = t + (abs(by) + (end_x - bx)) * inv_v
     express_legs = ()
@@ -510,7 +508,7 @@ def _fixed_records(scenario: Scenario, demand: Demand):
     for dep, new in zip(sched.departures, _arrivals(*_boarding_rows(demand, sched, grid, svc), len(sched.departures))):
         cand = sorted(spilled + new)
         spilled = cand[svc.capacity :]
-        yield (*_fixed_rows(cand[: svc.capacity], dep, sched, cost, grid), [c[2] for c in spilled], None, dep)
+        yield (*_fixed_rows(cand[: svc.capacity], dep, sched, cost, grid), (c[2] for c in spilled), None, dep)
 
 
 def _amsod_records(scenario: Scenario, demand: Demand):
@@ -549,8 +547,10 @@ def trip_records(scenario: Scenario, mode: str, demand: Demand):
     """The departure loop of one mode over a demand realization.  It yields
     per trip (c_o, rows, spilled_ids, drive, depart time): the operator
     cost, the passenger rows (id, t_k, wait, ivtt, access) in boarding
-    order, the spilled ids and, on demand, _drive's (served, route) for
-    the plan.  Unvalidated: its public callers validate."""
+    order, a lazy iterator over the spilled ids, valid only until the loop
+    resumes (on demand it reads the live street lists the next trip inserts
+    into), and on demand _drive's (served, route) for the plan.
+    Unvalidated: its public callers validate."""
     if mode not in ("fixed", "amsod"):
         raise ValueError(f"unknown mode {mode!r}")
     return (_fixed_records if mode == "fixed" else _amsod_records)(scenario, demand)

@@ -354,3 +354,12 @@ def test_wrong_value_shape_exits_1(section, key, value, tmp_path, capsys):
     assert main(["analytic", "--scenario", str(bad)]) == 1
     err = capsys.readouterr().err
     assert f"{section}.{key}: expected a {'number' if isinstance(value, list) else 'list'}" in err
+
+
+def test_ingest_row_past_the_header_exits_2(tmp_path, capsys):
+    data = tmp_path / "stops.csv"
+    data.write_text("stop_id,routes,chainage_km,boardings,catchment_km\na,1,0.0,5,9,9\nb,1,0.5,6,\nc,1,1.0,7,\n")
+    out = tmp_path / "built.json"
+    assert main(["ingest", "--data", str(data), "--route-id", "1", "--template", "model1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: stops.csv line 2: 6 fields, header has 5"]
+    assert not out.exists()

@@ -44,6 +44,16 @@ def test_parse_bad_boardings_names_line(tmp_path):
         ingest.parse_boardings(latlon, "9", axis=axis)
 
 
+def test_parse_refuses_fields_past_the_header(tmp_path):
+    # csv.DictReader files the extras under the key None; unrefused, the
+    # first row read catchment 9 km and the unquoted route list shifted
+    # every field of the second
+    for rows in (["a,1,0.0,5,9,9"], ["a,126,0.0,10,", "c,126,20,1.0,5,"]):
+        path = write_csv(tmp_path / "wide.csv", rows)
+        with pytest.raises(ValueError, match=f"wide.csv line {len(rows) + 1}: 6 fields, header has 5"):
+            ingest.parse_boardings(path, rows[-1].split(",")[1])
+
+
 def test_parse_missing_column(tmp_path):
     path = tmp_path / "stops.csv"
     path.write_text("stop_id,chainage_km\na,0.0\n")

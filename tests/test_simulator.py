@@ -490,6 +490,30 @@ def test_dispatch_invariants_on_bundled_corridors(request, name, zonal):
                 assert log.plan.d_x + log.plan.d_y == approx(log.plan.rectilinear_length(), abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "changes",
+    [{"capacity": 5, "demand_rate": 200.0}, {"demand_rate": 480.0}, {"demand_rate": 480.0, "n_parallel": 1, "n_zones": 3, "v_h": 60.0}],
+    ids=["crowded", "backlogged", "zonal3-backlogged"],
+)
+@pytest.mark.parametrize("name", ["model1", "model2", "cta126", "cta84"])
+def test_spill_is_served_later_on_its_sub_route_or_never(request, name, changes):
+    # a spilled id waits for the next trip of its sub-route: it is served
+    # by a later trip whose index differs by a multiple of the sub-route
+    # count, or not at all within the horizon
+    scn = request.getfixturevalue(name)
+    scn = replace(scn, service=replace(scn.service, **changes))
+    svc = scn.service
+    reqs = S.sample_requests(scn.grid, svc, 2024)
+    for mode, n in (("fixed", 1), ("amsod", svc.n_zones if svc.n_zones > 1 else svc.n_parallel)):
+        logs = S.simulate_requests(scn, mode, reqs)
+        served_by = {rid: log.trip_index for log in logs for rid in log.served_ids}
+        spilled = [(log.trip_index, rid) for log in logs for rid in log.spilled_ids]
+        assert {rid in served_by for _, rid in spilled} == {True, False}, mode  # both outcomes occur
+        for i, rid in spilled:
+            later = served_by.get(rid)
+            assert later is None or (later > i and (later - i) % n == 0), (mode, i, rid, later)
+
+
 # --- causal on-demand planning -----------------------------------------------------
 
 
