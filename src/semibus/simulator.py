@@ -9,9 +9,8 @@ waits for the sub-route's next trip.  A trip yields a row (id, t_k, wait,
 ivtt, access) per passenger in boarding order, its operator cost and a
 lazy iterator over its spilled ids.  simulate_requests and run_timeline
 (and so the trace) build TripLogs from these records and read the spill;
-experiments.run_scenario folds the rows into its window sums and never
-runs it.  Both sum left to right in trip, then boarding order, and
-reported numbers depend on that order.
+experiments.run_scenario only folds the rows into its window sums.  Both
+sum in trip, then boarding order; reported numbers depend on that order.
 
 Demand travels as columns (Demand: id, x, y, t_k, home_stop) from the
 draw (sample_demand) to both loops.  Request objects appear only at
@@ -295,9 +294,11 @@ def _drive(streets: dict, depart: float, svc: ServiceConfig, start_x: float, end
         if len(served) == capacity:
             break
     # full: the bus no longer moves, so a candidate left needs only the ready
-    # test at its last position; lazy, so only a reader of the spill walks it
+    # test at its last position; lazy, so only a reader of the spill walks it.
+    # It binds copies, as a closure over the loop's variables slows the loop
+    t_, bx_, by_, last_, inv_ = t, bx, by, last_arrival, inv_v
     spilled = (rid for sx, sy, tk, rid in cands
-               if tk <= last_arrival or tk <= (last_arrival if sx == bx and sy == by else t + (abs(sy - by) + (sx - bx)) * inv_v) + 1e-12)
+               if tk <= last_ or tk <= (last_ if sx == bx_ and sy == by_ else t_ + (abs(sy - by_) + (sx - bx_)) * inv_) + 1e-12)
     d_y += abs(by)
     end_time = t + (abs(by) + (end_x - bx)) * inv_v
     express_legs = ()
@@ -547,10 +548,9 @@ def trip_records(scenario: Scenario, mode: str, demand: Demand):
     """The departure loop of one mode over a demand realization.  It yields
     per trip (c_o, rows, spilled_ids, drive, depart time): the operator
     cost, the passenger rows (id, t_k, wait, ivtt, access) in boarding
-    order, a lazy iterator over the spilled ids, valid only until the loop
-    resumes (on demand it reads the live street lists the next trip inserts
-    into), and on demand _drive's (served, route) for the plan.
-    Unvalidated: its public callers validate."""
+    order, a lazy iterator over the spilled ids (valid until the loop
+    resumes: it reads live street lists) and, on demand, _drive's (served,
+    route) for the plan.  Unvalidated: its public callers validate."""
     if mode not in ("fixed", "amsod"):
         raise ValueError(f"unknown mode {mode!r}")
     return (_fixed_records if mode == "fixed" else _amsod_records)(scenario, demand)
