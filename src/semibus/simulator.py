@@ -256,6 +256,14 @@ def snap_to_streets(point: tuple, grid: GridGeometry) -> tuple:
 _Y, _Y_ID = itemgetter(1), itemgetter(1, 3)
 
 
+def _spill(cands, t: float, bx: float, by: float, last_arrival: float, inv_v: float):
+    """Lazily, the ids of the candidates a full bus leaves that are ready
+    at its last point (it no longer moves); cands reads live street lists."""
+    for sx, sy, tk, rid in cands:
+        if tk <= last_arrival or tk <= (last_arrival if sx == bx and sy == by else t + (abs(sy - by) + (sx - bx)) * inv_v) + 1e-12:
+            yield rid
+
+
 def _drive(streets: dict, depart: float, svc: ServiceConfig, start_x: float, end_x: float, express_length: float, capacity: int) -> tuple:
     """Drive one trip from (start_x, 0) to the axis at end_x, then
     express_length km on at v_h, serving the pending candidates of streets
@@ -267,14 +275,12 @@ def _drive(streets: dict, depart: float, svc: ServiceConfig, start_x: float, end
     A candidate whose request time is later than the bus's arrival at its
     point is left for the next trip; ready candidates beyond capacity are
     spilled.  Returns (served, spilled_ids, route): served records
-    (request_id, t_k, arrival, point) in boarding order, a lazy iterator
-    over the spilled ids that reads the street lists as it goes, and
-    route = (start_x, end_x, d_y, express_legs, end_time).
+    (request_id, t_k, arrival, point) in boarding order, a lazy _spill that
+    only trip logs read, and (start_x, end_x, d_y, express_legs, end_time).
     """
     t = last_arrival = depart
     bx, by = start_x, 0.0
-    d_y = 0.0
-    served = []
+    served, d_y = [], 0.0
     inv_v = 1.0 / svc.v_d
     cands = chain.from_iterable(sorted(m, key=_Y, reverse=True) if abs(m[-1][1]) >= abs(m[0][1]) else m for _, m in sorted(streets.items()))
     for sx, sy, tk, rid in cands:
@@ -293,12 +299,7 @@ def _drive(streets: dict, depart: float, svc: ServiceConfig, start_x: float, end
         served.append((rid, tk, arrival, (sx, sy)))
         if len(served) == capacity:
             break
-    # full: the bus no longer moves, so a candidate left needs only the ready
-    # test at its last position; lazy, so only a reader of the spill walks it.
-    # It binds copies, as a closure over the loop's variables slows the loop
-    t_, bx_, by_, last_, inv_ = t, bx, by, last_arrival, inv_v
-    spilled = (rid for sx, sy, tk, rid in cands
-               if tk <= last_ or tk <= (last_ if sx == bx_ and sy == by_ else t_ + (abs(sy - by_) + (sx - bx_)) * inv_) + 1e-12)
+    spilled = _spill(cands, t, bx, by, last_arrival, inv_v)  # empty unless full
     d_y += abs(by)
     end_time = t + (abs(by) + (end_x - bx)) * inv_v
     express_legs = ()
@@ -548,9 +549,8 @@ def trip_records(scenario: Scenario, mode: str, demand: Demand):
     """The departure loop of one mode over a demand realization.  It yields
     per trip (c_o, rows, spilled_ids, drive, depart time): the operator
     cost, the passenger rows (id, t_k, wait, ivtt, access) in boarding
-    order, a lazy iterator over the spilled ids (valid until the loop
-    resumes: it reads live street lists) and, on demand, _drive's (served,
-    route) for the plan.  Unvalidated: its public callers validate."""
+    order, a spilled-id iterator valid only until the loop resumes and, on
+    demand, _drive's (served, route).  Unvalidated: callers validate."""
     if mode not in ("fixed", "amsod"):
         raise ValueError(f"unknown mode {mode!r}")
     return (_fixed_records if mode == "fixed" else _amsod_records)(scenario, demand)
