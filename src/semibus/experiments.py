@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -136,6 +137,16 @@ def _one_replication(args):
     return tuple(per_mode)
 
 
+def _check_workers(workers) -> None:
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+
+
+def _pool(workers: int, replications) -> ProcessPoolExecutor:
+    """A pool of no more processes than there are replications to run."""
+    return ProcessPoolExecutor(max_workers=min(workers, int(replications)))
+
+
 def run_scenario(
     scenario: Scenario,
     replications: Optional[int] = None,
@@ -150,7 +161,18 @@ def run_scenario(
     on-demand side only (capacity sensitivity keeps the incumbent
     fixed-route bus unchanged); demand and horizon must match so the
     request realizations stay shared.
+
+    workers > 1 runs the replications on a pool of min(workers,
+    replications) processes, one contiguous block of replications each.
+    The pool opens after every argument check and is joined before this
+    returns or raises.  The result is the same for any worker count.
     """
+    return _run_scenario(scenario, replications, seed, workers, modes, amsod_service, None)
+
+
+def _run_scenario(scenario, replications, seed, workers, modes, amsod_service, pool) -> ScenarioRun:
+    """run_scenario, mapping its replications on pool when one is given
+    (sweep shares one among its points), else on a pool of its own."""
     require_valid(scenario)
     J = scenario.replications if replications is None else replications
     if isinstance(J, bool) or not float(J).is_integer() or J < 1:
@@ -159,8 +181,7 @@ def run_scenario(
     entropy = _entropy(scenario.seed if seed is None else seed)
     if not modes or any(mode not in ("fixed", "amsod") for mode in modes):
         raise ValueError(f"modes must be a nonempty sequence of 'fixed' and 'amsod', got {modes!r}")
-    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    _check_workers(workers)
 
     amsod = scenario
     if amsod_service is not None:
@@ -173,9 +194,9 @@ def run_scenario(
     jobs = [(scenario, mode_scenarios, tuple(modes), entropy, rep) for rep in range(J)]
     if workers == 1:
         per_rep = [_one_replication(job) for job in jobs]
-    else:  # map keeps job order
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_rep = list(pool.map(_one_replication, jobs, chunksize=max(1, J // (workers * 8))))
+    else:  # one block of jobs per worker; map keeps job order
+        with _pool(workers, J) if pool is None else nullcontext(pool) as pool:
+            per_rep = list(pool.map(_one_replication, jobs, chunksize=-(-J // workers)))
     stats = tuple(
         ScenarioStats(metrics={m: summarize([p[k][m] for p in per_rep]) for m in METRICS}, replications=J)
         for k in range(len(modes))
@@ -244,35 +265,36 @@ def sweep(spec: SweepSpec, seed=None, workers: int = 1) -> SweepResult:
     A capacity sweep sizes the on-demand minibus only; the fixed-route
     baseline keeps the scenario's own capacity.  A demand sweep moves
     both services together.
+
+    workers > 1 runs every value on one pool of min(workers,
+    replications) processes, one contiguous block of a value's
+    replications each.  The pool opens after seed and workers are
+    checked and is joined before this returns or raises.
     """
     base = spec.scenario
-    master = base.seed if seed is None else seed
+    entropy = _entropy(base.seed if seed is None else seed)
+    _check_workers(workers)
     rows = []
     runs = []
-    for idx, value in enumerate(spec.values):
-        swept = spec.scenario_at(value)
-        if spec.dimension == "capacity":
-            scn, amsod_svc = base, swept.service
-        else:
-            scn, amsod_svc = swept, None
-        run = run_scenario(
-            scn,
-            replications=spec.replications,
-            seed=_entropy(master) + (idx,),
-            workers=workers,
-            amsod_service=amsod_svc,
-        )
-        rows.append(
-            SweepRow(
-                value=value,
-                delta_tc_median=run.delta_tc.median,
-                fixed_wait_min=run.fixed.metrics["avg_wait_min"].median,
-                fixed_ivtt_min=run.fixed.metrics["avg_ivtt_min"].median,
-                amsod_wait_min=run.amsod.metrics["avg_wait_min"].median,
-                amsod_ivtt_min=run.amsod.metrics["avg_ivtt_min"].median,
+    with _pool(workers, spec.replications) if workers > 1 else nullcontext() as pool:
+        for idx, value in enumerate(spec.values):
+            swept = spec.scenario_at(value)
+            if spec.dimension == "capacity":
+                scn, amsod_svc = base, swept.service
+            else:
+                scn, amsod_svc = swept, None
+            run = _run_scenario(scn, spec.replications, entropy + (idx,), workers, ("fixed", "amsod"), amsod_svc, pool)
+            rows.append(
+                SweepRow(
+                    value=value,
+                    delta_tc_median=run.delta_tc.median,
+                    fixed_wait_min=run.fixed.metrics["avg_wait_min"].median,
+                    fixed_ivtt_min=run.fixed.metrics["avg_ivtt_min"].median,
+                    amsod_wait_min=run.amsod.metrics["avg_wait_min"].median,
+                    amsod_ivtt_min=run.amsod.metrics["avg_ivtt_min"].median,
+                )
             )
-        )
-        runs.append(run)
+            runs.append(run)
     return SweepResult(dimension=spec.dimension, rows=tuple(rows), runs=tuple(runs))
 
 

@@ -32,22 +32,22 @@ def criterion(n, label):
 
 @pytest.fixture(scope="module")
 def run_model1(model1):
-    return E.run_scenario(model1, replications=J_FULL)
+    return E.run_scenario(model1, replications=J_FULL, workers=2)
 
 
 @pytest.fixture(scope="module")
 def run_model2(model2):
-    return E.run_scenario(model2, replications=J_FULL)
+    return E.run_scenario(model2, replications=J_FULL, workers=2)
 
 
 @pytest.fixture(scope="module")
 def run_cta126(cta126):
-    return E.run_scenario(cta126, replications=J_FULL)
+    return E.run_scenario(cta126, replications=J_FULL, workers=2)
 
 
 @pytest.fixture(scope="module")
 def run_cta84(cta84):
-    return E.run_scenario(cta84, replications=J_FULL)
+    return E.run_scenario(cta84, replications=J_FULL, workers=2)
 
 
 @pytest.fixture(scope="module")
@@ -146,13 +146,13 @@ def test_criterion_6_screening_indicators(model1, model2, cta126, cta84):
 @pytest.fixture(scope="module")
 def capacity_sweep(model1):
     spec = E.SweepSpec(dimension="capacity", values=(15, 20, 25, 30), replications=J_SWEEP, scenario=model1)
-    return E.sweep(spec)
+    return E.sweep(spec, workers=2)
 
 
 @pytest.fixture(scope="module")
 def demand_sweep(model1):
     spec = E.SweepSpec(dimension="lambda", values=(40, 60, 80, 90, 100), replications=J_SWEEP, scenario=model1)
-    return E.sweep(spec)
+    return E.sweep(spec, workers=2)
 
 
 def test_criterion_7_sensitivity_shape(capacity_sweep, demand_sweep):

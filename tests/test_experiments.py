@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -104,6 +105,99 @@ def test_capacity_sweep_keeps_fixed_side(model1):
     for row in swept.rows:
         assert row.fixed_wait_min < 10.0
     assert swept.rows[0].amsod_wait_min > swept.rows[1].amsod_wait_min
+
+
+@pytest.mark.parametrize("dimension, values", [("lambda", (10.0, 40.0)), ("capacity", (5.0, 30.0))])
+def test_sweep_on_two_workers_equals_one(model1, dimension, values):
+    # a capacity sweep sends its amsod_service through the shared pool
+    spec = E.SweepSpec(dimension=dimension, values=values, replications=7, scenario=model1)
+    one, two = (E.sweep(spec, seed=21, workers=w) for w in (1, 2))
+    assert [E.run_to_dict(r) for r in two.runs] == [E.run_to_dict(r) for r in one.runs]
+    assert two.rows == one.rows
+    assert multiprocessing.active_children() == []
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records how it is made and used,
+    maps in this process and starts none."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.max_workers, self.chunksizes, self.shut = max_workers, [], False
+        FakePool.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.shutdown()
+
+    def map(self, fn, jobs, chunksize=1):
+        self.chunksizes.append(chunksize)
+        return map(fn, jobs)
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.shut = True
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    FakePool.made = []
+    monkeypatch.setattr(E, "ProcessPoolExecutor", FakePool)
+    return FakePool.made
+
+
+def test_sweep_makes_one_pool_and_shuts_it_down(model1, fake_pool):
+    spec = E.SweepSpec(dimension="lambda", values=(10.0, 20.0, 40.0), replications=5, scenario=model1)
+    E.sweep(spec, seed=3, workers=2)
+    [pool] = fake_pool
+    assert (pool.max_workers, pool.chunksizes, pool.shut) == (2, [3, 3, 3], True)
+
+
+@pytest.mark.parametrize("replications", [2, 2.0])
+def test_pool_holds_no_more_processes_than_replications(model1, fake_pool, replications):
+    E.run_scenario(model1, replications=replications, seed=3, workers=64)
+    spec = E.SweepSpec(dimension="lambda", values=(10.0, 20.0), replications=replications, scenario=model1)
+    E.sweep(spec, seed=3, workers=64)
+    assert [(type(p.max_workers), p.max_workers, p.chunksizes, p.shut) for p in fake_pool] == [
+        (int, 2, [1], True),
+        (int, 2, [1, 1], True),
+    ]
+
+
+@pytest.mark.parametrize("workers", [0, 2.5, True])
+def test_sweep_refuses_bad_workers_before_any_pool(model1, fake_pool, workers):
+    spec = E.SweepSpec(dimension="lambda", values=(10.0,), replications=2, scenario=model1)
+    with pytest.raises(ValueError, match="workers") as info:
+        E.sweep(spec, workers=workers)
+    with pytest.raises(ValueError) as direct:
+        E.run_scenario(model1, replications=2, workers=workers)
+    assert str(info.value) == str(direct.value)
+    assert fake_pool == []
+
+
+@pytest.mark.parametrize("where", ["worker", "parent"])
+def test_no_process_outlives_a_sweep_that_raises(model1, monkeypatch, where):
+    # point 0 runs on the pool; point 1 raises in a worker (workers fork
+    # from this process, so they see the patched sample_demand) or in the
+    # parent before it maps
+    if where == "worker":
+        draw = E.sample_demand
+
+        def sample_demand(grid, service, rng):
+            if service.demand_rate == 40.0:
+                raise RuntimeError("draw failed")
+            return draw(grid, service, rng)
+
+        monkeypatch.setattr(E, "sample_demand", sample_demand)
+    spec = E.SweepSpec(dimension="lambda", values=(10.0, 40.0), replications=4, scenario=model1)
+    if where == "parent":
+        at = E.SweepSpec.scenario_at
+        monkeypatch.setattr(E.SweepSpec, "scenario_at", lambda self, v: at(self, v) if v < 40.0 else 1 / 0)
+    with pytest.raises((RuntimeError, ZeroDivisionError)):
+        E.sweep(spec, seed=5, workers=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_emit_sweep_values_round_trip(tmp_path):
