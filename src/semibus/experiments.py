@@ -163,16 +163,14 @@ def run_scenario(
     request realizations stay shared.
 
     workers > 1 runs the replications on a pool of min(workers,
-    replications) processes, one contiguous block of replications each.
-    The pool opens after every argument check and is joined before this
-    returns or raises.  The result is the same for any worker count.
+    replications) processes, one contiguous block each, opened after every
+    argument check and joined before this returns or raises.
     """
     return _run_scenario(scenario, replications, seed, workers, modes, amsod_service, None)
 
 
 def _run_scenario(scenario, replications, seed, workers, modes, amsod_service, pool) -> ScenarioRun:
-    """run_scenario, mapping its replications on pool when one is given
-    (sweep shares one among its points), else on a pool of its own."""
+    """run_scenario on pool when given (sweep shares one), else on its own."""
     require_valid(scenario)
     J = scenario.replications if replications is None else replications
     if isinstance(J, bool) or not float(J).is_integer() or J < 1:
@@ -266,10 +264,9 @@ def sweep(spec: SweepSpec, seed=None, workers: int = 1) -> SweepResult:
     baseline keeps the scenario's own capacity.  A demand sweep moves
     both services together.
 
-    workers > 1 runs every value on one pool of min(workers,
-    replications) processes, one contiguous block of a value's
-    replications each.  The pool opens after seed and workers are
-    checked and is joined before this returns or raises.
+    workers > 1 runs every value on one pool, sized and dealt as in
+    run_scenario, opened after seed and workers are checked and joined
+    before this returns or raises.
     """
     base = spec.scenario
     entropy = _entropy(base.seed if seed is None else seed)
