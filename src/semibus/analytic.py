@@ -14,8 +14,9 @@ Conventions shared by every function here:
   * mean_access is the fixed-route mean access time in hours and is always
     an explicit argument.  For screening, ``screening_mean_access`` (half
     the maximum access time) is the convention that reproduces the
-    reference corridor rankings; a sampled estimate of the simulator's access
-    distribution lives in :mod:`semibus.simulator`.
+    reference corridor rankings.  Acceptance criterion 8 passes instead a
+    sampled estimate of the simulator's access distribution, drawn by the
+    test oracle in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -143,18 +144,12 @@ class CostSummary:
         return self.access + self.wait + self.ride + self.operator
 
 
-def hourly_cost_fixed(
-    cost: CostParams,
-    grid: GridGeometry,
-    svc: ServiceConfig,
-    mean_access: float,
-    headway_variance: float = 0.0,
-) -> CostSummary:
-    """Hourly generalized cost of the fixed-route service."""
+def hourly_cost_fixed(cost: CostParams, grid: GridGeometry, svc: ServiceConfig, mean_access: float) -> CostSummary:
+    """Hourly generalized cost of the fixed-route service (zero headway variance)."""
     if mean_access < 0:
         raise ValueError("negative mean access time")
     lam, h = svc.demand_rate, svc.headway
-    wait_h = expected_wait(h, headway_variance)
+    wait_h = expected_wait(h, 0.0)
     ivtt_h = expected_ivtt_fixed(grid.gl_x, svc.v_d, svc.t_s, grid.n_stops)
     return CostSummary(
         access=cost.gamma_a * cost.vot * lam * mean_access,
@@ -305,7 +300,6 @@ class ZonalPlan:
     table: tuple  # ZonalCosts for n = 1..n_max
     n_continuous: float  # unconstrained real minimizer
     n_opt: int  # closed-form integer optimum
-    n_opt_table: int  # brute-force argmin over the table
 
 
 def _zonal_cost(cost: CostParams, grid: GridGeometry, svc: ServiceConfig, md: float, n: int) -> ZonalCosts:
@@ -371,9 +365,7 @@ def zonal_plan(
     lo = min(max(1, math.floor(n_cont)), n_max)
     hi = min(max(1, math.ceil(n_cont)), n_max)
     n_opt = lo if table[lo - 1].total <= table[hi - 1].total else hi
-
-    best = min(range(1, n_max + 1), key=lambda n: (table[n - 1].total, n))
-    return ZonalPlan(table=table, n_continuous=n_cont, n_opt=n_opt, n_opt_table=best)
+    return ZonalPlan(table=table, n_continuous=n_cont, n_opt=n_opt)
 
 
 # --- screening conventions ---------------------------------------------------

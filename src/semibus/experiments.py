@@ -308,15 +308,15 @@ def _cell(s: MetricSummary) -> str:
     return f"{sig4(s.median)} ({sig4(s.p2_5)} - {sig4(s.p97_5)})"
 
 
-def delta_tc_histogram(values: Sequence[float], bins: int = HIST_BINS):
-    """Equal-width bins spanning the empirical 0.5-99.5 percentile range."""
+def delta_tc_histogram(values: Sequence[float]):
+    """HIST_BINS equal-width bins spanning the empirical 0.5-99.5 percentile range."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("empty input")
     lo, hi = np.percentile(arr, [0.5, 99.5])
     if hi <= lo:
         lo, hi = lo - 0.5, hi + 0.5
-    counts, edges = np.histogram(arr, bins=bins, range=(lo, hi))
+    counts, edges = np.histogram(arr, bins=HIST_BINS, range=(lo, hi))
     return counts, edges
 
 

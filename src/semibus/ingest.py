@@ -54,9 +54,20 @@ class StopRecord:
     catchment_km: Optional[float] = None
 
 
+def _numbers(path: Path, line: int, what: str, *texts: str) -> list:
+    """The finite numbers written in texts; a refusal names the file and line."""
+    try:
+        values = [float(text) for text in texts]
+    except ValueError:
+        raise ValueError(f"{path.name} line {line}: non-numeric {what} {', '.join(map(repr, texts))}") from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{path.name} line {line}: non-finite {what} {', '.join(map(repr, texts))}")
+    return values
+
+
 def parse_boardings(path: Union[str, Path], route_id: str, axis: Optional[RouteAxis] = None) -> list:
-    """Parse stop records for one route; row-level errors carry the line
-    number."""
+    """Parse stop records for one route; row-level errors, a non-numeric or
+    non-finite number among them, carry the line number."""
     path = Path(path)
     records = []
     with open(path, newline="") as fh:
@@ -81,30 +92,15 @@ def parse_boardings(path: Union[str, Path], route_id: str, axis: Optional[RouteA
             routes = {r.strip() for r in row["routes"].replace(";", ",").split(",")}
             if route_id not in routes:
                 continue
-            try:
-                boardings = float(row["boardings"])
-            except (TypeError, ValueError):
-                raise ValueError(f"{path.name} line {line}: non-numeric boardings {row['boardings']!r}")
+            (boardings,) = _numbers(path, line, "boardings", row["boardings"])
             if boardings < 0:
                 raise ValueError(f"{path.name} line {line}: negative boardings")
             if has_chainage:
-                try:
-                    chainage = float(row["chainage_km"])
-                except (TypeError, ValueError):
-                    raise ValueError(f"{path.name} line {line}: non-numeric chainage {row['chainage_km']!r}")
+                (chainage,) = _numbers(path, line, "chainage", row["chainage_km"])
             else:
-                try:
-                    lat, lon = float(row["lat"]), float(row["lon"])
-                except ValueError:
-                    raise ValueError(f"{path.name} line {line}: non-numeric lat/lon {row['lat']!r}, {row['lon']!r}")
-                chainage = axis.chainage(lat, lon)
-            catchment = None
+                chainage = axis.chainage(*_numbers(path, line, "lat/lon", row["lat"], row["lon"]))
             raw = (row.get("catchment_km") or "").strip()
-            if raw:
-                try:
-                    catchment = float(raw)
-                except ValueError:
-                    raise ValueError(f"{path.name} line {line}: non-numeric catchment {raw!r}")
+            catchment = _numbers(path, line, "catchment", raw)[0] if raw else None
             records.append(
                 StopRecord(
                     stop_id=str(row["stop_id"]),

@@ -11,6 +11,7 @@ between concurrent workers.
 from __future__ import annotations
 
 import json
+import numbers
 import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -101,9 +102,6 @@ class GridGeometry:
     def max_gl_y(self) -> float:
         return max(self.gl_y)
 
-    def gl_y_at(self, stop: int) -> float:
-        return self.gl_y[stop]
-
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -165,12 +163,6 @@ class RoutePlan:
     depart_time: float = 0.0
     end_time: float = 0.0  # arrival at the corridor end, express included
 
-    def rectilinear_length(self) -> float:
-        total = 0.0
-        for (x0, y0), (x1, y1) in zip(self.waypoints, self.waypoints[1:]):
-            total += abs(x1 - x0) + abs(y1 - y0)
-        return total
-
 
 @dataclass(frozen=True)
 class PassengerOutcome:
@@ -227,7 +219,8 @@ class Scenario:
 # One table per file object, in the order its keys are written; an entry is
 # (field, unit family, key written, sign rule).  A unit family maps key
 # suffixes to factors to the canonical unit; _COUNT marks an integer count.
-# Each sign test is false for NaN.  Fields with no dataclass default are required.
+# Each sign test is false for NaN, and so is each check of validate_scenario.
+# Fields with no dataclass default are required.
 
 _TIME = {"_h": 1.0, "_hours": 1.0, "_min": 1.0 / 60.0, "_s": 1.0 / 3600.0}
 _DIST = {"_km": 1.0, "_m": 1.0 / 1000.0}
@@ -254,7 +247,7 @@ _SCHEMA = {
         ("gl_y", _DIST, "gl_y_km", _POSITIVE),
         ("d_xs", _DIST, "d_xs_km", _POSITIVE),
         ("stop_chainages", _DIST, "stop_chainages_km", None),
-        ("stop_weights", _PLAIN, "stop_weights", None),
+        ("stop_weights", _PLAIN, "stop_weights", _NON_NEGATIVE),
     )),
     "service": (ServiceConfig, (
         ("headway", _TIME, "headway_h", _POSITIVE),
@@ -295,13 +288,16 @@ _PARSE = {section: _parse_rules(cls, table) for section, (cls, table) in _SCHEMA
 
 
 def _sign_problems(section: str, obj) -> list:
-    """Violations of the table's sign rules; a per-stop tuple reports its first bad value."""
+    """Violations of the table's count and sign rules; a per-stop tuple reports its first bad value."""
     out = []
-    for field, _, _, sign in _SCHEMA[section][1]:
+    for field, family, _, sign in _SCHEMA[section][1]:
+        value = getattr(obj, field)
+        if family is _COUNT and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            out.append(Violation(f"{section}.{field}", "non-integer count", detail=f"value {value!r}"))
+            continue
         if sign is None:
             continue
         test, rule = sign
-        value = getattr(obj, field)
         for v in value if isinstance(value, tuple) else (value,):
             if not test(v):
                 out.append(Violation(f"{section}.{field}", rule, detail=f"value {v!r}"))
@@ -320,21 +316,16 @@ def validate_scenario(cost: CostParams, grid: GridGeometry, svc: ServiceConfig) 
 
     if grid.n_stops == 0:
         out.append(Violation("grid.stop_chainages", "no stops"))
-    if any(b <= a for a, b in zip(grid.stop_chainages, grid.stop_chainages[1:])):
+    if any(not b > a for a, b in zip(grid.stop_chainages, grid.stop_chainages[1:])):
         out.append(Violation("grid.stop_chainages", "unsorted stops"))
-    if grid.stop_chainages and (
-        grid.stop_chainages[0] < -_WEIGHT_TOL or grid.stop_chainages[-1] > grid.gl_x + _WEIGHT_TOL
+    if grid.stop_chainages and not (
+        grid.stop_chainages[0] >= -_WEIGHT_TOL and grid.stop_chainages[-1] <= grid.gl_x + _WEIGHT_TOL
     ):
         out.append(Violation("grid.stop_chainages", "stop outside route"))
     if len(grid.stop_weights) != grid.n_stops:
         out.append(Violation("grid.stop_weights", "weights length mismatch"))
-    elif grid.stop_weights:
-        if any(w < 0 for w in grid.stop_weights):
-            out.append(Violation("grid.stop_weights", "negative weight"))
-        if abs(sum(grid.stop_weights) - 1.0) > _WEIGHT_TOL:
-            out.append(
-                Violation("grid.stop_weights", "weights not normalized", detail=f"sum {sum(grid.stop_weights)!r}")
-            )
+    elif grid.stop_weights and not abs(sum(grid.stop_weights) - 1.0) <= _WEIGHT_TOL:
+        out.append(Violation("grid.stop_weights", "weights not normalized", detail=f"sum {sum(grid.stop_weights)!r}"))
     if len(grid.gl_y) != grid.n_stops:
         out.append(Violation("grid.gl_y", "catchment length mismatch"))
 

@@ -15,8 +15,9 @@ sum in trip, then boarding order; reported numbers depend on that order.
 Demand travels as columns (Demand: id, x, y, t_k, home_stop) from the
 draw (sample_demand) to both loops.  Request objects appear only at
 the public entry points: sample_requests builds them, and
-simulate_requests and partition_* turn them back into columns through
-one helper.  The arrays a draw reads from a grid are built once per grid.
+simulate_requests and partition_parallel turn them back into columns
+through one helper.  The arrays a draw reads from a grid are built once
+per grid.
 
 fixed
     One sub-route.  Passengers walk to the nearest stop and board the
@@ -101,9 +102,6 @@ class FixedSchedule:
     stop_offsets: tuple  # travel + dwell offset from departure to each stop
     ride_times: tuple  # in-vehicle time from each stop to the corridor end
 
-    def stop_arrival(self, stop: int, departure_index: int) -> float:
-        return self.departures[departure_index] + self.stop_offsets[stop]
-
 
 @dataclass(frozen=True)
 class TripLog:
@@ -114,15 +112,6 @@ class TripLog:
     costs: TripCosts
     served_ids: tuple
     spilled_ids: tuple  # assigned but deferred to the next trip
-
-
-@dataclass(frozen=True)
-class ZoneSlice:
-    zone: int  # 0-based
-    x_lo: float
-    x_hi: float
-    express_length: float  # x_hi .. gl_x, run at v_h with no pickups
-    requests: tuple
 
 
 @dataclass(frozen=True)
@@ -338,24 +327,6 @@ def _route_plan(depart: float, served, route) -> RoutePlan:
     )
 
 
-def plan_amsod_route(requests: Sequence[Request], grid: GridGeometry, svc: ServiceConfig, depart_time: float = 0.0) -> RoutePlan:
-    """Plan one trip serving all given requests, whatever their request
-    times (evaluate_amsod_trip still checks those).
-
-    Request coordinates must already lie on the street lattice.  The bus
-    starts at the terminal (0, 0) and ends on the axis at the corridor end.
-    """
-    for req in requests:
-        sx, sy = snap_to_streets((req.x, req.y), grid)
-        if not (abs(sx - req.x) < 1e-9 and abs(sy - req.y) < 1e-9):
-            raise ValueError(f"request {req.id} is off the street lattice: ({req.x}, {req.y})")
-    streets = {}
-    for req in requests:
-        insort(streets.setdefault(req.x, []), (req.x, req.y, -math.inf, req.id), key=_Y_ID)  # all already due
-    served, _, route = _drive(streets, depart_time, svc, 0.0, grid.gl_x, 0.0, len(requests))
-    return _route_plan(depart_time, served, route)
-
-
 def _trip_costs(cost: CostParams, c_o: float, rows) -> TripCosts:
     """TripCosts of one trip from its passenger rows (id, t_k, wait, ivtt,
     access).  Sums run left to right in boarding order; reported costs
@@ -389,15 +360,6 @@ def _amsod_rows(served, route, cost: CostParams, svc: ServiceConfig) -> tuple:
             raise ValueError(f"negative wait for request {rid}: {wait}")
         rows.append((rid, t_k, max(0.0, wait), max(0.0, end_time - arrival - svc.t_s_prime), 0.0))
     return cost.gamma_o * (end_x - start_x + d_y + sum(length for length, _ in express_legs)), rows
-
-
-def evaluate_amsod_trip(plan: RoutePlan, cost: CostParams, svc: ServiceConfig, requests: Sequence[Request]) -> TripCosts:
-    """Cost one on-demand trip from its plan, by the on-demand loop's
-    costing (_amsod_rows)."""
-    t_k = {r.id: r.t_k for r in requests}
-    served = [(p.request_id, t_k[p.request_id], p.time, p.point) for p in plan.pickups]
-    route = (plan.waypoints[0][0], plan.waypoints[-1][0], plan.d_y, plan.express_legs, plan.end_time)
-    return _trip_costs(cost, *_amsod_rows(served, route, cost, svc))
 
 
 # --- fixed-route evaluation --------------------------------------------------
@@ -434,15 +396,6 @@ def _fixed_rows(boarding, dep: float, sched: FixedSchedule, cost: CostParams, gr
     return cost.gamma_o * grid.gl_x, rows
 
 
-def evaluate_fixed_trip(
-    requests: Sequence[Request], departure_index: int, sched: FixedSchedule, cost: CostParams, grid: GridGeometry, svc: ServiceConfig
-) -> TripCosts:
-    """Cost one fixed-route trip for the passengers boarding it, by the
-    fixed-route loop's costing (_fixed_rows)."""
-    boarding, _ = _boarding_rows(_demand(requests), sched, grid, svc)
-    return _trip_costs(cost, *_fixed_rows(boarding, sched.departures[departure_index], sched, cost, grid))
-
-
 # --- request partitioning ----------------------------------------------------
 
 
@@ -467,24 +420,12 @@ def _sub_routes(demand: Demand, grid: GridGeometry, n_zones: int, n_parallel: in
     return np.clip(np.where(edge, np.where(lower, k - 1, k), np.floor(r)), 0, n_parallel - 1).astype(int), bounds
 
 
-def _split(requests: Sequence[Request], grid: GridGeometry, n_zones: int, n_parallel: int) -> list:
-    sub, bounds = _sub_routes(_demand(requests), grid, n_zones, n_parallel)
-    return [[requests[i] for i in np.flatnonzero(sub == k).tolist()] for k in range(len(bounds))], bounds
-
-
 def partition_parallel(requests: Sequence[Request], grid: GridGeometry, n_p: int) -> list:
     """Split requests into n_p equal-width y bands (per-stop catchment)."""
     if n_p < 1:
         raise ValueError("n_p must be >= 1")
-    return _split(requests, grid, 1, n_p)[0]
-
-
-def partition_zonal(requests: Sequence[Request], grid: GridGeometry, n: int) -> list:
-    """Split the corridor into n equal-length zones with exit express legs."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    buckets, bounds = _split(requests, grid, n, 1)
-    return [ZoneSlice(z, *bounds[z], tuple(bucket)) for z, bucket in enumerate(buckets)]
+    sub, _ = _sub_routes(_demand(requests), grid, 1, n_p)
+    return [[requests[i] for i in np.flatnonzero(sub == k).tolist()] for k in range(n_p)]
 
 
 # --- dispatch ----------------------------------------------------------------
@@ -591,20 +532,6 @@ def classify_requests(requests: Sequence[Request], logs: Sequence[TripLog], svc:
         else:
             uncounted.append(req.id)
     return RequestLedger(tuple(counted), tuple(uncounted), tuple(unserved))
-
-
-def sampled_mean_access(
-    grid: GridGeometry,
-    svc: ServiceConfig,
-    n_samples: int = 1_000_000,
-    seed: SeedLike = 0,
-) -> float:
-    """Monte Carlo mean fixed-route access time (hours) under the
-    simulator's demand distribution."""
-    rng = np.random.default_rng(seed)
-    x, y, _ = _sample_positions(grid, n_samples, rng)
-    dist = _nearest_stops(grid, x)[1] + np.abs(y)
-    return float(dist.mean() / svc.v_w)
 
 
 def write_trace(logs: Sequence[TripLog], svc: ServiceConfig, path: Union[str, Path]) -> None:

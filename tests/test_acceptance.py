@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
+import oracles as O
 from semibus import analytic as A
 from semibus import experiments as E
 from semibus import simulator as S
@@ -179,7 +180,7 @@ def test_criterion_8_analytic_simulation_consistency(model1, model1_means):
         sim_ivtt = model1_means["amsod"]["avg_ivtt_min"] / 60.0
         assert expect_ivtt == approx(sim_ivtt, rel=0.10)
 
-        sbar = S.sampled_mean_access(grid, svc, n_samples=1_000_000, seed=model1.seed)
+        sbar = O.sampled_mean_access(grid, svc, n_samples=1_000_000, seed=model1.seed)
         fixed = A.hourly_cost_fixed(cost, grid, svc, mean_access=sbar)
         assert fixed.access == approx(model1_means["fixed"]["access_cost"], rel=0.15)
         assert fixed.wait == approx(model1_means["fixed"]["waiting_cost"], rel=0.15)
@@ -237,7 +238,7 @@ def test_criterion_9_property_bundle(model1, model2, cta84):
             )
             grid = replace(model1.grid, gl_x=rng.uniform(4, 25))
             plan = A.zonal_plan(model1.cost, grid, svc, rng.uniform(0.05, 1.5), n_max=8)
-            assert plan.n_opt == plan.n_opt_table
+            assert plan.n_opt == O.n_opt_table(plan)
 
         md = A.screening_dispersion(model1.grid)
         sbar = A.screening_mean_access(model1.service)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
+import oracles as O
 from semibus import analytic as A
 from semibus.model import CostParams, GridGeometry, ServiceConfig
 
@@ -156,7 +157,7 @@ def test_amsod_headway_variance_monotone_in_load(k):
 
 
 def test_hourly_cost_fixed_values():
-    out = A.hourly_cost_fixed(COST, GRID_M1, svc(), mean_access=4.79 / 60, headway_variance=0.0)
+    out = A.hourly_cost_fixed(COST, GRID_M1, svc(), mean_access=4.79 / 60)
     assert out.access == approx(158, abs=1.0)
     assert out.wait == approx(186, abs=1.0)
     assert out.ride == approx(229, abs=6.0)
@@ -360,7 +361,7 @@ def test_zonal_closed_form_matches_brute_force():
         grid = replace(GRID_M1, gl_x=rng.uniform(4, 25))
         md = rng.uniform(0.05, 1.5)
         plan = A.zonal_plan(COST, grid, s, md, n_max=8)
-        assert plan.n_opt == plan.n_opt_table, (plan.n_continuous, plan.n_opt, plan.n_opt_table)
+        assert plan.n_opt == O.n_opt_table(plan), (plan.n_continuous, plan.n_opt, O.n_opt_table(plan))
 
 
 def test_zonal_optimum_grows_as_headway_shrinks():

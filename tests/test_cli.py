@@ -363,3 +363,21 @@ def test_ingest_row_past_the_header_exits_2(tmp_path, capsys):
     assert main(["ingest", "--data", str(data), "--route-id", "1", "--template", "model1", "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == ["error: stops.csv line 2: 6 fields, header has 5"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("stop_id,routes,lat,lon,boardings\na,1,41.877,-87.70,5\nb,1,41.877,-87.65,6\n", "stops.csv: lat/lon input requires a route axis"),
+        ("stop_id,routes,chainage_km,boardings\na,1,0.0,5\nb,1,0.5,inf\n", "stops.csv line 3: non-finite boardings 'inf'"),
+    ],
+    ids=["latlon", "inf-boardings"],
+)
+def test_ingest_latlon_and_non_finite_rows_exit_2(text, message, tmp_path, capsys):
+    # the CLI passes no route axis, so it reads chainage_km only
+    data = tmp_path / "stops.csv"
+    data.write_text(text)
+    out = tmp_path / "built.json"
+    assert main(["ingest", "--data", str(data), "--route-id", "1", "--template", "model1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()

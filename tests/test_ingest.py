@@ -42,6 +42,17 @@ def test_parse_bad_boardings_names_line(tmp_path):
     axis = ingest.RouteAxis(lat0=41.877, lon0=-87.70, lat1=41.877, lon1=-87.60)
     with pytest.raises(ValueError, match="latlon.csv line 3: non-numeric lat/lon 'abc'"):
         ingest.parse_boardings(latlon, "9", axis=axis)
+    # float() reads these; unrefused, the loader named a grid field and no row
+    for rows, message in [
+        (["a,126,0.0,10,", "b,126,0.5,inf,"], "line 3: non-finite boardings 'inf'"),
+        (["a,126,nan,10,"], "line 2: non-finite chainage 'nan'"),
+        (["a,126,0.0,10,", "b,126,0.5,20,NaN"], "line 3: non-finite catchment 'NaN'"),
+    ]:
+        with pytest.raises(ValueError, match=f"nonfinite.csv {message}"):
+            ingest.parse_boardings(write_csv(tmp_path / "nonfinite.csv", rows), "126")
+    latlon = write_csv(tmp_path / "latlon.csv", ["a,9,41.877,-87.70,10", "b,9,41.877,-inf,10"], header="stop_id,routes,lat,lon,boardings")
+    with pytest.raises(ValueError, match="latlon.csv line 3: non-finite lat/lon '41.877', '-inf'"):
+        ingest.parse_boardings(latlon, "9", axis=axis)
 
 
 def test_parse_refuses_fields_past_the_header(tmp_path):
@@ -143,6 +154,9 @@ def test_built_scenarios_validate(tmp_path, cta126):
 
 def test_non_finite_boardings_refused(tmp_path, cta126):
     rows = ["a,126,0.0,5,", "b,126,0.5,nan,", "c,126,1.0,7,"]
-    records = ingest.parse_boardings(write_csv(tmp_path / "s.csv", rows), "126")
+    with pytest.raises(ValueError, match="s.csv line 3: non-finite boardings 'nan'"):
+        ingest.parse_boardings(write_csv(tmp_path / "s.csv", rows), "126")
+    # records built in Python skip the parser; the scenario rules still refuse them
+    records = [ingest.StopRecord(s, "126", x, b) for s, x, b in [("a", 0.0, 5.0), ("b", 0.5, float("nan")), ("c", 1.0, 7.0)]]
     with pytest.raises(ScenarioError, match="stop_weights"):
         ingest.build_route_model(records, cta126)

@@ -6,9 +6,11 @@ import pytest
 from semibus.model import (
     CostParams,
     GridGeometry,
+    Scenario,
     ScenarioError,
     ServiceConfig,
     load_scenario,
+    require_valid,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -212,3 +214,30 @@ def test_lambda_and_demand_rate_together_refused(model1):
 def test_bad_service_values_named_by_field(field, value):
     problems = validate_scenario(CostParams(), grid_m1(), replace(svc_m1(), **{field: value}))
     assert [p.field for p in problems if p.severity == "error"] == [f"service.{field}"]
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "section,field,value,rules",
+    [
+        ("grid", "stop_weights", (0.04,) * 24 + (NAN,), ["negative parameter", "weights not normalized"]),
+        ("grid", "stop_chainages", (0.0, NAN) + tuple(0.4 * i for i in range(2, 25)), ["unsorted stops"]),
+        ("grid", "stop_chainages", tuple(0.4 * i for i in range(24)) + (NAN,), ["unsorted stops", "stop outside route"]),
+        ("service", "capacity", 15.5, ["non-integer count"]),
+        ("service", "n_zones", 1.0, ["non-integer count"]),
+        ("run", "seed", 1729.5, ["non-integer count"]),
+    ],
+)
+def test_nan_and_non_integer_values_refused_before_a_run(section, field, value, rules):
+    # unrefused, the NaN weight gives numbers, the NaN chainage an
+    # IndexError in the simulator and capacity 15.5 a TypeError
+    scenario = Scenario("bad", CostParams(), grid_m1(), svc_m1())
+    if section == "run":
+        scenario = replace(scenario, **{field: value})
+    else:
+        scenario = replace(scenario, **{section: replace(getattr(scenario, section), **{field: value})})
+    with pytest.raises(ScenarioError) as info:
+        require_valid(scenario)
+    assert [(p.field, p.rule) for p in info.value.problems] == [(f"{section}.{field}", rule) for rule in rules]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
+import oracles as O
 from semibus import simulator as S
 from semibus.model import Request
 
@@ -31,7 +32,7 @@ def test_requests_respect_catchment(model1):
     assert len(reqs) > 100
     for r in reqs:
         stop_x = grid.stop_chainages[r.home_stop]
-        assert abs(r.x - stop_x) + abs(r.y) <= grid.gl_y_at(r.home_stop) + 1e-12
+        assert abs(r.x - stop_x) + abs(r.y) <= grid.gl_y[r.home_stop] + 1e-12
         assert 0.0 <= r.x <= grid.gl_x
         assert 0.0 <= r.t_k <= model1.service.horizon
 
@@ -105,20 +106,20 @@ def test_snap_idempotent(x, y):
 
 
 def test_plan_empty_trip(model1):
-    plan = S.plan_amsod_route([], model1.grid, model1.service)
+    plan = O.plan_amsod_route([], model1.grid, model1.service)
     assert plan.d_x == 10.0 and plan.d_y == 0.0
     assert plan.waypoints[0] == (0.0, 0.0) and plan.waypoints[-1] == (10.0, 0.0)
 
 
 def test_plan_single_pickup_out_and_back(model1):
-    plan = S.plan_amsod_route([Request(0, 5.0, 0.2, 0.0, 12)], model1.grid, model1.service)
+    plan = O.plan_amsod_route([Request(0, 5.0, 0.2, 0.0, 12)], model1.grid, model1.service)
     assert plan.d_y == approx(0.4)
-    assert plan.rectilinear_length() == approx(plan.d_x + plan.d_y, abs=1e-9)
+    assert O.rectilinear_length(plan) == approx(plan.d_x + plan.d_y, abs=1e-9)
 
 
 def test_plan_same_street_pair_then_axis_point(model1):
     reqs = [Request(0, 1.0, 0.3, 0.0, 2), Request(1, 1.0, -0.2, 0.0, 2), Request(2, 2.0, 0.0, 0.0, 5)]
-    plan = S.plan_amsod_route(reqs, model1.grid, model1.service)
+    plan = O.plan_amsod_route(reqs, model1.grid, model1.service)
     assert plan.d_y == approx(0.3 + 0.5 + 0.2)
     assert plan.d_x == approx(10.0)
     assert [p.request_id for p in plan.pickups] == [0, 1, 2]
@@ -127,7 +128,7 @@ def test_plan_same_street_pair_then_axis_point(model1):
 
 def test_plan_rejects_off_lattice(model1):
     with pytest.raises(ValueError, match="lattice"):
-        S.plan_amsod_route([Request(0, 1.03, 0.3, 0.0, 2)], model1.grid, model1.service)
+        O.plan_amsod_route([Request(0, 1.03, 0.3, 0.0, 2)], model1.grid, model1.service)
 
 
 def test_plan_pickup_times_nondecreasing(model1):
@@ -136,16 +137,16 @@ def test_plan_pickup_times_nondecreasing(model1):
     for i in range(20):
         x, y = S.snap_to_streets((rng.uniform(0, 10), rng.uniform(-0.5, 0.5)), model1.grid)
         reqs.append(Request(i, x, y, 0.0, 0))
-    plan = S.plan_amsod_route(reqs, model1.grid, model1.service)
+    plan = O.plan_amsod_route(reqs, model1.grid, model1.service)
     times = [p.time for p in plan.pickups]
     assert all(t1 <= t2 for t1, t2 in zip(times, times[1:]))
-    assert plan.rectilinear_length() == approx(plan.d_x + plan.d_y, abs=1e-9)
+    assert O.rectilinear_length(plan) == approx(plan.d_x + plan.d_y, abs=1e-9)
 
 
 def test_shared_pickup_point_single_dwell(model1):
     svc = model1.service
     reqs = [Request(0, 5.0, 0.2, 0.0, 12), Request(1, 5.0, 0.2, 0.0, 12)]
-    plan = S.plan_amsod_route(reqs, model1.grid, svc, depart_time=1.0)
+    plan = O.plan_amsod_route(reqs, model1.grid, svc, depart_time=1.0)
     assert plan.pickups[0].time == plan.pickups[1].time
     # one dwell at the shared point, none elsewhere
     assert plan.end_time == approx(1.0 + (10.0 + 0.4) / svc.v_d + svc.t_s_prime)
@@ -156,8 +157,8 @@ def test_shared_pickup_point_single_dwell(model1):
 
 def test_amsod_trip_has_no_access_cost(model1):
     reqs = [Request(0, 3.0, 0.1, 0.0, 7), Request(1, 6.0, -0.3, 0.0, 15)]
-    plan = S.plan_amsod_route(reqs, model1.grid, model1.service)
-    costs = S.evaluate_amsod_trip(plan, model1.cost, model1.service, reqs)
+    plan = O.plan_amsod_route(reqs, model1.grid, model1.service)
+    costs = O.evaluate_amsod_trip(plan, model1.cost, model1.service, reqs)
     assert costs.c_a == 0.0
     assert all(o.access == 0.0 for o in costs.per_passenger)
     assert costs.total == costs.c_a + costs.c_w + costs.c_r + costs.c_o
@@ -166,24 +167,24 @@ def test_amsod_trip_has_no_access_cost(model1):
 def test_single_passenger_carries_no_dwell(model1):
     svc = model1.service
     req = Request(0, 5.0, 0.2, 0.0, 12)
-    plan = S.plan_amsod_route([req], model1.grid, svc)
-    costs = S.evaluate_amsod_trip(plan, model1.cost, svc, [req])
+    plan = O.plan_amsod_route([req], model1.grid, svc)
+    costs = O.evaluate_amsod_trip(plan, model1.cost, svc, [req])
     ivtt = costs.per_passenger[0].ivtt
     assert ivtt == approx((0.2 + 5.0) / svc.v_d, abs=1e-12)
 
 
 def test_amsod_negative_wait_rejected(model1):
     req = Request(0, 5.0, 0.2, 2.0, 12)  # requested after the trip passes
-    plan = S.plan_amsod_route([req], model1.grid, model1.service, depart_time=0.0)
+    plan = O.plan_amsod_route([req], model1.grid, model1.service, depart_time=0.0)
     with pytest.raises(ValueError, match="negative wait"):
-        S.evaluate_amsod_trip(plan, model1.cost, model1.service, [req])
+        O.evaluate_amsod_trip(plan, model1.cost, model1.service, [req])
 
 
 def test_fixed_trip_hand_example(model1):
     # passenger beside the chainage-6.0 stop: 0.2 km walk, 4 km ride
     sched = S.build_schedule(model1.grid, model1.service)
     req = Request(0, 6.0, 0.2, 0.0, 15)
-    costs = S.evaluate_fixed_trip([req], 0, sched, model1.cost, model1.grid, model1.service)
+    costs = O.evaluate_fixed_trip([req], 0, sched, model1.cost, model1.grid, model1.service)
     out = costs.per_passenger[0]
     assert out.access * 60 == approx(3.0)
     ride_km = (out.ivtt - model1.service.t_s * (model1.grid.n_stops - 15 - 1)) * model1.service.v_d
@@ -193,10 +194,10 @@ def test_fixed_trip_hand_example(model1):
 def test_fixed_wait_zero_at_exact_arrival(model1):
     sched = S.build_schedule(model1.grid, model1.service)
     stop = 10
-    arrival = sched.stop_arrival(stop, 0)
+    arrival = sched.departures[0] + sched.stop_offsets[stop]
     access = 0.2 / model1.service.v_w
     req = Request(0, model1.grid.stop_chainages[stop], 0.2, arrival - access, stop)
-    costs = S.evaluate_fixed_trip([req], 0, sched, model1.cost, model1.grid, model1.service)
+    costs = O.evaluate_fixed_trip([req], 0, sched, model1.cost, model1.grid, model1.service)
     assert costs.per_passenger[0].wait == approx(0.0, abs=1e-12)
 
 
@@ -252,21 +253,21 @@ def test_band_edges(model1):
 def test_zone_edges(model1):
     gl_x = model1.grid.gl_x
     for n, ends in {2: [5.0], 3: [10 / 3, 20 / 3], 4: [2.5, 5.0, 7.5]}.items():
-        slices = S.partition_zonal([Request(i, x, 0.0, 0.0, 0) for i, x in enumerate([0.0] + ends + [gl_x])], model1.grid, n)
+        slices = O.partition_zonal([Request(i, x, 0.0, 0.0, 0) for i, x in enumerate([0.0] + ends + [gl_x])], model1.grid, n)
         assert [s.x_lo for s in slices[1:]] == ends
         assert [[r.x for r in s.requests] for s in slices] == [[0.0]] + [[x] for x in ends[:-1]] + [[ends[-1], gl_x]]
 
 
 def test_zonal_identity(model1):
     reqs = S.sample_requests(model1.grid, model1.service, 11)
-    slices = S.partition_zonal(reqs, model1.grid, 1)
+    slices = O.partition_zonal(reqs, model1.grid, 1)
     assert len(slices) == 1
     assert slices[0].express_length == 0.0
     assert list(slices[0].requests) == list(reqs)
 
 
 def test_zonal_assignment_and_express(model1):
-    slices = S.partition_zonal([Request(0, 7.2, 0.0, 0.0, 18)], model1.grid, 2)
+    slices = O.partition_zonal([Request(0, 7.2, 0.0, 0.0, 18)], model1.grid, 2)
     assert len(slices[0].requests) == 0 and slices[0].express_length == approx(5.0)
     assert len(slices[1].requests) == 1 and slices[1].express_length == approx(0.0)
 
@@ -340,7 +341,7 @@ def test_route_monotone_and_ends_on_axis(model1):
         xs = [p[0] for p in log.plan.waypoints]
         assert all(x1 <= x2 + 1e-12 for x1, x2 in zip(xs, xs[1:]))
         assert log.plan.waypoints[-1] == (model1.grid.gl_x, 0.0)
-        assert log.plan.rectilinear_length() == approx(log.plan.d_x + log.plan.d_y, abs=1e-9)
+        assert O.rectilinear_length(log.plan) == approx(log.plan.d_x + log.plan.d_y, abs=1e-9)
 
 
 def test_route_dy_matches_pickup_sequence(model1):
@@ -422,7 +423,7 @@ def test_write_trace(tmp_path, model1):
 
 
 def test_sampled_mean_access_matches_quadrature(model1):
-    got = S.sampled_mean_access(model1.grid, model1.service, n_samples=400_000, seed=1729)
+    got = O.sampled_mean_access(model1.grid, model1.service, n_samples=400_000, seed=1729)
     gl = model1.grid.max_gl_y
     a = np.linspace(0, model1.grid.d_xs / 2, 1201)[None, :]
     b = np.linspace(0, gl, 1201)[:, None]
@@ -448,7 +449,7 @@ def test_zonal_bus_never_backs_up_at_zone_end(model1):
         assert logs[0].served_ids == (0,)
         xs = [p[0] for p in plan.waypoints]
         assert all(x1 <= x2 for x1, x2 in zip(xs, xs[1:]))
-        assert plan.d_x + plan.d_y == approx(plan.rectilinear_length(), abs=1e-12)
+        assert plan.d_x + plan.d_y == approx(O.rectilinear_length(plan), abs=1e-12)
 
 
 def test_request_caught_by_first_trip_past_the_snapped_width(model1):
@@ -459,7 +460,7 @@ def test_request_caught_by_first_trip_past_the_snapped_width(model1):
     reqs = [Request(i, round(4.2 + 0.2 * i, 6), 0.555 * (-1) ** i, 0.0, 0) for i in range(29)]
     last = [Request(29, 10.0, -0.555, 0.0, 0)]
     lattice = [Request(r.id, *S.snap_to_streets((r.x, r.y), scn.grid), 0.0, 0) for r in reqs + last]
-    arrival = S.plan_amsod_route(lattice, scn.grid, scn.service).pickups[-1].time
+    arrival = O.plan_amsod_route(lattice, scn.grid, scn.service).pickups[-1].time
     t_k = arrival - 0.02
     assert t_k > 1.4457
     logs = S.simulate_requests(scn, "amsod", reqs + [replace(last[0], t_k=t_k)])
@@ -487,7 +488,7 @@ def test_dispatch_invariants_on_bundled_corridors(request, name, zonal):
             if mode == "amsod":
                 xs = [p[0] for p in log.plan.waypoints]
                 assert all(x1 <= x2 for x1, x2 in zip(xs, xs[1:]))
-                assert log.plan.d_x + log.plan.d_y == approx(log.plan.rectilinear_length(), abs=1e-9)
+                assert log.plan.d_x + log.plan.d_y == approx(O.rectilinear_length(log.plan), abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -554,7 +555,7 @@ def _reference_amsod(scn, requests):
     (served, spilled, waypoints, pickups, d_y, end_time) row per trip."""
     grid, svc = scn.grid, scn.service
     if svc.n_zones > 1:
-        slices = S.partition_zonal(requests, grid, svc.n_zones)
+        slices = O.partition_zonal(requests, grid, svc.n_zones)
         subs = [(z.x_lo, z.x_hi, z.express_length, z.requests) for z in slices]
     else:
         subs = [(0.0, grid.gl_x, 0.0, band) for band in S.partition_parallel(requests, grid, svc.n_parallel)]
