@@ -12,6 +12,10 @@ model1, model2, cta126, cta84.  All randomness is seeded (default 1729),
 so identical command lines produce byte-identical outputs.
 
 Exit codes: 0 success, 1 usage or validation error, 2 runtime error.
+A scenario, or a value that overrides or builds one, that fails
+validation (ScenarioError) exits 1.  Every other ValueError or OSError
+exits 2; that includes each boardings row ingest.parse_boardings
+refuses (a missing or extra field, a non-numeric or non-finite number).
 """
 from __future__ import annotations
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .model import GridGeometry, Scenario, scenario_from_dict, scenario_to_dict
+from .model import GridGeometry, Scenario, ScenarioError, Violation, scenario_from_dict, scenario_to_dict
 
 _KM_PER_DEG_LAT = 110.574
 _KM_PER_DEG_LON_EQ = 111.320
@@ -164,8 +164,12 @@ def build_route_model(
 
     Service-level figures (demand rate, headway, speeds, dwells) stay as
     configured in the template; boardings shape only where demand sits.
-    Raises ScenarioError unless the result would load from a scenario file.
+    Raises ScenarioError unless the result would load from a scenario file,
+    or if default_catchment_km is not a finite positive km, even when every
+    record names its own catchment.
     """
+    if not (math.isfinite(default_catchment_km) and default_catchment_km > 0):
+        raise ScenarioError([Violation("grid.gl_y", "default catchment not a finite positive km", detail=f"value {default_catchment_km!r}")])
     grid = build_grid(
         records,
         l_x=template.grid.l_x,

@@ -35,12 +35,14 @@ amsod (semi-on-demand)
     runs forward along the grid (y-then-x).  Several requests snapped to
     one cross-street are served in a single sweep, entering from the side
     whose extreme lies further from the axis.  Each sub-route keeps its
-    pending requests in one dict from cross-street x to a list sorted by
-    (y, id); a trip visits the streets by ascending x and reads each
-    sweep from its list.  A request is served by the first trip whose
-    arrival at its pickup point is no earlier than its request time (the
-    point must still be ahead of the bus); otherwise it waits for the next
-    trip, as do passengers beyond capacity.
+    pending requests in one dict from cross-street x to a sorted list of
+    candidates (sx, sy, request_id, t_k); on one street sx is shared and
+    ids are unique, so plain tuple order is (y, id) order.  A trip visits
+    the streets by ascending x and reads each sweep from its list.  A
+    request is served by the first trip whose arrival at its pickup point
+    is no earlier than its request time (the point must still be ahead of
+    the bus); otherwise it waits for the next trip, as do passengers
+    beyond capacity.
 
     Planning is causal.  A trip departing at dep on the sub-route
     [x_lo, x_hi] may take a request only if t_k <= t_bound, with
@@ -65,7 +67,7 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain
@@ -128,6 +130,7 @@ def departure_times(svc: ServiceConfig) -> tuple:
     return tuple(i * svc.headway for i in range(n))
 
 
+@lru_cache(maxsize=16)
 def build_schedule(grid: GridGeometry, svc: ServiceConfig) -> FixedSchedule:
     stops_x, n = grid.stop_chainages, grid.n_stops
     offsets = tuple(c / svc.v_d + svc.t_s * s for s, c in enumerate(stops_x))
@@ -156,7 +159,8 @@ def _demand(requests: Sequence[Request]) -> Demand:
 
 @lru_cache(maxsize=16)
 def _grid_arrays(grid: GridGeometry) -> tuple:
-    """(stop CDF, chainages, catchment half-widths) of a grid, read-only.
+    """(stop CDF, chainages, catchment half-widths, y_hat) of a grid, the
+    arrays read-only; y_hat is max_gl_y snapped to the street lattice.
     Generator.choice builds the same CDF, so the stop draws match it."""
     weights = np.asarray(grid.stop_weights, dtype=float)
     cdf = (weights / weights.sum()).cumsum()
@@ -164,13 +168,13 @@ def _grid_arrays(grid: GridGeometry) -> tuple:
     arrays = (cdf, np.asarray(grid.stop_chainages), np.asarray(grid.gl_y))
     for a in arrays:
         a.flags.writeable = False
-    return arrays
+    return (*arrays, snap_to_streets((0.0, grid.max_gl_y), grid)[1])
 
 
 def _sample_positions(grid: GridGeometry, n: int, rng: np.random.Generator):
     """Draw n demand points: stop by weight, then uniform around the stop,
     redrawn until its rectilinear offset fits the catchment, on the corridor."""
-    cdf, chainage, gl_y = _grid_arrays(grid)
+    cdf, chainage, gl_y, _ = _grid_arrays(grid)
     stops = cdf.searchsorted(rng.random(n), side="right")
     chain, gl = chainage[stops], gl_y[stops]
     x, y, left = np.empty(n), np.empty(n), np.arange(n)  # left: points still to draw
@@ -240,15 +244,18 @@ def snap_to_streets(point: tuple, grid: GridGeometry) -> tuple:
 
 # --- on-demand routing -------------------------------------------------------
 #
-# Candidate tuples are (sx, sy, t_k, request_id).
+# Candidate tuples are (sx, sy, request_id, t_k).  One cross-street's
+# candidates share sx and ids are unique, so plain tuple order is the
+# (y, id) sweep order and t_k is never compared.
 
-_Y, _Y_ID = itemgetter(1), itemgetter(1, 3)
+_Y = itemgetter(1)
 
 
 def _spill(cands, t: float, bx: float, by: float, last_arrival: float, inv_v: float):
     """Lazily, the ids of the candidates a full bus leaves that are ready
-    at its last point (it no longer moves); cands reads live street lists."""
-    for sx, sy, tk, rid in cands:
+    at its last point (it no longer moves).  cands reads the street lists
+    as the trip left them: the loop binds served streets to new lists."""
+    for sx, sy, rid, tk in cands:
         if tk <= last_arrival or tk <= (last_arrival if sx == bx and sy == by else t + (abs(sy - by) + (sx - bx)) * inv_v) + 1e-12:
             yield rid
 
@@ -271,16 +278,16 @@ def _drive(streets: dict, depart: float, svc: ServiceConfig, start_x: float, end
     bx, by = start_x, 0.0
     served, d_y = [], 0.0
     inv_v = 1.0 / svc.v_d
-    cands = chain.from_iterable(sorted(m, key=_Y, reverse=True) if abs(m[-1][1]) >= abs(m[0][1]) else m for _, m in sorted(streets.items()))
-    for sx, sy, tk, rid in cands:
-        same_point = bool(served) and sx == bx and sy == by
-        if same_point:
-            arrival = last_arrival  # boards during the same dwell
-        else:
-            arrival = t + (abs(sy - by) + (sx - bx)) * inv_v
+    cands = chain.from_iterable(sorted(m, key=_Y, reverse=True) if len(m) > 1 and abs(m[-1][1]) >= abs(m[0][1]) else m for _, m in sorted(streets.items()))
+    for sx, sy, rid, tk in cands:
+        arrival = t + (abs(sy - by) + (sx - bx)) * inv_v  # at the bus's point this is t >= last_arrival, so it screens same-point boardings too
         if tk > arrival + 1e-12:
             continue  # requested after the bus passes; next trip
-        if not same_point:
+        if served and sx == bx and sy == by:
+            if tk > last_arrival + 1e-12:
+                continue
+            arrival = last_arrival  # boards during the same dwell
+        else:
             d_y += abs(sy - by)
             t = arrival + svc.t_s_prime
             bx, by = sx, sy
@@ -456,14 +463,15 @@ def _fixed_records(scenario: Scenario, demand: Demand):
 
 def _amsod_records(scenario: Scenario, demand: Demand):
     """Each trip drives its sub-route's pending candidates, kept in one dict
-    from cross-street x to a list sorted by (y, id); a request arrives at
-    the first trip of its sub-route whose t_bound it does not exceed."""
+    from cross-street x to a sorted list of (sx, sy, request_id, t_k); a
+    request arrives at the first trip of its sub-route whose t_bound it
+    does not exceed."""
     grid, svc, cost = scenario.grid, scenario.service, scenario.cost
     sub, bounds = _sub_routes(demand, grid, svc.n_zones, svc.n_parallel)
     sx_all = _snap(demand.x, grid.l_x, tie_toward_zero=False)
     sy_all = _snap(demand.y, grid.l_y, tie_toward_zero=True)
-    cap, n, deps = svc.capacity, len(bounds), departure_times(svc)
-    y_hat = snap_to_streets((0.0, grid.max_gl_y), grid)[1]  # no request snaps further out
+    cap, n, deps = svc.capacity, len(bounds), build_schedule(grid, svc).departures
+    y_hat = _grid_arrays(grid)[3]  # no request snaps further out
     sx, first = np.empty(len(sub)), np.empty(len(sub), np.int64)
     for k, (x_lo, x_hi, _) in enumerate(bounds):
         mine = sub == k
@@ -471,18 +479,18 @@ def _amsod_records(scenario: Scenario, demand: Demand):
         # at most cap dwells and cap + 1 cross-street moves precede any arrival
         reach = (x_hi - x_lo + (cap + 1) * 2.0 * y_hat) / svc.v_d + cap * svc.t_s_prime
         first[mine] = k + n * np.searchsorted(np.asarray(deps[k::n]) + reach, demand.t_k[mine])  # t_k <= t_bound
-    arrivals = _arrivals(zip(sx.tolist(), sy_all.tolist(), demand.t_k.tolist(), demand.id.tolist()), first.tolist(), len(deps))
+    arrivals = _arrivals(zip(sx.tolist(), sy_all.tolist(), demand.id.tolist(), demand.t_k.tolist()), first.tolist(), len(deps))
     streets = [{} for _ in bounds]
     for i, (dep, new) in enumerate(zip(deps, arrivals)):
         pending, (start_x, end_x, express_len) = streets[i % n], bounds[i % n]
         for c in new:
-            insort(pending.setdefault(c[0], []), c, key=_Y_ID)
+            insort(pending.setdefault(c[0], []), c)
         served, spilled, route = _drive(pending, dep, svc, start_x, end_x, express_len, cap)
-        gone = {rec[0] for rec in served}
-        for x in {rec[3][0] for rec in served}:
-            pending[x] = [c for c in pending[x] if c[3] not in gone]
-            if not pending[x]:
-                del pending[x]
+        for rid, tk, _, (x, y) in served:  # a new list per removal: spilled reads the old ones
+            m = pending.pop(x)
+            j = bisect_left(m, (x, y, rid, tk))
+            if len(m) > 1:
+                pending[x] = m[:j] + m[j + 1 :]
         yield (*_amsod_rows(served, route, cost, svc), spilled, (served, route), dep)
 
 

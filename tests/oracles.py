@@ -16,7 +16,6 @@ import numpy as np
 from semibus.analytic import ZonalPlan
 from semibus.model import CostParams, GridGeometry, Request, RoutePlan, ServiceConfig, TripCosts
 from semibus.simulator import (
-    _Y_ID,
     FixedSchedule,
     SeedLike,
     _amsod_rows,
@@ -46,7 +45,7 @@ def plan_amsod_route(requests: Sequence[Request], grid: GridGeometry, svc: Servi
             raise ValueError(f"request {req.id} is off the street lattice: ({req.x}, {req.y})")
     streets = {}
     for req in requests:
-        insort(streets.setdefault(req.x, []), (req.x, req.y, -math.inf, req.id), key=_Y_ID)  # all already due
+        insort(streets.setdefault(req.x, []), (req.x, req.y, req.id, -math.inf))  # all already due
     served, _, route = _drive(streets, depart_time, svc, 0.0, grid.gl_x, 0.0, len(requests))
     return _route_plan(depart_time, served, route)
 

@@ -326,6 +326,19 @@ def test_ingest_refuses_what_the_loader_would(catchment, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("catchment", ["nan", "inf", "-1", "0"])
+def test_ingest_refuses_a_bad_default_catchment_no_row_uses(catchment, tmp_path, capsys):
+    from semibus.cli import bundled_path
+
+    data = bundled_path("cta84").parent / "cta84_boardings.csv"  # every row names its own catchment_km
+    out = tmp_path / "built.json"
+    argv = ["ingest", "--data", str(data), "--route-id", "84", "--template", "cta84", "--out", str(out)]
+    assert main(argv + [f"--default-catchment-km={catchment}"]) == 1
+    err = capsys.readouterr().err
+    assert "grid.gl_y" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_ingest_short_row_exits_2(tmp_path, capsys):
     data = tmp_path / "stops.csv"
     data.write_text("stop_id,routes,chainage_km,boardings\na,1,0.0,5\nb\nc,1,1.0,7\n")
