@@ -130,14 +130,12 @@ def _steady_state(svc: ServiceConfig, md: float) -> tuple:
 
 @dataclass(frozen=True)
 class CostSummary:
-    """Hourly generalized costs in $/h plus the underlying expected times."""
+    """Hourly generalized costs in $/h."""
 
     access: float
     wait: float
     ride: float
     operator: float
-    expected_wait_h: float
-    expected_ivtt_h: float
 
     @property
     def total(self) -> float:
@@ -156,8 +154,6 @@ def hourly_cost_fixed(cost: CostParams, grid: GridGeometry, svc: ServiceConfig, 
         wait=cost.gamma_w * cost.vot * lam * wait_h,
         ride=cost.gamma_r * cost.vot * lam * ivtt_h,
         operator=cost.gamma_o * grid.gl_x / h,
-        expected_wait_h=wait_h,
-        expected_ivtt_h=ivtt_h,
     )
 
 
@@ -175,8 +171,6 @@ def hourly_cost_amsod(cost: CostParams, grid: GridGeometry, svc: ServiceConfig, 
         wait=cost.gamma_w * cost.vot * lam * wait_h,
         ride=cost.gamma_r * cost.vot * lam * ivtt_h,
         operator=cost.gamma_o * (grid.gl_x / h + lam * md),
-        expected_wait_h=wait_h,
-        expected_ivtt_h=ivtt_h,
     )
 
 

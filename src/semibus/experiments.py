@@ -1,13 +1,13 @@
 """Monte Carlo replication runner, percentile statistics, sensitivity
 sweeps, and plot-ready report files.
 
-Each replication draws one demand realization and runs it through both
-service modes (common random numbers), so per-replication cost
-differences are paired.  Passenger costs aggregate the warm-up counting
-window only; operator costs accrue for every departure in the horizon.
-Replication r of a run seeded with s uses the independent substream
-SeedSequence(s, spawn_key=(r,)), so results are identical for any worker
-count and execution order.
+Each replication draws one demand realization and runs it through the
+fixed route and its semi-on-demand replacement (common random numbers),
+so per-replication cost differences are paired.  Passenger costs
+aggregate the warm-up counting window only; operator costs accrue for
+every departure in the horizon.  Replication r of a run seeded with s
+uses the independent substream SeedSequence(s, spawn_key=(r,)), so
+results are identical for any worker count and execution order.
 """
 from __future__ import annotations
 
@@ -15,15 +15,17 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .model import MetricSummary, Scenario, ScenarioError, ScenarioStats, ServiceConfig, require_valid
+from .model import MetricSummary, Scenario, ScenarioError, ScenarioStats, require_valid
 from .model import scenario_from_dict, scenario_to_dict
 from .simulator import sample_demand, trip_records
+
+MODES = ("fixed", "amsod")
 
 METRICS = (
     "avg_wait_min",
@@ -99,9 +101,9 @@ def replication_metrics(scenario: Scenario, requests, logs) -> dict:
 @dataclass(frozen=True)
 class ScenarioRun:
     scenario_name: str
-    modes: tuple
+    modes: tuple  # MODES
     stats: tuple  # ScenarioStats per mode, same order
-    delta_tc: MetricSummary  # second mode minus first, per replication
+    delta_tc: MetricSummary  # amsod minus fixed, per replication
     delta_tc_values: tuple
     replications: int
     seed: tuple
@@ -119,9 +121,9 @@ class ScenarioRun:
 
 
 def _entropy(seed) -> tuple:
-    items = list(seed) if hasattr(seed, "__iter__") else [seed]
-    if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s >= 0 for s in items):
-        raise ValueError(f"seed must be a non-negative integer or a sequence of them, got {seed!r}")
+    items = seed if isinstance(seed, (list, tuple)) else (seed,)
+    if not items or not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s >= 0 for s in items):
+        raise ValueError(f"seed must be a non-negative integer or a nonempty list or tuple of them, got {seed!r}")
     return tuple(int(s) for s in items)
 
 
@@ -131,10 +133,9 @@ def replication_rng(entropy: tuple, rep: int) -> np.random.Generator:
 
 
 def _one_replication(args):
-    scenario, mode_scenarios, modes, entropy, rep = args
-    demand = sample_demand(scenario.grid, scenario.service, replication_rng(entropy, rep))
-    per_mode = (_window_metrics(scn, trip_records(scn, mode, demand)) for mode, scn in zip(modes, mode_scenarios))
-    return tuple(per_mode)
+    fixed, amsod, entropy, rep = args
+    demand = sample_demand(fixed.grid, fixed.service, replication_rng(entropy, rep))
+    return tuple(_window_metrics(scn, trip_records(scn, mode, demand)) for mode, scn in zip(MODES, (fixed, amsod)))
 
 
 def _check_workers(workers) -> None:
@@ -147,62 +148,41 @@ def _pool(workers: int, replications) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(max_workers=min(workers, int(replications)))
 
 
-def run_scenario(
-    scenario: Scenario,
-    replications: Optional[int] = None,
-    seed=None,
-    workers: int = 1,
-    modes: tuple = ("fixed", "amsod"),
-    amsod_service: Optional[ServiceConfig] = None,
-) -> ScenarioRun:
-    """Paired Monte Carlo for two service modes on common demand draws.
+def run_scenario(scenario: Scenario, replications: Optional[int] = None, seed=None, workers: int = 1) -> ScenarioRun:
+    """Paired Monte Carlo of the scenario's fixed-route bus against its
+    semi-on-demand replacement on common demand draws.
 
-    amsod_service, when given, replaces the service design for the
-    on-demand side only (capacity sensitivity keeps the incumbent
-    fixed-route bus unchanged); demand and horizon must match so the
-    request realizations stay shared.
-
-    workers > 1 runs the replications on a pool of min(workers,
-    replications) processes, one contiguous block each, opened after every
-    argument check and joined before this returns or raises.
+    replications and seed default to the scenario's own.  workers > 1 runs
+    the replications on a pool of min(workers, replications) processes,
+    one contiguous block each, opened after every argument check and
+    joined before this returns or raises.
     """
-    return _run_scenario(scenario, replications, seed, workers, modes, amsod_service, None)
+    return _run_scenario(scenario, scenario, replications, seed, workers, None)
 
 
-def _run_scenario(scenario, replications, seed, workers, modes, amsod_service, pool) -> ScenarioRun:
-    """run_scenario on pool when given (sweep shares one), else on its own."""
-    require_valid(scenario)
-    J = scenario.replications if replications is None else replications
+def _run_scenario(fixed, amsod, replications, seed, workers, pool) -> ScenarioRun:
+    """run_scenario with the on-demand side on amsod (a capacity sweep's
+    point, which differs from fixed only in capacity; demand is drawn from
+    fixed), on pool when given (sweep shares one), else on its own."""
+    require_valid(fixed)
+    J = fixed.replications if replications is None else replications
     if isinstance(J, bool) or not float(J).is_integer() or J < 1:
         raise ValueError(f"replications must be an integer >= 1, got {J!r}")
     J = int(J)
-    entropy = _entropy(scenario.seed if seed is None else seed)
-    if not modes or any(mode not in ("fixed", "amsod") for mode in modes):
-        raise ValueError(f"modes must be a nonempty sequence of 'fixed' and 'amsod', got {modes!r}")
+    entropy = _entropy(fixed.seed if seed is None else seed)
     _check_workers(workers)
 
-    amsod = scenario
-    if amsod_service is not None:
-        shared = ("demand_rate", "horizon", "warmup_window")
-        if any(getattr(amsod_service, f) != getattr(scenario.service, f) for f in shared):
-            raise ValueError("amsod_service must keep demand and horizon of the base scenario")
-        amsod = require_valid(replace(scenario, service=amsod_service))
-    mode_scenarios = tuple(amsod if mode == "amsod" else scenario for mode in modes)
-
-    jobs = [(scenario, mode_scenarios, tuple(modes), entropy, rep) for rep in range(J)]
+    jobs = [(fixed, amsod, entropy, rep) for rep in range(J)]
     if workers == 1:
         per_rep = [_one_replication(job) for job in jobs]
     else:  # one block of jobs per worker; map keeps job order
         with _pool(workers, J) if pool is None else nullcontext(pool) as pool:
             per_rep = list(pool.map(_one_replication, jobs, chunksize=-(-J // workers)))
-    stats = tuple(
-        ScenarioStats(metrics={m: summarize([p[k][m] for p in per_rep]) for m in METRICS}, replications=J)
-        for k in range(len(modes))
-    )
-    delta = [p[-1]["generalized_cost"] - p[0]["generalized_cost"] for p in per_rep]
+    stats = tuple(ScenarioStats(metrics={m: summarize([p[k][m] for p in per_rep]) for m in METRICS}) for k in (0, 1))
+    delta = [a["generalized_cost"] - f["generalized_cost"] for f, a in per_rep]
     return ScenarioRun(
-        scenario_name=scenario.name,
-        modes=tuple(modes),
+        scenario_name=fixed.name,
+        modes=MODES,
         stats=stats,
         delta_tc=summarize(delta),
         delta_tc_values=tuple(delta),
@@ -257,12 +237,12 @@ class SweepResult:
 
 
 def sweep(spec: SweepSpec, seed=None, workers: int = 1) -> SweepResult:
-    """One run_scenario per value; value index i runs on substream
+    """One paired run per value; value index i runs on substream
     (seed, i), fixed per index for reproducibility.
 
     A capacity sweep sizes the on-demand minibus only; the fixed-route
-    baseline keeps the scenario's own capacity.  A demand sweep moves
-    both services together.
+    baseline is the scenario itself.  A demand sweep moves both services
+    together.
 
     workers > 1 runs every value on one pool, sized and dealt as in
     run_scenario, opened after seed and workers are checked and joined
@@ -276,11 +256,8 @@ def sweep(spec: SweepSpec, seed=None, workers: int = 1) -> SweepResult:
     with _pool(workers, spec.replications) if workers > 1 else nullcontext() as pool:
         for idx, value in enumerate(spec.values):
             swept = spec.scenario_at(value)
-            if spec.dimension == "capacity":
-                scn, amsod_svc = base, swept.service
-            else:
-                scn, amsod_svc = swept, None
-            run = _run_scenario(scn, spec.replications, entropy + (idx,), workers, ("fixed", "amsod"), amsod_svc, pool)
+            fixed = base if spec.dimension == "capacity" else swept
+            run = _run_scenario(fixed, swept, spec.replications, entropy + (idx,), workers, pool)
             rows.append(
                 SweepRow(
                     value=value,
@@ -340,6 +317,8 @@ def emit_report(run: ScenarioRun, out_dir: Union[str, Path], fmt: str = "csv") -
     the cost-difference histogram bins, and the full-precision JSON.
     json: the JSON only.
     """
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown report format {fmt!r}; expected 'csv' or 'json'")
     if not run.delta_tc_values:
         raise ValueError("empty input")
     out_dir = Path(out_dir)
@@ -358,7 +337,7 @@ def emit_report(run: ScenarioRun, out_dir: Union[str, Path], fmt: str = "csv") -
         fh.write("metric," + ",".join(run.modes) + "\n")
         for row in TABLE_ROWS:
             if row == "generalized_cost_diff":
-                cells = [_cell(run.delta_tc)] + [""] * (len(run.modes) - 1)
+                cells = [_cell(run.delta_tc), ""]
             else:
                 cells = [_cell(stats.metrics[row]) for stats in run.stats]
             fh.write(row + "," + ",".join(f'"{c}"' if c else "" for c in cells) + "\n")

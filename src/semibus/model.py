@@ -201,7 +201,6 @@ class ScenarioStats:
     """Median and 95% percentile bounds per metric over replications."""
 
     metrics: dict
-    replications: int
 
 
 @dataclass(frozen=True)
