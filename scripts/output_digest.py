@@ -14,6 +14,11 @@ section it changes.  Sections:
            own templates (output and data directories replaced by
            placeholders)
   trace    the trace files of simulate --trace
+  closed_form
+           the float reprs of hourly_cost_fixed, hourly_cost_amsod,
+           delta_tc_hourly, parallel_metrics (n_p 2) and zonal_plan (v_h
+           60 km/h where unset, n_max 6) of the same scenarios, at their
+           screening dispersion and mean access
 
 Usage, from a checkout (point PYTHONPATH at another checkout's src/ to
 digest that one):
@@ -35,7 +40,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-from semibus import cli, experiments, simulator
+from semibus import analytic, cli, experiments, simulator
 from semibus.model import load_scenario
 
 REPLICATIONS = 40
@@ -70,6 +75,24 @@ def digest_logs() -> str:
         for mode in ("fixed", "amsod"):
             h.update(f"{label} {mode}".encode())
             h.update(repr(simulator.run_timeline(scenario, mode, scenario.seed)).encode())
+    return h.hexdigest()
+
+
+def digest_closed_form() -> str:
+    h = hashlib.sha256()
+    for label, scenario in variants():
+        cost, grid, svc = scenario.cost, scenario.grid, scenario.service
+        md, access = analytic.screening_dispersion(grid), analytic.screening_mean_access(svc)
+        fixed = analytic.hourly_cost_fixed(cost, grid, svc, access)
+        amsod = analytic.hourly_cost_amsod(cost, grid, svc, md)
+        par = analytic.parallel_metrics(cost, svc, md, access, 2)
+        plan = analytic.zonal_plan(cost, grid, svc if svc.v_h is not None else replace(svc, v_h=60.0), md, 6)
+        values = [analytic.delta_tc_hourly(cost, grid, svc, md, access), par.si, par.demand_bound]
+        values += [plan.n_continuous, plan.n_opt, fixed.access, amsod.access]
+        for c in (fixed, amsod) + plan.table:  # every row's fields, not its type's repr
+            values += [c.wait, c.ride, c.operator, c.total]
+        h.update(label.encode())
+        h.update(repr(values).encode())
     return h.hexdigest()
 
 
@@ -137,6 +160,7 @@ def main() -> None:
         ("logs", digest_logs()),
         ("cli", cli_digest),
         ("trace", trace_digest),
+        ("closed_form", digest_closed_form()),
     ):
         print(f"{section:<8s} {value}")
 
