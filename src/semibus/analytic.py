@@ -4,7 +4,9 @@ Hourly generalized costs of a fixed-route corridor service and of its
 semi-on-demand replacement, the cost difference between them, screening
 indicators (is conversion favorable, and up to what demand), the
 two-parallel-band variant, and the zonal-express cost table with its
-optimal zone count.
+optimal zone count.  The single-route on-demand cost is the one-zone row
+of the zonal table, as the single-route indicators are the one-band case
+of the parallel ones.
 
 Conventions shared by every function here:
   * k_j, the pickups per trip, is lambda * headway at steady state.
@@ -157,21 +159,30 @@ def hourly_cost_fixed(cost: CostParams, grid: GridGeometry, svc: ServiceConfig, 
     )
 
 
+def _zonal_cost(cost: CostParams, grid: GridGeometry, svc: ServiceConfig, md: float, n: int) -> CostSummary:
+    """Hourly cost of the semi-on-demand service run as n express zones
+    (see zonal_plan); n = 1 is the single route."""
+    lam, h, k_j, var = _steady_state(svc, md)
+    wait = cost.gamma_w * cost.vot * lam * expected_wait(n * h, var)  # refuses h <= 0 before any division by h
+    v_h = svc.v_h if n > 1 else svc.v_d  # unused at n = 1
+    ride = cost.gamma_r * cost.vot * lam * (
+        grid.gl_x / (2.0 * n * svc.v_d)
+        + (n - 1) * grid.gl_x / (2.0 * n * v_h)
+        + k_j * md / (2.0 * svc.v_d)
+        + svc.t_s_prime * k_j / 2.0
+    )
+    operator = cost.gamma_o * (grid.gl_x * (n + 1) / (2.0 * n * h) + lam * md)
+    return CostSummary(access=0.0, wait=wait, ride=ride, operator=operator)
+
+
 def hourly_cost_amsod(cost: CostParams, grid: GridGeometry, svc: ServiceConfig, md: float) -> CostSummary:
-    """Hourly generalized cost of the semi-on-demand service.
+    """Hourly generalized cost of the semi-on-demand service: the one-zone
+    row of the zonal table.
 
     Access cost is zero by construction; the bus comes to the passenger.
     Operator distance gains lambda*md km/h of detour.
     """
-    lam, h, k_j, var = _steady_state(svc, md)
-    wait_h = expected_wait(h, var)
-    ivtt_h = expected_ivtt_amsod(grid.gl_x, svc.v_d, svc.t_s_prime, k_j, md)
-    return CostSummary(
-        access=0.0,
-        wait=cost.gamma_w * cost.vot * lam * wait_h,
-        ride=cost.gamma_r * cost.vot * lam * ivtt_h,
-        operator=cost.gamma_o * (grid.gl_x / h + lam * md),
-    )
+    return _zonal_cost(cost, grid, svc, md, 1)
 
 
 def delta_tc_hourly(
@@ -277,37 +288,10 @@ def parallel_metrics(
 
 
 @dataclass(frozen=True)
-class ZonalCosts:
-    n: int
-    zone_headway: float
-    wait: float
-    ride: float
-    operator: float
-
-    @property
-    def total(self) -> float:
-        return self.wait + self.ride + self.operator
-
-
-@dataclass(frozen=True)
 class ZonalPlan:
-    table: tuple  # ZonalCosts for n = 1..n_max
+    table: tuple  # CostSummary for n = 1..n_max; row i is n = i + 1
     n_continuous: float  # unconstrained real minimizer
     n_opt: int  # closed-form integer optimum
-
-
-def _zonal_cost(cost: CostParams, grid: GridGeometry, svc: ServiceConfig, md: float, n: int) -> ZonalCosts:
-    lam, h, k_j, var = _steady_state(svc, md)
-    v_h = svc.v_h if n > 1 else svc.v_d  # unused at n = 1
-    wait = cost.gamma_w * cost.vot * lam * (n * h / 2.0 + var / (2.0 * n * h))
-    ride = cost.gamma_r * cost.vot * lam * (
-        grid.gl_x / (2.0 * n * svc.v_d)
-        + (n - 1) * grid.gl_x / (2.0 * n * v_h)
-        + k_j * md / (2.0 * svc.v_d)
-        + svc.t_s_prime * k_j / 2.0
-    )
-    operator = cost.gamma_o * (grid.gl_x * (n + 1) / (2.0 * n * h) + lam * md)
-    return ZonalCosts(n=n, zone_headway=n * h, wait=wait, ride=ride, operator=operator)
 
 
 def zonal_plan(

@@ -102,17 +102,17 @@ def cmd_analytic(args) -> int:
         plan = analytic.zonal_plan(scenario.cost, scenario.grid, svc, md, args.n_max)
         print(f"zones n_o           {plan.n_opt} (continuous {sig4(plan.n_continuous)})")
         print("n  zone_headway_min  wait  ride  operator  total  ($/h)")
-        for rowz in plan.table:
+        for n, rowz in enumerate(plan.table, start=1):
             print(
-                f"{rowz.n}  {sig4(rowz.zone_headway * 60)}  {sig4(rowz.wait)}  {sig4(rowz.ride)}"
+                f"{n}  {sig4(n * svc.headway * 60)}  {sig4(rowz.wait)}  {sig4(rowz.ride)}"
                 f"  {sig4(rowz.operator)}  {sig4(rowz.total)}"
             )
         report["zonal"] = {
             "n_opt": plan.n_opt,
             "n_continuous": plan.n_continuous,
             "table": [
-                {"n": r.n, "wait": r.wait, "ride": r.ride, "operator": r.operator, "total": r.total}
-                for r in plan.table
+                {"n": n, "wait": r.wait, "ride": r.ride, "operator": r.operator, "total": r.total}
+                for n, r in enumerate(plan.table, start=1)
             ],
         }
     if args.out:

@@ -15,7 +15,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -157,14 +157,14 @@ def run_scenario(scenario: Scenario, replications: Optional[int] = None, seed=No
     one contiguous block each, opened after every argument check and
     joined before this returns or raises.
     """
-    return _run_scenario(scenario, scenario, replications, seed, workers, None)
+    return _run_scenario(require_valid(scenario), scenario, replications, seed, workers, None)
 
 
 def _run_scenario(fixed, amsod, replications, seed, workers, pool) -> ScenarioRun:
-    """run_scenario with the on-demand side on amsod (a capacity sweep's
-    point, which differs from fixed only in capacity; demand is drawn from
-    fixed), on pool when given (sweep shares one), else on its own."""
-    require_valid(fixed)
+    """run_scenario on validated scenarios, with the on-demand side on amsod
+    (a capacity sweep's point, which differs from fixed only in capacity;
+    demand is drawn from fixed), on pool when given (sweep shares one),
+    else on its own."""
     J = fixed.replications if replications is None else replications
     if isinstance(J, bool) or not float(J).is_integer() or J < 1:
         raise ValueError(f"replications must be an integer >= 1, got {J!r}")
@@ -197,6 +197,7 @@ class SweepSpec:
     values: tuple
     replications: int
     scenario: Scenario
+    points: tuple = field(init=False, repr=False, compare=False)  # scenario_at of each value
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
@@ -206,8 +207,8 @@ class SweepSpec:
             raise ScenarioError("sweep values must be nonempty")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ScenarioError("sweep values must be strictly increasing")
-        for value in self.values:
-            self.scenario_at(value)
+        require_valid(self.scenario)
+        object.__setattr__(self, "points", tuple(self.scenario_at(v) for v in self.values))
 
     def scenario_at(self, value: float) -> Scenario:
         """The scenario at one sweep value: the swept service key (the
@@ -254,8 +255,7 @@ def sweep(spec: SweepSpec, seed=None, workers: int = 1) -> SweepResult:
     rows = []
     runs = []
     with _pool(workers, spec.replications) if workers > 1 else nullcontext() as pool:
-        for idx, value in enumerate(spec.values):
-            swept = spec.scenario_at(value)
+        for idx, (value, swept) in enumerate(zip(spec.values, spec.points)):
             fixed = base if spec.dimension == "capacity" else swept
             run = _run_scenario(fixed, swept, spec.replications, entropy + (idx,), workers, pool)
             rows.append(

@@ -339,6 +339,15 @@ def test_zonal_single_zone_equals_amsod_cost():
     assert plan.table[0].operator == base.operator
 
 
+@pytest.mark.parametrize("headway", [pytest.param(0.0, id="zero"), pytest.param(-0.1, id="negative")])
+def test_on_demand_costs_refuse_non_positive_headway(headway):
+    s = replace(zonal_svc(), headway=headway)
+    with pytest.raises(ValueError, match="non-positive headway"):
+        A.hourly_cost_amsod(COST, GRID_M1, s, 0.3556)
+    with pytest.raises(ValueError, match="non-positive headway"):
+        A.zonal_plan(COST, GRID_M1, s, 0.3556, n_max=6)
+
+
 def test_zonal_requires_highway_speed():
     with pytest.raises(ValueError, match="v_h"):
         A.zonal_plan(COST, GRID_M1, svc(), 0.3, n_max=3)

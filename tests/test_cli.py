@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from semibus.cli import main
+from semibus import analytic
+from semibus.cli import bundled_path, main
 from semibus.model import load_scenario
 
 
@@ -18,6 +20,20 @@ def test_analytic_zonal_table(capsys):
     assert main(["analytic", "--scenario", "model1", "--v-h", "50"]) == 0
     out = capsys.readouterr().out
     assert "zones n_o" in out
+
+
+def test_analytic_json_zonal_table_is_zonal_plan(tmp_path, capsys):
+    assert main(["analytic", "--scenario", "model1", "--v-h", "50", "--n-max", "4", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "model1_analytic.json").read_text())
+    scenario = load_scenario(bundled_path("model1"))
+    svc = replace(scenario.service, v_h=50.0)
+    plan = analytic.zonal_plan(scenario.cost, scenario.grid, svc, report["md_km"], 4)
+    assert [r["n"] for r in report["zonal"]["table"]] == [1, 2, 3, 4]
+    assert [r["total"] for r in report["zonal"]["table"]] == [r.total for r in plan.table]
+    assert (report["zonal"]["n_opt"], report["zonal"]["n_continuous"]) == (plan.n_opt, plan.n_continuous)
+    # printed rows start with n and the zone headway n * 15 min
+    rows = capsys.readouterr().out.splitlines()[-4:]
+    assert [row.split()[:2] for row in rows] == [["1", "15"], ["2", "30"], ["3", "45"], ["4", "60"]]
 
 
 def test_screen_ranking(capsys):
@@ -63,6 +79,14 @@ def test_simulate_writes_reports(tmp_path, capsys):
         assert (tmp_path / name).exists()
     out = capsys.readouterr().out
     assert "delta_tc" in out
+
+
+def test_simulate_json_format_writes_only_the_stats_file(tmp_path):
+    argv = ["simulate", "--scenario", "model1", "--replications", "4", "--seed", "3", "--out"]
+    assert main(argv + [str(tmp_path / "csv")]) == 0
+    assert main(argv + [str(tmp_path / "json"), "--format", "json"]) == 0
+    assert [p.name for p in (tmp_path / "json").iterdir()] == ["model1_stats.json"]
+    assert (tmp_path / "json" / "model1_stats.json").read_bytes() == (tmp_path / "csv" / "model1_stats.json").read_bytes()
 
 
 def test_simulate_byte_identical_reruns(tmp_path):
@@ -149,12 +173,12 @@ def test_trace_replays_replication_0(tmp_path):
 
 @pytest.mark.parametrize(
     "argv",
-    [
-        ["simulate", "--scenario", "model1", "--replications", "0"],
-        ["simulate", "--scenario", "model1", "--workers", "-3"],
-        ["sweep", "--scenario", "model1", "--dimension", "lambda", "--values", "40", "--replications", "0"],
-        ["sweep", "--scenario", "model1", "--dimension", "lambda", "--values", "40", "--workers", "0"],
-        ["analytic", "--scenario", "model1", "--n-max", "0"],
+    [  # ids pinned at the names the suite has always reported
+        pytest.param(["simulate", "--scenario", "model1", "--replications", "0"], id="argv0"),
+        pytest.param(["simulate", "--scenario", "model1", "--workers", "-3"], id="argv1"),
+        pytest.param(["sweep", "--scenario", "model1", "--dimension", "lambda", "--values", "40", "--replications", "0"], id="argv2"),
+        pytest.param(["sweep", "--scenario", "model1", "--dimension", "lambda", "--values", "40", "--workers", "0"], id="argv3"),
+        pytest.param(["analytic", "--scenario", "model1", "--n-max", "0"], id="argv4"),
     ],
 )
 def test_count_flags_below_one_are_usage_errors(argv, tmp_path, capsys):

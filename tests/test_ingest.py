@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from pytest import approx
 
@@ -70,6 +72,27 @@ def test_parse_missing_column(tmp_path):
     path.write_text("stop_id,chainage_km\na,0.0\n")
     with pytest.raises(ValueError, match="routes"):
         ingest.parse_boardings(path, "126")
+
+
+@pytest.mark.parametrize(
+    "header, rows, axis, message",
+    [
+        pytest.param("stop_id,routes,chainage_km,boardings", ["a,126,0.0,10", "b,126,0.5,-1"], None, "stops.csv line 3: negative boardings", id="negative-boardings"),
+        pytest.param("stop_id,routes,boardings", ["a,126,10", "b,126,20"], None, "stops.csv: need either chainage_km or lat+lon columns", id="no-position-columns"),
+        pytest.param("stop_id,routes,chainage_km,boardings", ["a,126,0.5,10"], None, "need at least 2 stop records", id="one-stop"),
+        pytest.param(
+            "stop_id,routes,lat,lon,boardings",
+            ["a,126,41.877,-87.70,10", "b,126,41.877,-87.65,10"],
+            ingest.RouteAxis(lat0=41.877, lon0=-87.70, lat1=41.877, lon1=-87.70),
+            "degenerate route axis",
+            id="degenerate-axis",
+        ),
+    ],
+)
+def test_ingest_refusals_name_their_rule(tmp_path, cta126, header, rows, axis, message):
+    path = write_csv(tmp_path / "stops.csv", rows, header=header)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ingest.build_route_model(ingest.parse_boardings(path, "126", axis=axis), cta126)
 
 
 def test_parse_empty_result(tmp_path):

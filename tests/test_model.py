@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -139,6 +140,38 @@ def test_parse_error_carries_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"cost": {,}')
     with pytest.raises(ScenarioError, match="line"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize(
+    "updates, message",
+    [
+        pytest.param(
+            {"grid.stop_chainages_km": [], "grid.stop_weights": [], "grid.gl_y_km": []},
+            "grid.stop_chainages: no stops",
+            id="no-stops",
+        ),
+        pytest.param({"grid.stop_weights": [0.5, 0.5]}, "grid.stop_weights: weights length mismatch", id="weights-length"),
+        pytest.param({"grid.gl_y_km": [0.5, 0.5]}, "grid.gl_y: catchment length mismatch", id="catchment-length"),
+        pytest.param(
+            {"service.n_parallel": 2, "service.n_zones": 2, "service.v_h": 60.0},
+            "service.n_zones: zonal and parallel variants cannot combine",
+            id="zonal-and-parallel",
+        ),
+        pytest.param({"service.v_d": 4.0}, "service.v_d: speed ordering", id="v_d-not-above-v_w"),
+        pytest.param({"service.warmup_window_h": [1.0, 4.0]}, "service.warmup_window: warmup beyond horizon", id="warmup-past-horizon"),
+        pytest.param({"service.warmup_window_h": [1.0, 2.0, 3.0]}, "service.warmup_window: expected [start, end]", id="warmup-three-times"),
+        pytest.param(None, "bad.json: expected a JSON object", id="not-an-object"),
+    ],
+)
+def test_scenario_file_refusals_name_their_rule(model1, tmp_path, updates, message):
+    data = [] if updates is None else scenario_to_dict(model1)
+    for dotted, value in (updates or {}).items():
+        section, key = dotted.split(".")
+        data[section][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ScenarioError, match=re.escape(message)):
         load_scenario(path)
 
 

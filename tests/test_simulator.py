@@ -1,3 +1,4 @@
+import csv
 import math
 from dataclasses import replace
 
@@ -291,6 +292,26 @@ def test_zonal_ivtt_includes_express_leg(model1):
     out = log.costs.per_passenger[0]
     # 3 km left in zone 1 plus 0.2 back to axis, then 5 km express
     assert out.ivtt == approx((3.0 + 0.2) / svc.v_d + 5.0 / 50.0, abs=1e-12)
+
+
+def test_zonal_trace_ends_outer_zone_trips_on_the_highway(model1, tmp_path):
+    # trip i serves zone i % 3; zones 0 and 1 run express from their end to gl_x
+    scn = replace(model1, service=replace(model1.service, n_zones=3, v_h=60.0))
+    logs = S.run_timeline(scn, "amsod", 5)
+    path = tmp_path / "zonal.csv"
+    S.write_trace(logs, scn.service, path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    for log in logs:
+        trip = [r for r in rows if r[0] == str(log.trip_index)]
+        express = [r for r in trip if r[4] == "express"]
+        if log.trip_index % 3 < 2:
+            assert express == [trip[-1]] == [[str(log.trip_index), f"{log.plan.end_time:.6f}", f"{scn.grid.gl_x:.4f}", "0.0000", "express"]]
+        else:
+            assert express == []
+    fixed = tmp_path / "fixed.csv"
+    S.write_trace(S.run_timeline(scn, "fixed", 5), scn.service, fixed)
+    assert fixed.read_text() == "trip,time_h,x_km,y_km,event\n"
 
 
 # --- timeline -------------------------------------------------------------------
