@@ -173,7 +173,7 @@ def test_trace_replays_replication_0(tmp_path):
 
 @pytest.mark.parametrize(
     "argv",
-    [  # ids pinned at the names the suite has always reported
+    [  # explicit ids: adding or removing a case renames no other
         pytest.param(["simulate", "--scenario", "model1", "--replications", "0"], id="argv0"),
         pytest.param(["simulate", "--scenario", "model1", "--workers", "-3"], id="argv1"),
         pytest.param(["sweep", "--scenario", "model1", "--dimension", "lambda", "--values", "40", "--replications", "0"], id="argv2"),

@@ -294,7 +294,7 @@ def test_non_integer_or_small_replication_count_refused(model1, replications):
 
 @pytest.mark.parametrize(
     "kwargs, name",
-    [  # ids pinned at the names the suite has reported since the modes cases left
+    [  # explicit ids: adding or removing a case renames no other
         pytest.param({"seed": 1.5}, "seed", id="kwargs0-seed"),
         pytest.param({"seed": -1}, "seed", id="kwargs1-seed"),
         pytest.param({"seed": (4, 2.5)}, "seed", id="kwargs2-seed"),
