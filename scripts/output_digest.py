@@ -8,7 +8,9 @@ section it changes.  Sections:
            each at its shipped settings, zonal (n_zones 3, v_h 60 km/h),
            crowded (capacity 5, lambda 200/h) and backlogged (shipped
            capacity, lambda 480/h)
-  logs     the TripLog reprs of run_timeline, both modes, same scenarios
+  logs     per trip, the repr of what simulator.trip_records yields
+           (c_o, rows, spilled ids, drive, depart time), read before the
+           loop resumes, both modes, on each scenario's own seed
   cli      stdout and written files of simulate, screen, analytic --v-h 50,
            sweep, and ingest of the two bundled boardings CSVs with their
            own templates (output and data directories replaced by
@@ -26,7 +28,7 @@ digest that one):
     PYTHONPATH=src python3 scripts/output_digest.py
 
 With --by-variant it prints instead one digest per variant and mode, of
-that mode's run_to_dict statistics and TripLog reprs, to show which
+that mode's run_to_dict statistics and trip records, to show which
 variants and which mode a change moves.
 """
 from __future__ import annotations
@@ -69,12 +71,20 @@ def digest_reports() -> str:
     return h.hexdigest()
 
 
+def hash_trips(h, scenario, mode: str) -> None:
+    """Feed the departure loop's records of the scenario's own seed to h,
+    each trip's spilled ids read before the loop resumes."""
+    demand = simulator.sample_demand(scenario.grid, scenario.service, scenario.seed)
+    for c_o, rows, spilled, drive, dep in simulator.trip_records(scenario, mode, demand):
+        h.update(repr((c_o, rows, list(spilled), drive, dep)).encode())
+
+
 def digest_logs() -> str:
     h = hashlib.sha256()
     for label, scenario in variants():
         for mode in ("fixed", "amsod"):
             h.update(f"{label} {mode}".encode())
-            h.update(repr(simulator.run_timeline(scenario, mode, scenario.seed)).encode())
+            hash_trips(h, scenario, mode)
     return h.hexdigest()
 
 
@@ -105,7 +115,7 @@ def digest_by_variant() -> list:
         for mode in run.modes:
             h = hashlib.sha256()
             h.update(json.dumps(stats[mode], sort_keys=True).encode())
-            h.update(repr(simulator.run_timeline(scenario, mode, scenario.seed)).encode())
+            hash_trips(h, scenario, mode)
             rows.append((label, mode, h.hexdigest()))
     return rows
 
