@@ -13,7 +13,6 @@ from .model import (
     ScenarioError,
     ScenarioStats,
     ServiceConfig,
-    TripCosts,
     Violation,
     load_scenario,
     save_scenario,
@@ -36,7 +35,6 @@ __all__ = [
     "ScenarioError",
     "ScenarioStats",
     "ServiceConfig",
-    "TripCosts",
     "Violation",
     "load_scenario",
     "save_scenario",

@@ -103,15 +103,6 @@ def expected_ivtt_fixed(route_length: float, v_d: float, t_s: float, n_stops: in
     return route_length / (2.0 * v_d) + t_s * n_stops / 2.0
 
 
-def expected_ivtt_amsod(route_length: float, v_d: float, t_s_prime: float, k_j: float, md: float) -> float:
-    """Expected on-demand in-vehicle time: adds the y-detour for the
-    remaining pickups (k_j/2 of them on average, each costing md km) and
-    their dwells."""
-    if v_d <= 0:
-        raise ValueError("non-positive speed")
-    return route_length / (2.0 * v_d) + k_j * md / (2.0 * v_d) + t_s_prime * k_j / 2.0
-
-
 def amsod_headway_variance(k_j: float, md: float, v_d: float, t_s_prime: float) -> float:
     """Variance of the residual trip time seen by a passenger, hours^2.
 

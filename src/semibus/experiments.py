@@ -91,11 +91,10 @@ def _window_metrics(scenario: Scenario, trips) -> dict:
 
 
 def replication_metrics(scenario: Scenario, requests, logs) -> dict:
-    """Aggregate one replication's trip logs to the reported metrics, as
-    run_scenario aggregates the departure loops' rows."""
-    t_k = {r.id: r.t_k for r in requests}
-    trips = [(log.costs.c_o, zip(log.served_ids, log.costs.per_passenger)) for log in logs]
-    return _window_metrics(scenario, [(c_o, [(i, t_k[i], o.wait, o.ivtt, o.access) for i, o in pairs]) for c_o, pairs in trips])
+    """Aggregate one replication's trip logs to the reported metrics by
+    run_scenario's own fold of the departure loops' rows.  requests is
+    unused (each row carries its t_k) and kept for positional callers."""
+    return _window_metrics(scenario, [(log.c_o, log.rows) for log in logs])
 
 
 @dataclass(frozen=True)

@@ -165,31 +165,6 @@ class RoutePlan:
 
 
 @dataclass(frozen=True)
-class PassengerOutcome:
-    """Per-passenger times for one trip (hours)."""
-
-    wait: float
-    ivtt: float
-    access: float  # zero for on-demand pickups
-
-
-@dataclass(frozen=True)
-class TripCosts:
-    """Cost breakdown of one trip in dollars."""
-
-    c_a: float
-    c_w: float
-    c_r: float
-    c_o: float
-    per_passenger: tuple  # PassengerOutcome, aligned with TripLog.served_ids
-    k_j: int
-
-    @property
-    def total(self) -> float:
-        return self.c_a + self.c_w + self.c_r + self.c_o
-
-
-@dataclass(frozen=True)
 class MetricSummary:
     median: float
     p2_5: float

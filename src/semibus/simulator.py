@@ -8,9 +8,11 @@ first trip that may take it (_arrivals); what a trip does not serve
 waits for the sub-route's next trip.  A trip yields a row (id, t_k, wait,
 ivtt, access) per passenger in boarding order, its operator cost and a
 lazy iterator over its spilled ids.  simulate_requests and run_timeline
-(and so the trace) build TripLogs from these records and read the spill;
-experiments.run_scenario only folds the rows into its window sums.  Both
-sum in trip, then boarding order; reported numbers depend on that order.
+(and so the trace) keep these rows in TripLogs, with the read spill and
+the on-demand route plan; experiments.run_scenario folds the rows
+straight into its window sums.  Only experiments._window_metrics weights
+the rows into costs, summing in trip, then boarding order; reported
+numbers depend on that order.
 
 Demand travels as columns (Demand: id, x, y, t_k, home_stop) from the
 draw (sample_demand) to both loops.  Request objects appear only at
@@ -81,12 +83,10 @@ from .model import (
     CostParams,
     GridGeometry,
     Pickup,
-    PassengerOutcome,
     Request,
     RoutePlan,
     Scenario,
     ServiceConfig,
-    TripCosts,
     require_valid,
 )
 
@@ -107,22 +107,14 @@ class FixedSchedule:
 
 @dataclass(frozen=True)
 class TripLog:
+    """One trip of trip_records, its spill read."""
+
     trip_index: int
-    mode: str  # "fixed" | "amsod"
-    depart_time: float
     plan: Optional[RoutePlan]  # amsod only
-    costs: TripCosts
-    served_ids: tuple
+    c_o: float  # operator cost
+    rows: tuple  # (id, t_k, wait, ivtt, access) per passenger, boarding order
+    served_ids: tuple  # the rows' ids
     spilled_ids: tuple  # assigned but deferred to the next trip
-
-
-@dataclass(frozen=True)
-class RequestLedger:
-    """Every request lands in exactly one bucket."""
-
-    counted_served: tuple
-    uncounted_served: tuple
-    unserved: tuple
 
 
 def departure_times(svc: ServiceConfig) -> tuple:
@@ -334,21 +326,6 @@ def _route_plan(depart: float, served, route) -> RoutePlan:
     )
 
 
-def _trip_costs(cost: CostParams, c_o: float, rows) -> TripCosts:
-    """TripCosts of one trip from its passenger rows (id, t_k, wait, ivtt,
-    access).  Sums run left to right in boarding order; reported costs
-    depend on that order."""
-    outcomes = tuple(PassengerOutcome(wait=w, ivtt=v, access=a) for _, _, w, v, a in rows)
-    return TripCosts(
-        c_a=cost.gamma_a * cost.vot * sum(o.access for o in outcomes),
-        c_w=cost.gamma_w * cost.vot * sum(o.wait for o in outcomes),
-        c_r=cost.gamma_r * cost.vot * sum(o.ivtt for o in outcomes),
-        c_o=c_o,
-        per_passenger=outcomes,
-        k_j=len(outcomes),
-    )
-
-
 def _amsod_rows(served, route, cost: CostParams, svc: ServiceConfig) -> tuple:
     """(c_o, passenger rows) of one on-demand trip from its served records
     (request_id, t_k, arrival, point) and route.
@@ -509,8 +486,7 @@ def _trip_logs(scenario: Scenario, mode: str, demand: Demand):
     """The TripLogs of trip_records over a demand realization."""
     for i, (c_o, rows, spilled_ids, drive, dep) in enumerate(trip_records(scenario, mode, demand)):
         plan = None if drive is None else _route_plan(dep, *drive)
-        costs = _trip_costs(scenario.cost, c_o, rows)
-        yield TripLog(i, mode, dep, plan, costs, tuple(r[0] for r in rows), tuple(spilled_ids))
+        yield TripLog(i, plan, c_o, tuple(rows), tuple(r[0] for r in rows), tuple(spilled_ids))
 
 
 def simulate_requests(scenario: Scenario, mode: str, requests: Sequence[Request]) -> list:
@@ -524,22 +500,6 @@ def run_timeline(scenario: Scenario, mode: str, seed: SeedLike) -> list:
     """Sample demand and run the dispatch timeline; returns TripLogs."""
     require_valid(scenario)
     return list(_trip_logs(scenario, mode, sample_demand(scenario.grid, scenario.service, seed)))
-
-
-def classify_requests(requests: Sequence[Request], logs: Sequence[TripLog], svc: ServiceConfig) -> RequestLedger:
-    """Partition request ids into counted-served / uncounted-served /
-    unserved-at-horizon."""
-    served = {rid for log in logs for rid in log.served_ids}
-    w0, w1 = svc.warmup_window
-    counted, uncounted, unserved = [], [], []
-    for req in requests:
-        if req.id not in served:
-            unserved.append(req.id)
-        elif w0 <= req.t_k < w1:
-            counted.append(req.id)
-        else:
-            uncounted.append(req.id)
-    return RequestLedger(tuple(counted), tuple(uncounted), tuple(unserved))
 
 
 def write_trace(logs: Sequence[TripLog], svc: ServiceConfig, path: Union[str, Path]) -> None:

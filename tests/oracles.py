@@ -2,9 +2,11 @@
 
 No production path calls any of it: single-trip planning and costing
 from Request lists, zone slices, a Monte Carlo mean access time, the
-rectilinear length of a route plan and the brute-force zone count.  It
-reuses the simulator's private helpers, so a check built on it exercises
-the same rules the departure loops run.
+rectilinear length of a route plan, the brute-force zone count, the
+request ledger of a run's trip logs, and the on-demand hourly cost
+composed from its closed-form terms.  It reuses the simulator's private
+helpers, so a check built on it exercises the same rules the departure
+loops run.
 """
 import math
 from bisect import insort
@@ -13,11 +15,12 @@ from typing import Sequence
 
 import numpy as np
 
-from semibus.analytic import ZonalPlan
-from semibus.model import CostParams, GridGeometry, Request, RoutePlan, ServiceConfig, TripCosts
+from semibus.analytic import ZonalPlan, amsod_headway_variance, expected_wait
+from semibus.model import CostParams, GridGeometry, Request, RoutePlan, ServiceConfig
 from semibus.simulator import (
     FixedSchedule,
     SeedLike,
+    TripLog,
     _amsod_rows,
     _boarding_rows,
     _demand,
@@ -27,7 +30,6 @@ from semibus.simulator import (
     _route_plan,
     _sample_positions,
     _sub_routes,
-    _trip_costs,
     snap_to_streets,
 )
 
@@ -50,22 +52,22 @@ def plan_amsod_route(requests: Sequence[Request], grid: GridGeometry, svc: Servi
     return _route_plan(depart_time, served, route)
 
 
-def evaluate_amsod_trip(plan: RoutePlan, cost: CostParams, svc: ServiceConfig, requests: Sequence[Request]) -> TripCosts:
-    """Cost one on-demand trip from its plan, by the on-demand loop's
-    costing (_amsod_rows)."""
+def evaluate_amsod_trip(plan: RoutePlan, cost: CostParams, svc: ServiceConfig, requests: Sequence[Request]) -> tuple:
+    """(c_o, passenger rows (id, t_k, wait, ivtt, access)) of one on-demand
+    trip from its plan, by the on-demand loop's costing (_amsod_rows)."""
     t_k = {r.id: r.t_k for r in requests}
     served = [(p.request_id, t_k[p.request_id], p.time, p.point) for p in plan.pickups]
     route = (plan.waypoints[0][0], plan.waypoints[-1][0], plan.d_y, plan.express_legs, plan.end_time)
-    return _trip_costs(cost, *_amsod_rows(served, route, cost, svc))
+    return _amsod_rows(served, route, cost, svc)
 
 
 def evaluate_fixed_trip(
     requests: Sequence[Request], departure_index: int, sched: FixedSchedule, cost: CostParams, grid: GridGeometry, svc: ServiceConfig
-) -> TripCosts:
-    """Cost one fixed-route trip for the passengers boarding it, by the
-    fixed-route loop's costing (_fixed_rows)."""
+) -> tuple:
+    """(c_o, passenger rows) of one fixed-route trip for the passengers
+    boarding it, by the fixed-route loop's costing (_fixed_rows)."""
     boarding, _ = _boarding_rows(_demand(requests), sched, grid, svc)
-    return _trip_costs(cost, *_fixed_rows(boarding, sched.departures[departure_index], sched, cost, grid))
+    return _fixed_rows(boarding, sched.departures[departure_index], sched, cost, grid)
 
 
 @dataclass(frozen=True)
@@ -106,3 +108,48 @@ def n_opt_table(plan: ZonalPlan) -> int:
     """Brute-force argmin of the zonal cost table; ties take the smaller n."""
     table = plan.table
     return min(range(1, len(table) + 1), key=lambda n: (table[n - 1].total, n))
+
+
+@dataclass(frozen=True)
+class RequestLedger:
+    """Every request lands in exactly one bucket."""
+
+    counted_served: tuple
+    uncounted_served: tuple
+    unserved: tuple
+
+
+def classify_requests(requests: Sequence[Request], logs: Sequence[TripLog], svc: ServiceConfig) -> RequestLedger:
+    """Partition request ids into counted-served / uncounted-served /
+    unserved-at-horizon."""
+    served = {rid for log in logs for rid in log.served_ids}
+    w0, w1 = svc.warmup_window
+    counted, uncounted, unserved = [], [], []
+    for req in requests:
+        if req.id not in served:
+            unserved.append(req.id)
+        elif w0 <= req.t_k < w1:
+            counted.append(req.id)
+        else:
+            uncounted.append(req.id)
+    return RequestLedger(tuple(counted), tuple(uncounted), tuple(unserved))
+
+
+def expected_ivtt_amsod(route_length: float, v_d: float, t_s_prime: float, k_j: float, md: float) -> float:
+    """Expected on-demand in-vehicle time: adds the y-detour for the
+    remaining pickups (k_j/2 of them on average, each costing md km) and
+    their dwells."""
+    if v_d <= 0:
+        raise ValueError("non-positive speed")
+    return route_length / (2.0 * v_d) + k_j * md / (2.0 * v_d) + t_s_prime * k_j / 2.0
+
+
+def one_zone_cost(cost: CostParams, grid: GridGeometry, svc: ServiceConfig, md: float) -> tuple:
+    """(wait, ride, operator) hourly cost of the single on-demand route,
+    composed from the closed-form wait, headway variance and ride time at
+    k_j = lambda * H rather than from the zonal formula."""
+    lam, h = svc.demand_rate, svc.headway
+    var = amsod_headway_variance(lam * h, md, svc.v_d, svc.t_s_prime)
+    wait = cost.gamma_w * cost.vot * lam * expected_wait(h, var)
+    ride = cost.gamma_r * cost.vot * lam * expected_ivtt_amsod(grid.gl_x, svc.v_d, svc.t_s_prime, lam * h, md)
+    return wait, ride, cost.gamma_o * (grid.gl_x / h + lam * md)

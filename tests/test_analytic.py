@@ -118,9 +118,9 @@ def test_expected_ivtt_fixed_values():
 
 def test_expected_ivtt_amsod_values():
     md = 0.3556
-    assert A.expected_ivtt_amsod(10, 35, 0.4 / 60, 15, md) * 60 == approx(16.1, abs=0.1)
-    assert A.expected_ivtt_amsod(10, 35, 0.4 / 60, 0, md) * 60 == approx(8.571, abs=0.001)
-    assert A.expected_ivtt_amsod(10, 35, 0.0, 15, 0.0) * 60 == approx(8.571, abs=0.001)
+    assert O.expected_ivtt_amsod(10, 35, 0.4 / 60, 15, md) * 60 == approx(16.1, abs=0.1)
+    assert O.expected_ivtt_amsod(10, 35, 0.4 / 60, 0, md) * 60 == approx(8.571, abs=0.001)
+    assert O.expected_ivtt_amsod(10, 35, 0.0, 15, 0.0) * 60 == approx(8.571, abs=0.001)
 
 
 def test_amsod_headway_variance_value():
@@ -337,6 +337,7 @@ def test_zonal_single_zone_equals_amsod_cost():
     assert plan.table[0].wait == base.wait
     assert plan.table[0].ride == base.ride
     assert plan.table[0].operator == base.operator
+    assert (base.wait, base.ride, base.operator) == approx(O.one_zone_cost(COST, GRID_M1, s, md), rel=1e-12)
 
 
 @pytest.mark.parametrize("headway", [pytest.param(0.0, id="zero"), pytest.param(-0.1, id="negative")])

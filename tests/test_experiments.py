@@ -344,8 +344,9 @@ def _consumer_variants(scn):
 
 @pytest.mark.parametrize("name", ["model1", "model2", "cta126", "cta84"])
 def test_summing_consumer_equals_logging_consumer(request, name):
-    # run_scenario folds the trip rules' rows; replication_metrics sums the
-    # TripLogs of simulate_requests.  Both must give the same floats.
+    # run_scenario folds the trip rules' rows as they are yielded;
+    # replication_metrics folds the rows kept in simulate_requests'
+    # TripLogs.  Both must give the same floats.
     for label, scn in _consumer_variants(request.getfixturevalue(name)):
         for s in range(20):
             run = E.run_scenario(scn, replications=1, seed=(s,))

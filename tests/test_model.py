@@ -175,13 +175,6 @@ def test_scenario_file_refusals_name_their_rule(model1, tmp_path, updates, messa
         load_scenario(path)
 
 
-def test_trip_cost_total_is_component_sum(model1):
-    from semibus.model import TripCosts
-
-    tc = TripCosts(c_a=1.5, c_w=2.5, c_r=3.0, c_o=4.0, per_passenger=(), k_j=0)
-    assert tc.total == 1.5 + 2.5 + 3.0 + 4.0
-
-
 @pytest.mark.parametrize(
     "section,key,value,rule",
     [

@@ -13,10 +13,10 @@ from semibus import simulator as S
 from semibus.model import Request
 
 
-def all_pickups(logs):
+def all_rows(logs):
+    """Every passenger row (id, t_k, wait, ivtt, access) of the logs."""
     for log in logs:
-        for rid, outcome in zip(log.served_ids, log.costs.per_passenger):
-            yield log, rid, outcome
+        yield from log.rows
 
 
 # --- demand sampling ----------------------------------------------------------
@@ -159,18 +159,17 @@ def test_shared_pickup_point_single_dwell(model1):
 def test_amsod_trip_has_no_access_cost(model1):
     reqs = [Request(0, 3.0, 0.1, 0.0, 7), Request(1, 6.0, -0.3, 0.0, 15)]
     plan = O.plan_amsod_route(reqs, model1.grid, model1.service)
-    costs = O.evaluate_amsod_trip(plan, model1.cost, model1.service, reqs)
-    assert costs.c_a == 0.0
-    assert all(o.access == 0.0 for o in costs.per_passenger)
-    assert costs.total == costs.c_a + costs.c_w + costs.c_r + costs.c_o
+    _, rows = O.evaluate_amsod_trip(plan, model1.cost, model1.service, reqs)
+    assert len(rows) == 2
+    assert all(access == 0.0 for *_, access in rows)
 
 
 def test_single_passenger_carries_no_dwell(model1):
     svc = model1.service
     req = Request(0, 5.0, 0.2, 0.0, 12)
     plan = O.plan_amsod_route([req], model1.grid, svc)
-    costs = O.evaluate_amsod_trip(plan, model1.cost, svc, [req])
-    ivtt = costs.per_passenger[0].ivtt
+    _, rows = O.evaluate_amsod_trip(plan, model1.cost, svc, [req])
+    ivtt = rows[0][3]
     assert ivtt == approx((0.2 + 5.0) / svc.v_d, abs=1e-12)
 
 
@@ -185,10 +184,10 @@ def test_fixed_trip_hand_example(model1):
     # passenger beside the chainage-6.0 stop: 0.2 km walk, 4 km ride
     sched = S.build_schedule(model1.grid, model1.service)
     req = Request(0, 6.0, 0.2, 0.0, 15)
-    costs = O.evaluate_fixed_trip([req], 0, sched, model1.cost, model1.grid, model1.service)
-    out = costs.per_passenger[0]
-    assert out.access * 60 == approx(3.0)
-    ride_km = (out.ivtt - model1.service.t_s * (model1.grid.n_stops - 15 - 1)) * model1.service.v_d
+    _, rows = O.evaluate_fixed_trip([req], 0, sched, model1.cost, model1.grid, model1.service)
+    _, _, _, ivtt, access = rows[0]
+    assert access * 60 == approx(3.0)
+    ride_km = (ivtt - model1.service.t_s * (model1.grid.n_stops - 15 - 1)) * model1.service.v_d
     assert ride_km == approx(4.0)
 
 
@@ -198,8 +197,8 @@ def test_fixed_wait_zero_at_exact_arrival(model1):
     arrival = sched.departures[0] + sched.stop_offsets[stop]
     access = 0.2 / model1.service.v_w
     req = Request(0, model1.grid.stop_chainages[stop], 0.2, arrival - access, stop)
-    costs = O.evaluate_fixed_trip([req], 0, sched, model1.cost, model1.grid, model1.service)
-    assert costs.per_passenger[0].wait == approx(0.0, abs=1e-12)
+    _, rows = O.evaluate_fixed_trip([req], 0, sched, model1.cost, model1.grid, model1.service)
+    assert rows[0][2] == approx(0.0, abs=1e-12)
 
 
 # --- partitioning ---------------------------------------------------------------
@@ -277,8 +276,8 @@ def test_zonal_operator_saving_with_clustered_demand(model1):
     svc = replace(model1.service, n_zones=2, v_h=50.0)
     scn = replace(model1, service=svc)
     reqs = [Request(i, 1.0 + 0.2 * i, 0.2, 0.0, 3 + i) for i in range(5)]
-    op_zonal = sum(l.costs.c_o for l in S.simulate_requests(scn, "amsod", reqs))
-    op_single = sum(l.costs.c_o for l in S.simulate_requests(model1, "amsod", reqs))
+    op_zonal = sum(l.c_o for l in S.simulate_requests(scn, "amsod", reqs))
+    op_single = sum(l.c_o for l in S.simulate_requests(model1, "amsod", reqs))
     assert op_zonal < op_single
 
 
@@ -289,9 +288,9 @@ def test_zonal_ivtt_includes_express_leg(model1):
     logs = S.simulate_requests(scn, "amsod", [req])
     log = next(l for l in logs if l.served_ids)
     assert log.plan.express_legs == ((5.0, 50.0),)
-    out = log.costs.per_passenger[0]
+    ivtt = log.rows[0][3]
     # 3 km left in zone 1 plus 0.2 back to axis, then 5 km express
-    assert out.ivtt == approx((3.0 + 0.2) / svc.v_d + 5.0 / 50.0, abs=1e-12)
+    assert ivtt == approx((3.0 + 0.2) / svc.v_d + 5.0 / 50.0, abs=1e-12)
 
 
 def test_zonal_trace_ends_outer_zone_trips_on_the_highway(model1, tmp_path):
@@ -328,16 +327,16 @@ def test_capacity_one_spills_to_next_trip(model1):
     logs = S.simulate_requests(scn, "amsod", reqs)
     assert logs[0].served_ids == (0,) and logs[0].spilled_ids == (1,)
     assert logs[1].served_ids == (1,)
-    w0 = logs[0].costs.per_passenger[0].wait
-    w1 = logs[1].costs.per_passenger[0].wait
+    w0 = logs[0].rows[0][2]
+    w1 = logs[1].rows[0][2]
     assert w1 - w0 == approx(scn.service.headway, abs=1e-9)
 
 
 def test_fixed_operator_cost_exact(model1, cta84):
     logs = S.run_timeline(model1, "fixed", 5)
-    assert sum(l.costs.c_o for l in logs) == 120.0
+    assert sum(l.c_o for l in logs) == 120.0
     logs84 = S.run_timeline(cta84, "fixed", 5)
-    assert sum(l.costs.c_o for l in logs84) == 72.0
+    assert sum(l.c_o for l in logs84) == 72.0
 
 
 def test_timeline_deterministic(model1):
@@ -349,7 +348,7 @@ def test_request_conservation(model1):
     reqs = S.sample_requests(model1.grid, model1.service, 21)
     for mode in ("fixed", "amsod"):
         logs = S.simulate_requests(model1, mode, reqs)
-        ledger = S.classify_requests(reqs, logs, model1.service)
+        ledger = O.classify_requests(reqs, logs, model1.service)
         ids = sorted(ledger.counted_served + ledger.uncounted_served + ledger.unserved)
         assert ids == [r.id for r in reqs]
         served_once = [rid for log in logs for rid in log.served_ids]
@@ -379,17 +378,17 @@ def test_route_dy_matches_pickup_sequence(model1):
 def test_fixed_access_bounded_and_waits_nonnegative(model1):
     logs = S.run_timeline(model1, "fixed", 13)
     s_o = model1.service.s_o
-    for _, _, out in all_pickups(logs):
-        assert out.access <= s_o + 1e-9
-        assert out.wait >= 0.0
-        assert out.ivtt >= 0.0
+    for _, _, wait, ivtt, access in all_rows(logs):
+        assert access <= s_o + 1e-9
+        assert wait >= 0.0
+        assert ivtt >= 0.0
 
 
 def test_amsod_waits_nonnegative(model1):
     logs = S.run_timeline(model1, "amsod", 13)
-    for _, _, out in all_pickups(logs):
-        assert out.wait >= 0.0
-        assert out.access == 0.0
+    for _, _, wait, _, access in all_rows(logs):
+        assert wait >= 0.0
+        assert access == 0.0
 
 
 def test_fixed_spill_fifo(model1):
@@ -416,11 +415,11 @@ def test_simulated_means_near_analytic(model1):
         logs = S.run_timeline(model1, "amsod", (101, k))
         for log in logs:
             dys.append(log.plan.d_y)
-        for _, _, out in all_pickups(logs):
-            ivtts.append(out.ivtt)
+        for _, _, _, ivtt, _ in all_rows(logs):
+            ivtts.append(ivtt)
     k_j = svc.demand_rate * svc.headway
     md = A.screening_dispersion(grid)
-    expect = A.expected_ivtt_amsod(grid.gl_x, svc.v_d, svc.t_s_prime, k_j, md)
+    expect = O.expected_ivtt_amsod(grid.gl_x, svc.v_d, svc.t_s_prime, k_j, md)
     assert np.mean(ivtts) == approx(expect, rel=0.10)
     assert np.mean(dys) <= k_j * md * 1.10
     assert np.mean(dys) >= k_j * md * 0.60
@@ -500,11 +499,12 @@ def test_dispatch_invariants_on_bundled_corridors(request, name, zonal):
         logs = S.simulate_requests(scn, mode, reqs)
         served = [rid for log in logs for rid in log.served_ids]
         assert len(served) == len(set(served))
-        ledger = S.classify_requests(reqs, logs, scn.service)
+        ledger = O.classify_requests(reqs, logs, scn.service)
         buckets = ledger.counted_served + ledger.uncounted_served + ledger.unserved
         assert sorted(buckets) == [r.id for r in reqs]
         assert set(served) == set(ledger.counted_served + ledger.uncounted_served)
         for log in logs:
+            assert log.served_ids == tuple(r[0] for r in log.rows)
             assert not set(log.served_ids) & set(log.spilled_ids)
             if mode == "amsod":
                 xs = [p[0] for p in log.plan.waypoints]
@@ -548,7 +548,7 @@ def test_future_request_does_not_change_earlier_trip(model1):
     with_later = S.simulate_requests(model1, "amsod", now + [later])[0]
     assert [p.request_id for p in without.plan.pickups] == [1, 0]
     assert with_later.plan == without.plan
-    assert with_later.costs == without.costs
+    assert with_later.c_o == without.c_o and with_later.rows == without.rows
     assert with_later.served_ids == without.served_ids and with_later.spilled_ids == without.spilled_ids
 
 
