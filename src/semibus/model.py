@@ -93,6 +93,11 @@ class GridGeometry:
         else:
             gl_y = tuple(float(g) for g in gl_y)
         object.__setattr__(self, "gl_y", gl_y)
+        # hashed once: the per-stop tuples make each cache lookup's hash slow
+        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n_stops(self) -> int:

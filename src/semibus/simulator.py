@@ -3,8 +3,8 @@
 The corridor runs along x from 0 to gl_x; buses depart the terminal every
 headway and always finish on the axis at the corridor end.  Two service
 modes share each demand realization; each has its own departure loop, in
-which trip i serves sub-route i mod n.  Both admit a request at the
-first trip that may take it (_arrivals); what a trip does not serve
+which trip i serves sub-route i mod n.  Both find with array operations
+the first trip that may take each request; what a trip does not serve
 waits for the sub-route's next trip.  A trip yields a row (id, t_k, wait,
 ivtt, access) per passenger in boarding order, its operator cost and a
 lazy iterator over its spilled ids.  simulate_requests and run_timeline
@@ -26,6 +26,9 @@ fixed
     first departure arriving there after they do, capacity permitting:
     each trip takes the cohort whose first catchable departure it is plus
     the spill of the trip before, in stop order and first-come first.
+    The requests are sorted once by that (stop, ready time, id) key; if
+    no cohort exceeds capacity each boards its first departure, else trip
+    j takes the first capacity requests in key order that reached it.
 
 amsod (semi-on-demand)
     One sub-route per zone or parallel band.  The bus detours to pickup
@@ -246,7 +249,7 @@ _Y = itemgetter(1)
 def _spill(cands, t: float, bx: float, by: float, last_arrival: float, inv_v: float):
     """Lazily, the ids of the candidates a full bus leaves that are ready
     at its last point (it no longer moves).  cands reads the street lists
-    as the trip left them: the loop binds served streets to new lists."""
+    in place, so the loop removes served candidates only when it resumes."""
     for sx, sy, rid, tk in cands:
         if tk <= last_arrival or tk <= (last_arrival if sx == bx and sy == by else t + (abs(sy - by) + (sx - bx)) * inv_v) + 1e-12:
             yield rid
@@ -346,40 +349,6 @@ def _amsod_rows(served, route, cost: CostParams, svc: ServiceConfig) -> tuple:
     return cost.gamma_o * (end_x - start_x + d_y + sum(length for length, _ in express_legs)), rows
 
 
-# --- fixed-route evaluation --------------------------------------------------
-
-
-def _boarding_rows(demand: Demand, sched: FixedSchedule, grid: GridGeometry, svc: ServiceConfig) -> tuple:
-    """One array pass over the demand: a row (boarding stop, ready time at
-    the stop, id, access time, request time) per request, and the index of
-    the first departure that reaches the stop by its ready time."""
-    stops, dx = _nearest_stops(grid, demand.x)
-    access = (dx + np.abs(demand.y)) / svc.v_w
-    ready = demand.t_k + access
-    wait_from = (ready - np.asarray(sched.stop_offsets)[stops]) / svc.headway
-    first = np.maximum(0.0, np.ceil(wait_from - 1e-12)).astype(np.int64)
-    rows = list(zip(stops.tolist(), ready.tolist(), demand.id.tolist(), access.tolist(), demand.t_k.tolist()))
-    return rows, first.tolist()
-
-
-def _fixed_rows(boarding, dep: float, sched: FixedSchedule, cost: CostParams, grid: GridGeometry) -> tuple:
-    """(c_o, passenger rows) of one fixed-route trip departing at dep for
-    its boarding rows, in boarding order.
-
-    Per passenger: walk to the nearest stop, wait for the stop arrival,
-    then ride to the corridor end with one dwell per downstream stop.
-    Operator cost is the full corridor length regardless of boardings.
-    """
-    offsets, rides = sched.stop_offsets, sched.ride_times
-    rows = []
-    for s, ready, rid, acc, t_k in boarding:
-        wait = dep + offsets[s] - ready
-        if wait < -1e-9:
-            raise ValueError(f"request {rid} assigned to a departure it cannot catch")
-        rows.append((rid, t_k, max(0.0, wait), rides[s], acc))
-    return cost.gamma_o * grid.gl_x, rows
-
-
 # --- request partitioning ----------------------------------------------------
 
 
@@ -415,27 +384,51 @@ def partition_parallel(requests: Sequence[Request], grid: GridGeometry, n_p: int
 # --- dispatch ----------------------------------------------------------------
 
 
-def _arrivals(items, first, n_trips: int) -> list:
-    """The items grouped by trip: item j arrives at trip first[j], and an
-    index >= n_trips never arrives."""
-    arrivals = [[] for _ in range(n_trips)]
-    for item, i in zip(items, first):
-        if i < n_trips:
-            arrivals[i].append(item)
-    return arrivals
+def _fixed_spill(ids: np.ndarray, first: np.ndarray, trip: np.ndarray, j: int):
+    """Lazily, the ids (in key order) that reached trip j but board later."""
+    yield from ids[(first <= j) & (trip > j)].tolist()
 
 
 def _fixed_records(scenario: Scenario, demand: Demand):
     """Each trip boards, up to capacity, the spill of the trip before and
-    the rows whose first catchable departure it is, in stop order and
-    first come first."""
-    grid, svc, cost = scenario.grid, scenario.service, scenario.cost
+    the requests whose first catchable departure it is, in (stop, ready
+    time, id) key order.
+
+    Per passenger: walk to the nearest stop, wait for the stop arrival,
+    then ride to the corridor end with one dwell per downstream stop.
+    Operator cost is the full corridor length regardless of boardings.
+    """
+    grid, svc = scenario.grid, scenario.service
     sched = build_schedule(grid, svc)
-    spilled = []
-    for dep, new in zip(sched.departures, _arrivals(*_boarding_rows(demand, sched, grid, svc), len(sched.departures))):
-        cand = sorted(spilled + new)
-        spilled = cand[svc.capacity :]
-        yield (*_fixed_rows(cand[: svc.capacity], dep, sched, cost, grid), (c[2] for c in spilled), None, dep)
+    n, cap = len(sched.departures), svc.capacity
+    stops, dx = _nearest_stops(grid, demand.x)
+    access = (dx + np.abs(demand.y)) / svc.v_w
+    ready = demand.t_k + access
+    offsets = np.asarray(sched.stop_offsets)[stops]
+    first = np.maximum(0.0, np.ceil((ready - offsets) / svc.headway - 1e-12)).astype(np.int64)
+    key = np.lexsort((demand.id, ready, stops))  # the (stop, ready, id) order
+    first = first[key]
+    trip = np.minimum(first, n)  # per row in key order; n: never boards
+    if (np.bincount(trip, minlength=n + 1)[:n] > cap).any():
+        # trip j takes the first cap rows in key order that reached it
+        waiting, trip = trip < n, np.full(len(key), n)
+        for j in range(n):
+            take = np.flatnonzero(waiting & (first <= j))[:cap]
+            trip[take] = j
+            waiting[take] = False
+    by_trip = np.argsort(trip, kind="stable")  # by trip, then key order
+    cuts = np.searchsorted(trip[by_trip], np.arange(n + 1)).tolist()
+    boarded = by_trip[: cuts[n]]
+    board = key[boarded]  # demand indices in boarding order
+    wait = np.asarray(sched.departures)[trip[boarded]] + offsets[board] - ready[board]
+    late = np.flatnonzero(wait < -1e-9)
+    if late.size:
+        raise ValueError(f"request {demand.id[board[late[0]]]} assigned to a departure it cannot catch")
+    rides = np.asarray(sched.ride_times)[stops[board]]
+    rows = list(zip(demand.id[board].tolist(), demand.t_k[board].tolist(), np.maximum(wait, 0.0).tolist(), rides.tolist(), access[board].tolist()))
+    c_o, ids = scenario.cost.gamma_o * grid.gl_x, demand.id[key]
+    for j, dep in enumerate(sched.departures):
+        yield c_o, rows[cuts[j] : cuts[j + 1]], _fixed_spill(ids, first, trip, j), None, dep
 
 
 def _amsod_records(scenario: Scenario, demand: Demand):
@@ -456,19 +449,21 @@ def _amsod_records(scenario: Scenario, demand: Demand):
         # at most cap dwells and cap + 1 cross-street moves precede any arrival
         reach = (x_hi - x_lo + (cap + 1) * 2.0 * y_hat) / svc.v_d + cap * svc.t_s_prime
         first[mine] = k + n * np.searchsorted(np.asarray(deps[k::n]) + reach, demand.t_k[mine])  # t_k <= t_bound
-    arrivals = _arrivals(zip(sx.tolist(), sy_all.tolist(), demand.id.tolist(), demand.t_k.tolist()), first.tolist(), len(deps))
+    order = np.argsort(first, kind="stable")  # by arrival trip, then id
+    cands = list(zip(sx[order].tolist(), sy_all[order].tolist(), demand.id[order].tolist(), demand.t_k[order].tolist()))
+    cuts = np.searchsorted(first[order], np.arange(len(deps) + 1)).tolist()
     streets = [{} for _ in bounds]
-    for i, (dep, new) in enumerate(zip(deps, arrivals)):
+    for i, dep in enumerate(deps):
         pending, (start_x, end_x, express_len) = streets[i % n], bounds[i % n]
-        for c in new:
+        for c in cands[cuts[i] : cuts[i + 1]]:
             insort(pending.setdefault(c[0], []), c)
         served, spilled, route = _drive(pending, dep, svc, start_x, end_x, express_len, cap)
-        for rid, tk, _, (x, y) in served:  # a new list per removal: spilled reads the old ones
-            m = pending.pop(x)
-            j = bisect_left(m, (x, y, rid, tk))
-            if len(m) > 1:
-                pending[x] = m[:j] + m[j + 1 :]
         yield (*_amsod_rows(served, route, cost, svc), spilled, (served, route), dep)
+        for rid, tk, _, (x, y) in served:  # after the yield: spilled reads the lists as the trip left them
+            m = pending[x]
+            del m[bisect_left(m, (x, y, rid, tk))]
+            if not m:
+                del pending[x]
 
 
 def trip_records(scenario: Scenario, mode: str, demand: Demand):

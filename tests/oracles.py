@@ -3,10 +3,11 @@
 No production path calls any of it: single-trip planning and costing
 from Request lists, zone slices, a Monte Carlo mean access time, the
 rectilinear length of a route plan, the brute-force zone count, the
-request ledger of a run's trip logs, and the on-demand hourly cost
-composed from its closed-form terms.  It reuses the simulator's private
-helpers, so a check built on it exercises the same rules the departure
-loops run.
+request ledger of a run's trip logs, the on-demand hourly cost composed
+from its closed-form terms, and the fixed-route departure loop as a
+sort-per-trip cohort loop with row-by-row costing.  The on-demand
+helpers reuse the simulator's private code, so a check built on them
+exercises the same rules the departure loop runs.
 """
 import math
 from bisect import insort
@@ -16,20 +17,20 @@ from typing import Sequence
 import numpy as np
 
 from semibus.analytic import ZonalPlan, amsod_headway_variance, expected_wait
-from semibus.model import CostParams, GridGeometry, Request, RoutePlan, ServiceConfig
+from semibus.model import CostParams, GridGeometry, Request, RoutePlan, Scenario, ServiceConfig
 from semibus.simulator import (
+    Demand,
     FixedSchedule,
     SeedLike,
     TripLog,
     _amsod_rows,
-    _boarding_rows,
     _demand,
     _drive,
-    _fixed_rows,
     _nearest_stops,
     _route_plan,
     _sample_positions,
     _sub_routes,
+    build_schedule,
     snap_to_streets,
 )
 
@@ -61,13 +62,60 @@ def evaluate_amsod_trip(plan: RoutePlan, cost: CostParams, svc: ServiceConfig, r
     return _amsod_rows(served, route, cost, svc)
 
 
+def _boarding_rows(demand: Demand, sched: FixedSchedule, grid: GridGeometry, svc: ServiceConfig) -> tuple:
+    """A row (boarding stop, ready time at the stop, id, access time,
+    request time) per request, and the index of the first departure that
+    reaches the stop by its ready time."""
+    stops, dx = _nearest_stops(grid, demand.x)
+    access = (dx + np.abs(demand.y)) / svc.v_w
+    ready = demand.t_k + access
+    wait_from = (ready - np.asarray(sched.stop_offsets)[stops]) / svc.headway
+    first = np.maximum(0.0, np.ceil(wait_from - 1e-12)).astype(np.int64)
+    rows = list(zip(stops.tolist(), ready.tolist(), demand.id.tolist(), access.tolist(), demand.t_k.tolist()))
+    return rows, first.tolist()
+
+
+def _fixed_rows(boarding, dep: float, sched: FixedSchedule, cost: CostParams, grid: GridGeometry) -> tuple:
+    """(c_o, passenger rows) of one fixed-route trip departing at dep for
+    its boarding rows, in boarding order: walk to the nearest stop, wait
+    for the stop arrival, ride to the corridor end with one dwell per
+    downstream stop; operator cost is the full corridor length."""
+    offsets, rides = sched.stop_offsets, sched.ride_times
+    rows = []
+    for s, ready, rid, acc, t_k in boarding:
+        wait = dep + offsets[s] - ready
+        if wait < -1e-9:
+            raise ValueError(f"request {rid} assigned to a departure it cannot catch")
+        rows.append((rid, t_k, max(0.0, wait), rides[s], acc))
+    return cost.gamma_o * grid.gl_x, rows
+
+
 def evaluate_fixed_trip(
     requests: Sequence[Request], departure_index: int, sched: FixedSchedule, cost: CostParams, grid: GridGeometry, svc: ServiceConfig
 ) -> tuple:
     """(c_o, passenger rows) of one fixed-route trip for the passengers
-    boarding it, by the fixed-route loop's costing (_fixed_rows)."""
+    boarding it, costed row by row."""
     boarding, _ = _boarding_rows(_demand(requests), sched, grid, svc)
     return _fixed_rows(boarding, sched.departures[departure_index], sched, cost, grid)
+
+
+def reference_fixed_records(scenario: Scenario, demand: Demand):
+    """The fixed-route departure loop as a cohort loop, yielding what
+    simulator.trip_records does: each trip sorts the spill of the trip
+    before with its new arrivals by (stop, ready time, id) tuple and
+    boards the first capacity of them."""
+    grid, svc, cost = scenario.grid, scenario.service, scenario.cost
+    sched = build_schedule(grid, svc)
+    rows, first = _boarding_rows(demand, sched, grid, svc)
+    arrivals = [[] for _ in sched.departures]
+    for row, i in zip(rows, first):
+        if i < len(arrivals):
+            arrivals[i].append(row)
+    spilled = []
+    for dep, new in zip(sched.departures, arrivals):
+        cand = sorted(spilled + new)
+        spilled = cand[svc.capacity :]
+        yield (*_fixed_rows(cand[: svc.capacity], dep, sched, cost, grid), (c[2] for c in spilled), None, dep)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import csv
 import math
-from dataclasses import replace
+import pickle
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from pytest import approx
 
 import oracles as O
 from semibus import simulator as S
-from semibus.model import Request
+from semibus.model import GridGeometry, Request
 
 
 def all_rows(logs):
@@ -78,6 +79,32 @@ def test_stop_draws_match_generator_choice(request, name):
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
         assert a.bit_generator.state == b.bit_generator.state
+
+
+def _copy_grid(grid):
+    return GridGeometry(**{f.name: getattr(grid, f.name) for f in fields(grid)})
+
+
+def test_equal_grids_share_cache_entries(cta126):
+    a, b = cta126.grid, _copy_grid(cta126.grid)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert S._grid_arrays(a) is S._grid_arrays(b)
+    assert S.build_schedule(a, cta126.service) is S.build_schedule(b, cta126.service)
+
+
+def test_pickled_grid_keeps_equality_hash_and_cache(cta126):
+    grid = cta126.grid
+    back = pickle.loads(pickle.dumps(grid))
+    assert back == grid and hash(back) == hash(grid) and repr(back) == repr(grid)
+    assert S._grid_arrays(back) is S._grid_arrays(grid)
+
+
+def test_replaced_grid_is_rehashed(model1):
+    grid = replace(model1.grid, gl_y=0.25)
+    fresh = _copy_grid(grid)
+    assert grid != model1.grid and hash(grid) == hash(fresh)
+    assert S._grid_arrays(grid) is S._grid_arrays(fresh)
+    assert S._grid_arrays(grid)[2].tolist() == [0.25] * grid.n_stops
 
 
 # --- street snapping ----------------------------------------------------------
@@ -403,6 +430,28 @@ def test_fixed_spill_fifo(model1):
     first = next(l for l in logs if l.served_ids)
     assert set(first.served_ids) == {0, 1}
     assert first.spilled_ids == (2,)
+
+
+@pytest.mark.parametrize("setting", ["shipped", "cap5_200", "lambda480"])
+@pytest.mark.parametrize("name", ["model1", "model2", "cta126", "cta84"])
+def test_fixed_matches_cohort_reference(request, name, setting):
+    # every trip's operator cost, rows, spill and departure equal the
+    # sort-per-trip cohort loop's, with no tolerance
+    scn = request.getfixturevalue(name)
+    svc = {
+        "shipped": scn.service,
+        "cap5_200": replace(scn.service, capacity=5, demand_rate=200.0),
+        "lambda480": replace(scn.service, demand_rate=480.0),
+    }[setting]
+    scn = replace(scn, service=svc)
+    spills = 0
+    for seed in range(10):
+        demand = S.sample_demand(scn.grid, svc, seed)
+        got = [(c_o, rows, list(spilled), dep) for c_o, rows, spilled, _, dep in S.trip_records(scn, "fixed", demand)]
+        want = [(c_o, rows, list(spilled), dep) for c_o, rows, spilled, _, dep in O.reference_fixed_records(scn, demand)]
+        assert got == want, seed
+        spills += sum(len(trip[2]) for trip in got)
+    assert spills or setting == "shipped"  # the loaded settings spill
 
 
 def test_simulated_means_near_analytic(model1):
