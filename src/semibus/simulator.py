@@ -23,12 +23,11 @@ per grid.
 
 fixed
     One sub-route.  Passengers walk to the nearest stop and board the
-    first departure arriving there after they do, capacity permitting:
-    each trip takes the cohort whose first catchable departure it is plus
-    the spill of the trip before, in stop order and first-come first.
-    The requests are sorted once by that (stop, ready time, id) key; if
-    no cohort exceeds capacity each boards its first departure, else trip
-    j takes the first capacity requests in key order that reached it.
+    first departure arriving there after they do, capacity permitting.
+    The requests are sorted once by (stop, ready time, id); if no trip's
+    new arrivals exceed capacity each boards its first catchable
+    departure, else trip j takes the first capacity requests in that
+    order that reached it and are not yet aboard.
 
 amsod (semi-on-demand)
     One sub-route per zone or parallel band.  The bus detours to pickup
@@ -424,11 +423,11 @@ def _fixed_records(scenario: Scenario, demand: Demand):
     late = np.flatnonzero(wait < -1e-9)
     if late.size:
         raise ValueError(f"request {demand.id[board[late[0]]]} assigned to a departure it cannot catch")
-    rides = np.asarray(sched.ride_times)[stops[board]]
-    rows = list(zip(demand.id[board].tolist(), demand.t_k[board].tolist(), np.maximum(wait, 0.0).tolist(), rides.tolist(), access[board].tolist()))
-    c_o, ids = scenario.cost.gamma_o * grid.gl_x, demand.id[key]
+    # object arrays: rows and spills share one int per id and one float per stop's ride
+    ids, rides = demand.id[key].astype(object), np.array(sched.ride_times, dtype=object)[stops[board]]
+    rows = list(zip(ids[boarded].tolist(), demand.t_k[board].tolist(), np.maximum(wait, 0.0).tolist(), rides.tolist(), access[board].tolist()))
     for j, dep in enumerate(sched.departures):
-        yield c_o, rows[cuts[j] : cuts[j + 1]], _fixed_spill(ids, first, trip, j), None, dep
+        yield scenario.cost.gamma_o * grid.gl_x, rows[cuts[j] : cuts[j + 1]], _fixed_spill(ids, first, trip, j), None, dep
 
 
 def _amsod_records(scenario: Scenario, demand: Demand):
