@@ -23,7 +23,7 @@ import numpy as np
 
 from .model import MetricSummary, Scenario, ScenarioError, ScenarioStats, require_valid
 from .model import scenario_from_dict, scenario_to_dict
-from .simulator import sample_demand, trip_records
+from .simulator import _amsod_columns, _fixed_columns, sample_demand
 
 MODES = ("fixed", "amsod")
 
@@ -43,58 +43,58 @@ TABLE_ROWS = METRICS[:7] + ("generalized_cost_diff", "passengers")
 HIST_BINS = 30
 
 
+def _summaries(table: np.ndarray) -> list:
+    """summarize of each row of a 2-D table, by one percentile call."""
+    return [MetricSummary(*map(float, row)) for row in np.percentile(table, [50.0, 2.5, 97.5], axis=1).T]  # (median, p2_5, p97_5)
+
+
 def summarize(values: Sequence[float]) -> MetricSummary:
     """Median and the empirical 2.5/97.5 percentiles (linear interpolation
     of order statistics)."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("empty input")
-    lo, med, hi = np.percentile(arr, [2.5, 50.0, 97.5])
-    return MetricSummary(median=float(med), p2_5=float(lo), p97_5=float(hi))
+    return _summaries(arr.reshape(1, -1))[0]
 
 
-def _window_metrics(scenario: Scenario, trips) -> dict:
-    """Aggregate one replication's trip records, each starting (c_o,
-    passenger rows (id, t_k, wait, ivtt, access)), to the reported metrics.
+def _window_metrics(scenario: Scenario, c_o, t_k, wait, ivtt, access) -> dict:
+    """Aggregate one replication of one mode to the reported metrics from
+    each trip's operator cost and the passengers' (t_k, wait, ivtt,
+    access) columns in trip, then boarding order.
 
     Averages cover passengers whose request time falls in the warm-up
     counting window and who were actually served; operator cost covers
-    every departure.  Sums run left to right in trip, then boarding order;
-    reported numbers depend on that order.
+    every departure.  Sums run left to right in trip, then boarding order,
+    as += runs them (np.cumsum; np.sum adds pairwise, and the builtin sum
+    compensates rounding from Python 3.12 on); reported numbers depend on
+    that order.
     """
     cost, svc = scenario.cost, scenario.service
     w0, w1 = svc.warmup_window
-    counted = 0
-    wait_sum = ivtt_sum = access_sum = 0.0
-    c_o = 0.0
-    for trip_c_o, rows, *_ in trips:
-        c_o += trip_c_o
-        for _, t_k, wait, ivtt, access in rows:
-            if w0 <= t_k < w1:
-                counted += 1
-                wait_sum += wait
-                ivtt_sum += ivtt
-                access_sum += access
+    counted = (w0 <= t_k) & (t_k < w1)
+    n = int(np.count_nonzero(counted))
+    wait_sum, ivtt_sum, access_sum, c_o = (float(np.cumsum(x)[-1]) if len(x) else 0.0 for x in (wait[counted], ivtt[counted], access[counted], c_o))
     c_a = cost.gamma_a * cost.vot * access_sum
     c_w = cost.gamma_w * cost.vot * wait_sum
     c_r = cost.gamma_r * cost.vot * ivtt_sum
     return {
-        "avg_wait_min": 60.0 * wait_sum / counted if counted else 0.0,
-        "avg_ivtt_min": 60.0 * ivtt_sum / counted if counted else 0.0,
+        "avg_wait_min": 60.0 * wait_sum / n if n else 0.0,
+        "avg_ivtt_min": 60.0 * ivtt_sum / n if n else 0.0,
         "access_cost": c_a,
         "waiting_cost": c_w,
         "riding_cost": c_r,
         "operator_cost": c_o,
         "generalized_cost": c_a + c_w + c_r + c_o,
-        "passengers": float(counted),
+        "passengers": float(n),
     }
 
 
 def replication_metrics(scenario: Scenario, requests, logs) -> dict:
     """Aggregate one replication's trip logs to the reported metrics by
-    run_scenario's own fold of the departure loops' rows.  requests is
-    unused (each row carries its t_k) and kept for positional callers."""
-    return _window_metrics(scenario, [(log.c_o, log.rows) for log in logs])
+    run_scenario's own fold, from the columns of the logs' rows.  requests
+    is unused (each row carries its t_k) and kept for positional callers."""
+    _, *columns = np.array([row for log in logs for row in log.rows], float).reshape(-1, 5).T
+    return _window_metrics(scenario, np.array([log.c_o for log in logs], float), *columns)
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ def replication_rng(entropy: tuple, rep: int) -> np.random.Generator:
 def _one_replication(args):
     fixed, amsod, entropy, rep = args
     demand = sample_demand(fixed.grid, fixed.service, replication_rng(entropy, rep))
-    return tuple(_window_metrics(scn, trip_records(scn, mode, demand)) for mode, scn in zip(MODES, (fixed, amsod)))
+    return tuple(_window_metrics(scn, *columns(scn, demand)) for columns, scn in ((_fixed_columns, fixed), (_amsod_columns, amsod)))
 
 
 def _check_workers(workers) -> None:
@@ -177,13 +177,14 @@ def _run_scenario(fixed, amsod, replications, seed, workers, pool) -> ScenarioRu
     else:  # one block of jobs per worker; map keeps job order
         with _pool(workers, J) if pool is None else nullcontext(pool) as pool:
             per_rep = list(pool.map(_one_replication, jobs, chunksize=-(-J // workers)))
-    stats = tuple(ScenarioStats(metrics={m: summarize([p[k][m] for p in per_rep]) for m in METRICS}) for k in (0, 1))
     delta = [a["generalized_cost"] - f["generalized_cost"] for f, a in per_rep]
+    *summaries, delta_tc = _summaries(np.array([[p[k][m] for p in per_rep] for k in (0, 1) for m in METRICS] + [delta]))
+    stats = tuple(ScenarioStats(metrics=dict(zip(METRICS, summaries[k * len(METRICS) :]))) for k in (0, 1))
     return ScenarioRun(
         scenario_name=fixed.name,
         modes=MODES,
         stats=stats,
-        delta_tc=summarize(delta),
+        delta_tc=delta_tc,
         delta_tc_values=tuple(delta),
         replications=J,
         seed=entropy,

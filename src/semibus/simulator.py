@@ -5,14 +5,15 @@ headway and always finish on the axis at the corridor end.  Two service
 modes share each demand realization; each has its own departure loop, in
 which trip i serves sub-route i mod n.  Both find with array operations
 the first trip that may take each request; what a trip does not serve
-waits for the sub-route's next trip.  A trip yields a row (id, t_k, wait,
-ivtt, access) per passenger in boarding order, its operator cost and a
-lazy iterator over its spilled ids.  simulate_requests and run_timeline
-(and so the trace) keep these rows in TripLogs, with the read spill and
-the on-demand route plan; experiments.run_scenario folds the rows
-straight into its window sums.  Only experiments._window_metrics weights
-the rows into costs, summing in trip, then boarding order; reported
-numbers depend on that order.
+waits for the sub-route's next trip.  trip_records yields per trip the
+operator cost, a row (id, t_k, wait, ivtt, access) per passenger in
+boarding order and a lazy iterator over the spilled ids; simulate_requests
+and run_timeline (and so the trace) keep them in TripLogs.
+experiments.run_scenario builds no rows: from the same loops,
+_fixed_columns and _amsod_columns give it each trip's operator cost and
+the passengers' t_k, wait, ivtt and access as arrays in trip, then
+boarding order.  Only experiments._window_metrics weights either into
+costs, summing in that order with np.cumsum; reported numbers depend on it.
 
 Demand travels as columns (Demand: id, x, y, t_k, home_stop) from the
 draw (sample_demand) to both loops.  Request objects appear only at
@@ -328,24 +329,22 @@ def _route_plan(depart: float, served, route) -> RoutePlan:
     )
 
 
-def _amsod_rows(served, route, cost: CostParams, svc: ServiceConfig) -> tuple:
-    """(c_o, passenger rows) of one on-demand trip from its served records
+def _amsod_rows(served, route, svc: ServiceConfig) -> list:
+    """The passenger rows of one on-demand trip from its served records
     (request_id, t_k, arrival, point) and route.
 
     Access is identically zero.  Wait runs from request time to the bus's
     arrival at the pickup point; in-vehicle time from when the bus leaves
     that point (so a lone passenger carries no dwell at all) to the
-    corridor end, express legs included.  Operator cost is per km over
-    the whole path.
+    corridor end, express legs included.
     """
-    start_x, end_x, d_y, express_legs, end_time = route
     rows = []
     for rid, t_k, arrival, _ in served:
         wait = arrival - t_k
         if wait < -1e-9:
             raise ValueError(f"negative wait for request {rid}: {wait}")
-        rows.append((rid, t_k, max(0.0, wait), max(0.0, end_time - arrival - svc.t_s_prime), 0.0))
-    return cost.gamma_o * (end_x - start_x + d_y + sum(length for length, _ in express_legs)), rows
+        rows.append((rid, t_k, max(0.0, wait), max(0.0, route[4] - arrival - svc.t_s_prime), 0.0))
+    return rows
 
 
 # --- request partitioning ----------------------------------------------------
@@ -383,20 +382,16 @@ def partition_parallel(requests: Sequence[Request], grid: GridGeometry, n_p: int
 # --- dispatch ----------------------------------------------------------------
 
 
-def _fixed_spill(ids: np.ndarray, first: np.ndarray, trip: np.ndarray, j: int):
+def _fixed_spill(ids: np.ndarray, key: np.ndarray, first: np.ndarray, trip: np.ndarray, j: int):
     """Lazily, the ids (in key order) that reached trip j but board later."""
-    yield from ids[(first <= j) & (trip > j)].tolist()
+    yield from ids[key[(first <= j) & (trip > j)]].tolist()
 
 
-def _fixed_records(scenario: Scenario, demand: Demand):
+def _fixed_assign(scenario: Scenario, demand: Demand) -> tuple:
     """Each trip boards, up to capacity, the spill of the trip before and
-    the requests whose first catchable departure it is, in (stop, ready
-    time, id) key order.
-
-    Per passenger: walk to the nearest stop, wait for the stop arrival,
-    then ride to the corridor end with one dwell per downstream stop.
-    Operator cost is the full corridor length regardless of boardings.
-    """
+    the requests whose first catchable departure it is, in (stop, ready,
+    id) key order.  Returns key, first and trip (n: never) in key order,
+    cuts, and board (boarding order) with its stop, wait and access."""
     grid, svc = scenario.grid, scenario.service
     sched = build_schedule(grid, svc)
     n, cap = len(sched.departures), svc.capacity
@@ -423,19 +418,34 @@ def _fixed_records(scenario: Scenario, demand: Demand):
     late = np.flatnonzero(wait < -1e-9)
     if late.size:
         raise ValueError(f"request {demand.id[board[late[0]]]} assigned to a departure it cannot catch")
+    return key, first, trip, cuts, board, stops[board], np.maximum(wait, 0.0), access[board]
+
+
+def _fixed_records(scenario: Scenario, demand: Demand):
+    """trip_records of the fixed route; a trip's operator cost is the full
+    corridor length regardless of boardings."""
+    key, first, trip, cuts, board, stop, wait, access = _fixed_assign(scenario, demand)
+    sched = build_schedule(scenario.grid, scenario.service)
     # object arrays: rows and spills share one int per id and one float per stop's ride
-    ids, rides = demand.id[key].astype(object), np.array(sched.ride_times, dtype=object)[stops[board]]
-    rows = list(zip(ids[boarded].tolist(), demand.t_k[board].tolist(), np.maximum(wait, 0.0).tolist(), rides.tolist(), access[board].tolist()))
+    ids, rides = demand.id.astype(object), np.array(sched.ride_times, dtype=object)[stop]
+    rows = list(zip(ids[board].tolist(), demand.t_k[board].tolist(), wait.tolist(), rides.tolist(), access.tolist()))
     for j, dep in enumerate(sched.departures):
-        yield scenario.cost.gamma_o * grid.gl_x, rows[cuts[j] : cuts[j + 1]], _fixed_spill(ids, first, trip, j), None, dep
+        yield scenario.cost.gamma_o * scenario.grid.gl_x, rows[cuts[j] : cuts[j + 1]], _fixed_spill(ids, key, first, trip, j), None, dep
 
 
-def _amsod_records(scenario: Scenario, demand: Demand):
+def _fixed_columns(scenario: Scenario, demand: Demand) -> tuple:
+    """Each trip's operator cost and the columns of _fixed_records' rows."""
+    _, _, _, cuts, board, stop, wait, access = _fixed_assign(scenario, demand)
+    rides = np.asarray(build_schedule(scenario.grid, scenario.service).ride_times)
+    return np.full(len(cuts) - 1, scenario.cost.gamma_o * scenario.grid.gl_x), demand.t_k[board], wait, rides[stop], access
+
+
+def _amsod_drives(scenario: Scenario, demand: Demand):
     """Each trip drives its sub-route's pending candidates, kept in one dict
     from cross-street x to a sorted list of (sx, sy, request_id, t_k); a
     request arrives at the first trip of its sub-route whose t_bound it
-    does not exceed."""
-    grid, svc, cost = scenario.grid, scenario.service, scenario.cost
+    does not exceed.  Yields (c_o, served, spilled, route, dep) per trip."""
+    grid, svc = scenario.grid, scenario.service
     sub, bounds = _sub_routes(demand, grid, svc.n_zones, svc.n_parallel)
     sx_all = _snap(demand.x, grid.l_x, tie_toward_zero=False)
     sy_all = _snap(demand.y, grid.l_y, tie_toward_zero=True)
@@ -457,12 +467,28 @@ def _amsod_records(scenario: Scenario, demand: Demand):
         for c in cands[cuts[i] : cuts[i + 1]]:
             insort(pending.setdefault(c[0], []), c)
         served, spilled, route = _drive(pending, dep, svc, start_x, end_x, express_len, cap)
-        yield (*_amsod_rows(served, route, cost, svc), spilled, (served, route), dep)
+        yield scenario.cost.gamma_o * (end_x - start_x + route[2] + sum(length for length, _ in route[3])), served, spilled, route, dep
         for rid, tk, _, (x, y) in served:  # after the yield: spilled reads the lists as the trip left them
             m = pending[x]
             del m[bisect_left(m, (x, y, rid, tk))]
             if not m:
                 del pending[x]
+
+
+def _amsod_columns(scenario: Scenario, demand: Demand) -> tuple:
+    """_fixed_columns on demand, by _amsod_rows' rules on arrays."""
+    c_o, served, end = [], [], []
+    for trip_c_o, trip, _, route, _ in _amsod_drives(scenario, demand):
+        c_o.append(trip_c_o)
+        served += trip
+        end += [route[4]] * len(trip)
+    t_k, arrival = (np.fromiter(map(itemgetter(i), served), float, len(served)) for i in (1, 2))
+    wait = arrival - t_k
+    late = np.flatnonzero(wait < -1e-9)
+    if late.size:
+        raise ValueError(f"negative wait for request {served[late[0]][0]}: {wait[late[0]]}")
+    ivtt = np.maximum(np.array(end) - arrival - scenario.service.t_s_prime, 0.0)  # max(0.0, x) as np.maximum(x, 0.0)
+    return np.array(c_o), t_k, np.maximum(wait, 0.0), ivtt, np.zeros(len(served))
 
 
 def trip_records(scenario: Scenario, mode: str, demand: Demand):
@@ -471,9 +497,12 @@ def trip_records(scenario: Scenario, mode: str, demand: Demand):
     cost, the passenger rows (id, t_k, wait, ivtt, access) in boarding
     order, a spilled-id iterator valid only until the loop resumes and, on
     demand, _drive's (served, route).  Unvalidated: callers validate."""
-    if mode not in ("fixed", "amsod"):
+    if mode == "fixed":
+        return _fixed_records(scenario, demand)
+    if mode != "amsod":
         raise ValueError(f"unknown mode {mode!r}")
-    return (_fixed_records if mode == "fixed" else _amsod_records)(scenario, demand)
+    drives = _amsod_drives(scenario, demand)  # c_o is per km over the whole path
+    return ((c_o, _amsod_rows(served, route, scenario.service), spilled, (served, route), dep) for c_o, served, spilled, route, dep in drives)
 
 
 def _trip_logs(scenario: Scenario, mode: str, demand: Demand):

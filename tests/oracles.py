@@ -4,8 +4,9 @@ No production path calls any of it: single-trip planning and costing
 from Request lists, zone slices, a Monte Carlo mean access time, the
 rectilinear length of a route plan, the brute-force zone count, the
 request ledger of a run's trip logs, the on-demand hourly cost composed
-from its closed-form terms, and the fixed-route departure loop as a
-sort-per-trip cohort loop with row-by-row costing.  The on-demand
+from its closed-form terms, the fixed-route departure loop as a
+sort-per-trip cohort loop with row-by-row costing, and the window fold
+of a replication's rows one tuple at a time.  The on-demand
 helpers reuse the simulator's private code, so a check built on them
 exercises the same rules the departure loop runs.
 """
@@ -55,11 +56,12 @@ def plan_amsod_route(requests: Sequence[Request], grid: GridGeometry, svc: Servi
 
 def evaluate_amsod_trip(plan: RoutePlan, cost: CostParams, svc: ServiceConfig, requests: Sequence[Request]) -> tuple:
     """(c_o, passenger rows (id, t_k, wait, ivtt, access)) of one on-demand
-    trip from its plan, by the on-demand loop's costing (_amsod_rows)."""
+    trip from its plan: per km over its path, and the on-demand loop's rows
+    (_amsod_rows)."""
     t_k = {r.id: r.t_k for r in requests}
     served = [(p.request_id, t_k[p.request_id], p.time, p.point) for p in plan.pickups]
     route = (plan.waypoints[0][0], plan.waypoints[-1][0], plan.d_y, plan.express_legs, plan.end_time)
-    return _amsod_rows(served, route, cost, svc)
+    return cost.gamma_o * (plan.d_x + plan.d_y + sum(length for length, _ in plan.express_legs)), _amsod_rows(served, route, svc)
 
 
 def _boarding_rows(demand: Demand, sched: FixedSchedule, grid: GridGeometry, svc: ServiceConfig) -> tuple:
@@ -116,6 +118,43 @@ def reference_fixed_records(scenario: Scenario, demand: Demand):
         cand = sorted(spilled + new)
         spilled = cand[svc.capacity :]
         yield (*_fixed_rows(cand[: svc.capacity], dep, sched, cost, grid), (c[2] for c in spilled), None, dep)
+
+
+def reference_window_metrics(scenario: Scenario, trips) -> dict:
+    """Aggregate one replication's trip records, each starting (c_o,
+    passenger rows (id, t_k, wait, ivtt, access)), to the reported metrics.
+
+    Averages cover passengers whose request time falls in the warm-up
+    counting window and who were actually served; operator cost covers
+    every departure.  Sums run left to right in trip, then boarding order;
+    reported numbers depend on that order.
+    """
+    cost, svc = scenario.cost, scenario.service
+    w0, w1 = svc.warmup_window
+    counted = 0
+    wait_sum = ivtt_sum = access_sum = 0.0
+    c_o = 0.0
+    for trip_c_o, rows, *_ in trips:
+        c_o += trip_c_o
+        for _, t_k, wait, ivtt, access in rows:
+            if w0 <= t_k < w1:
+                counted += 1
+                wait_sum += wait
+                ivtt_sum += ivtt
+                access_sum += access
+    c_a = cost.gamma_a * cost.vot * access_sum
+    c_w = cost.gamma_w * cost.vot * wait_sum
+    c_r = cost.gamma_r * cost.vot * ivtt_sum
+    return {
+        "avg_wait_min": 60.0 * wait_sum / counted if counted else 0.0,
+        "avg_ivtt_min": 60.0 * ivtt_sum / counted if counted else 0.0,
+        "access_cost": c_a,
+        "waiting_cost": c_w,
+        "riding_cost": c_r,
+        "operator_cost": c_o,
+        "generalized_cost": c_a + c_w + c_r + c_o,
+        "passengers": float(counted),
+    }
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
+import oracles as O
 from semibus import experiments as E
 from semibus import simulator
 from semibus.model import MetricSummary, ScenarioError
@@ -344,15 +345,73 @@ def _consumer_variants(scn):
 
 @pytest.mark.parametrize("name", ["model1", "model2", "cta126", "cta84"])
 def test_summing_consumer_equals_logging_consumer(request, name):
-    # run_scenario folds the trip rules' rows as they are yielded;
-    # replication_metrics folds the rows kept in simulate_requests'
-    # TripLogs.  Both must give the same floats.
+    # run_scenario folds the departure loops' columns; replication_metrics
+    # folds the rows kept in simulate_requests' TripLogs, and the oracle
+    # folds those rows one tuple at a time.  All must give the same floats.
     for label, scn in _consumer_variants(request.getfixturevalue(name)):
         for s in range(20):
             run = E.run_scenario(scn, replications=1, seed=(s,))
             reqs = sample_requests(scn.grid, scn.service, E.replication_rng((s,), 0))
-            ref = {mode: E.replication_metrics(scn, reqs, simulate_requests(scn, mode, reqs)) for mode in run.modes}
+            logs = {mode: simulate_requests(scn, mode, reqs) for mode in run.modes}
+            ref = {mode: E.replication_metrics(scn, reqs, logs[mode]) for mode in run.modes}
             for mode in run.modes:
                 got = {m: run.stats_for(mode).metrics[m].median for m in E.METRICS}
                 assert got == ref[mode], f"{label} seed {s} {mode}"
+                assert got == O.reference_window_metrics(scn, [(log.c_o, log.rows) for log in logs[mode]]), f"{label} seed {s} {mode}"
             assert run.delta_tc_values == (ref["amsod"]["generalized_cost"] - ref["fixed"]["generalized_cost"],)
+
+
+PASSENGER_METRICS = ("avg_wait_min", "avg_ivtt_min", "access_cost", "waiting_cost", "riding_cost", "passengers")
+
+
+@pytest.mark.parametrize("zonal", [False, True], ids=["model1", "model1-zonal3"])
+def test_draws_without_counted_passengers_cost_only_the_buses(model1, zonal):
+    # at lambda 0 no draw has a request; at 0.5/h some draws have requests
+    # but none in the counting window.  Their passenger metrics are exactly
+    # +0.0, and their cost is the operator's: the fixed route's as at the
+    # shipped lambda (it does not depend on demand), on demand that of an
+    # empty draw when the draw is empty (else the bus detours for requests
+    # outside the window).
+    svc = model1.service
+    if zonal:
+        svc = replace(svc, n_parallel=1, n_zones=3, v_h=60.0)
+    shipped = E.run_scenario(replace(model1, service=svc), replications=3, seed=5)
+    hits = 0
+    for lam in (0.0, 0.5):
+        scn = replace(model1, service=replace(svc, demand_rate=lam))
+        idle = {mode: O.reference_window_metrics(scn, [(log.c_o, log.rows) for log in simulate_requests(scn, mode, [])]) for mode in E.MODES}
+        assert idle["fixed"]["operator_cost"] == shipped.fixed.metrics["operator_cost"].median
+        if not zonal:  # the on-demand bus runs the fixed route's km
+            assert idle["amsod"]["operator_cost"] == idle["fixed"]["operator_cost"]
+        for s in range(30):
+            t_k = simulator.sample_demand(scn.grid, scn.service, E.replication_rng((s,), 0)).t_k
+            w0, w1 = scn.service.warmup_window
+            if ((w0 <= t_k) & (t_k < w1)).any():
+                continue
+            hits += len(t_k) > 0
+            run = E.run_scenario(scn, replications=1, seed=(s,))
+            for mode in E.MODES:
+                got = {m: run.stats_for(mode).metrics[m].median for m in E.METRICS}
+                assert [repr(got[m]) for m in PASSENGER_METRICS] == ["0.0"] * len(PASSENGER_METRICS), f"lambda {lam} seed {s} {mode}"
+                assert got["operator_cost"] == got["generalized_cost"], f"lambda {lam} seed {s} {mode}"
+                if mode == "fixed" or len(t_k) == 0:
+                    assert got["operator_cost"] == idle[mode]["operator_cost"], f"lambda {lam} seed {s} {mode}"
+    assert hits > 0  # some draw had requests, none of them counted
+
+
+@pytest.mark.parametrize("J", [1, 2, 7, 40])
+def test_batched_summaries_equal_summarize_per_column(model1, J):
+    run = E.run_scenario(model1, replications=J, seed=11)
+    assert run.delta_tc == E.summarize(run.delta_tc_values)
+    columns = {mode: {m: [] for m in E.METRICS} for mode in E.MODES}
+    for r in range(J):
+        reqs = sample_requests(model1.grid, model1.service, E.replication_rng(run.seed, r))
+        for mode in E.MODES:
+            metrics = O.reference_window_metrics(model1, [(log.c_o, log.rows) for log in simulate_requests(model1, mode, reqs)])
+            for m in E.METRICS:
+                columns[mode][m].append(metrics[m])
+    for mode in E.MODES:
+        for m in E.METRICS:
+            assert run.stats_for(mode).metrics[m] == E.summarize(columns[mode][m]), f"J={J} {mode} {m}"
+    with pytest.raises(ValueError, match="empty input"):
+        E.summarize([])
