@@ -83,7 +83,6 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .model import (
-    CostParams,
     GridGeometry,
     Pickup,
     Request,

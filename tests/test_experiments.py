@@ -343,6 +343,11 @@ def _consumer_variants(scn):
     yield "lam4x", replace(scn, service=replace(svc, demand_rate=4.0 * svc.demand_rate))
 
 
+def _reference_metrics(scn, logs):
+    """The oracle's tuple fold of TripLog rows."""
+    return O.reference_window_metrics(scn, [(log.c_o, log.rows) for log in logs])
+
+
 @pytest.mark.parametrize("name", ["model1", "model2", "cta126", "cta84"])
 def test_summing_consumer_equals_logging_consumer(request, name):
     # run_scenario folds the departure loops' columns; replication_metrics
@@ -357,7 +362,7 @@ def test_summing_consumer_equals_logging_consumer(request, name):
             for mode in run.modes:
                 got = {m: run.stats_for(mode).metrics[m].median for m in E.METRICS}
                 assert got == ref[mode], f"{label} seed {s} {mode}"
-                assert got == O.reference_window_metrics(scn, [(log.c_o, log.rows) for log in logs[mode]]), f"{label} seed {s} {mode}"
+                assert got == _reference_metrics(scn, logs[mode]), f"{label} seed {s} {mode}"
             assert run.delta_tc_values == (ref["amsod"]["generalized_cost"] - ref["fixed"]["generalized_cost"],)
 
 
@@ -376,16 +381,16 @@ def test_draws_without_counted_passengers_cost_only_the_buses(model1, zonal):
     if zonal:
         svc = replace(svc, n_parallel=1, n_zones=3, v_h=60.0)
     shipped = E.run_scenario(replace(model1, service=svc), replications=3, seed=5)
+    w0, w1 = svc.warmup_window
     hits = 0
     for lam in (0.0, 0.5):
         scn = replace(model1, service=replace(svc, demand_rate=lam))
-        idle = {mode: O.reference_window_metrics(scn, [(log.c_o, log.rows) for log in simulate_requests(scn, mode, [])]) for mode in E.MODES}
+        idle = {mode: _reference_metrics(scn, simulate_requests(scn, mode, [])) for mode in E.MODES}
         assert idle["fixed"]["operator_cost"] == shipped.fixed.metrics["operator_cost"].median
         if not zonal:  # the on-demand bus runs the fixed route's km
             assert idle["amsod"]["operator_cost"] == idle["fixed"]["operator_cost"]
         for s in range(30):
             t_k = simulator.sample_demand(scn.grid, scn.service, E.replication_rng((s,), 0)).t_k
-            w0, w1 = scn.service.warmup_window
             if ((w0 <= t_k) & (t_k < w1)).any():
                 continue
             hits += len(t_k) > 0
@@ -407,7 +412,7 @@ def test_batched_summaries_equal_summarize_per_column(model1, J):
     for r in range(J):
         reqs = sample_requests(model1.grid, model1.service, E.replication_rng(run.seed, r))
         for mode in E.MODES:
-            metrics = O.reference_window_metrics(model1, [(log.c_o, log.rows) for log in simulate_requests(model1, mode, reqs)])
+            metrics = _reference_metrics(model1, simulate_requests(model1, mode, reqs))
             for m in E.METRICS:
                 columns[mode][m].append(metrics[m])
     for mode in E.MODES:
