@@ -16,6 +16,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, astuple, dataclass, field, fields
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .model import MetricSummary, Scenario, ScenarioError, ScenarioStats, require_valid
 from .model import scenario_from_dict, scenario_to_dict
-from .simulator import _amsod_columns, _fixed_columns, sample_demand
+from .simulator import _amsod_columns, _amsod_drives, _fixed_columns, sample_demand
 
 MODES = ("fixed", "amsod")
 
@@ -57,9 +58,9 @@ def summarize(values: Sequence[float]) -> MetricSummary:
     return _summaries(arr.reshape(1, -1))[0]
 
 
-def _window_metrics(scenario: Scenario, c_o, t_k, wait, ivtt, access) -> dict:
+def _window_metrics(scenario: Scenario, c_o, passengers) -> dict:
     """Aggregate one replication of one mode to the reported metrics from
-    each trip's operator cost and the passengers' (t_k, wait, ivtt,
+    each trip's operator cost and the passengers' (id, t_k, wait, ivtt,
     access) columns in trip, then boarding order.
 
     Averages cover passengers whose request time falls in the warm-up
@@ -69,6 +70,7 @@ def _window_metrics(scenario: Scenario, c_o, t_k, wait, ivtt, access) -> dict:
     compensates rounding from Python 3.12 on); reported numbers depend on
     that order.
     """
+    _, t_k, wait, ivtt, access = passengers
     cost, svc = scenario.cost, scenario.service
     w0, w1 = svc.warmup_window
     counted = (w0 <= t_k) & (t_k < w1)
@@ -93,8 +95,8 @@ def replication_metrics(scenario: Scenario, requests, logs) -> dict:
     """Aggregate one replication's trip logs to the reported metrics by
     run_scenario's own fold, from the columns of the logs' rows.  requests
     is unused (each row carries its t_k) and kept for positional callers."""
-    _, *columns = np.array([row for log in logs for row in log.rows], float).reshape(-1, 5).T
-    return _window_metrics(scenario, np.array([log.c_o for log in logs], float), *columns)
+    rows = np.fromiter(chain.from_iterable(chain.from_iterable(log.rows for log in logs)), float).reshape(-1, 5)
+    return _window_metrics(scenario, np.array([log.c_o for log in logs], float), rows.T)
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,9 @@ def replication_rng(entropy: tuple, rep: int) -> np.random.Generator:
 def _one_replication(args):
     fixed, amsod, entropy, rep = args
     demand = sample_demand(fixed.grid, fixed.service, replication_rng(entropy, rep))
-    return tuple(_window_metrics(scn, *columns(scn, demand)) for columns, scn in ((_fixed_columns, fixed), (_amsod_columns, amsod)))
+    fixed_c_o, _, fixed_passengers, _ = _fixed_columns(fixed, demand)
+    amsod_c_o, _, amsod_passengers = _amsod_columns(amsod, _amsod_drives(amsod, demand))
+    return _window_metrics(fixed, fixed_c_o, fixed_passengers), _window_metrics(amsod, amsod_c_o, amsod_passengers)
 
 
 def _check_workers(workers) -> None:

@@ -5,15 +5,16 @@ headway and always finish on the axis at the corridor end.  Two service
 modes share each demand realization; each has its own departure loop, in
 which trip i serves sub-route i mod n.  Both find with array operations
 the first trip that may take each request; what a trip does not serve
-waits for the sub-route's next trip.  trip_records yields per trip the
-operator cost, a row (id, t_k, wait, ivtt, access) per passenger in
-boarding order and a lazy iterator over the spilled ids; simulate_requests
-and run_timeline (and so the trace) keep them in TripLogs.
-experiments.run_scenario builds no rows: from the same loops,
-_fixed_columns and _amsod_columns give it each trip's operator cost and
-the passengers' t_k, wait, ivtt and access as arrays in trip, then
-boarding order.  Only experiments._window_metrics weights either into
-costs, summing in that order with np.cumsum; reported numbers depend on it.
+waits for the sub-route's next trip.  Each mode costs its passengers in
+one place: _fixed_columns, and _amsod_columns over the trips _amsod_drives
+yields, return each trip's operator cost, the trip cuts and the boarded
+passengers' (id, t_k, wait, ivtt, access) columns in trip, then boarding
+order.  experiments.run_scenario folds them (only
+experiments._window_metrics weights them into costs, summing in that
+order with np.cumsum; reported numbers depend on it).  trip_records
+slices them into each trip's rows, yielded with its operator cost and
+its spilled ids as a list; simulate_requests and run_timeline (and so
+the trace) keep them in TripLogs.
 
 Demand travels as columns (Demand: id, x, y, t_k, home_stop) from the
 draw (sample_demand) to both loops.  Request objects appear only at
@@ -266,7 +267,7 @@ def _drive(streets: dict, depart: float, svc: ServiceConfig, start_x: float, end
     point is left for the next trip; ready candidates beyond capacity are
     spilled.  Returns (served, spilled_ids, route): served records
     (request_id, t_k, arrival, point) in boarding order, a lazy _spill that
-    only trip logs read, and (start_x, end_x, d_y, express_legs, end_time).
+    only trip_records reads, and (start_x, end_x, d_y, express_legs, end_time).
     """
     t = last_arrival = depart
     bx, by = start_x, 0.0
@@ -328,24 +329,6 @@ def _route_plan(depart: float, served, route) -> RoutePlan:
     )
 
 
-def _amsod_rows(served, route, svc: ServiceConfig) -> list:
-    """The passenger rows of one on-demand trip from its served records
-    (request_id, t_k, arrival, point) and route.
-
-    Access is identically zero.  Wait runs from request time to the bus's
-    arrival at the pickup point; in-vehicle time from when the bus leaves
-    that point (so a lone passenger carries no dwell at all) to the
-    corridor end, express legs included.
-    """
-    rows = []
-    for rid, t_k, arrival, _ in served:
-        wait = arrival - t_k
-        if wait < -1e-9:
-            raise ValueError(f"negative wait for request {rid}: {wait}")
-        rows.append((rid, t_k, max(0.0, wait), max(0.0, route[4] - arrival - svc.t_s_prime), 0.0))
-    return rows
-
-
 # --- request partitioning ----------------------------------------------------
 
 
@@ -381,16 +364,15 @@ def partition_parallel(requests: Sequence[Request], grid: GridGeometry, n_p: int
 # --- dispatch ----------------------------------------------------------------
 
 
-def _fixed_spill(ids: np.ndarray, key: np.ndarray, first: np.ndarray, trip: np.ndarray, j: int):
-    """Lazily, the ids (in key order) that reached trip j but board later."""
-    yield from ids[key[(first <= j) & (trip > j)]].tolist()
-
-
-def _fixed_assign(scenario: Scenario, demand: Demand) -> tuple:
-    """Each trip boards, up to capacity, the spill of the trip before and
-    the requests whose first catchable departure it is, in (stop, ready,
-    id) key order.  Returns key, first and trip (n: never) in key order,
-    cuts, and board (boarding order) with its stop, wait and access."""
+def _fixed_columns(scenario: Scenario, demand: Demand) -> tuple:
+    """The fixed route's departure loop.  Each trip boards, up to capacity,
+    the spill of the trip before and the requests whose first catchable
+    departure it is, in (stop, ready, id) key order; its operator cost is
+    the full corridor length regardless of boardings.  Returns each trip's
+    operator cost, the trip cuts, the boarded passengers' (id, t_k, wait,
+    ivtt, access) columns in trip, then boarding order, and lazily per trip
+    (spilled ids in key order, None, depart time), which run_scenario never
+    reads."""
     grid, svc = scenario.grid, scenario.service
     sched = build_schedule(grid, svc)
     n, cap = len(sched.departures), svc.capacity
@@ -417,26 +399,11 @@ def _fixed_assign(scenario: Scenario, demand: Demand) -> tuple:
     late = np.flatnonzero(wait < -1e-9)
     if late.size:
         raise ValueError(f"request {demand.id[board[late[0]]]} assigned to a departure it cannot catch")
-    return key, first, trip, cuts, board, stops[board], np.maximum(wait, 0.0), access[board]
-
-
-def _fixed_records(scenario: Scenario, demand: Demand):
-    """trip_records of the fixed route; a trip's operator cost is the full
-    corridor length regardless of boardings."""
-    key, first, trip, cuts, board, stop, wait, access = _fixed_assign(scenario, demand)
-    sched = build_schedule(scenario.grid, scenario.service)
     # object arrays: rows and spills share one int per id and one float per stop's ride
-    ids, rides = demand.id.astype(object), np.array(sched.ride_times, dtype=object)[stop]
-    rows = list(zip(ids[board].tolist(), demand.t_k[board].tolist(), wait.tolist(), rides.tolist(), access.tolist()))
-    for j, dep in enumerate(sched.departures):
-        yield scenario.cost.gamma_o * scenario.grid.gl_x, rows[cuts[j] : cuts[j + 1]], _fixed_spill(ids, key, first, trip, j), None, dep
-
-
-def _fixed_columns(scenario: Scenario, demand: Demand) -> tuple:
-    """Each trip's operator cost and the columns of _fixed_records' rows."""
-    _, _, _, cuts, board, stop, wait, access = _fixed_assign(scenario, demand)
-    rides = np.asarray(build_schedule(scenario.grid, scenario.service).ride_times)
-    return np.full(len(cuts) - 1, scenario.cost.gamma_o * scenario.grid.gl_x), demand.t_k[board], wait, rides[stop], access
+    ids, rides = demand.id.astype(object), np.array(sched.ride_times, dtype=object)
+    trips = ((ids[key[(first <= j) & (trip > j)]].tolist(), None, dep) for j, dep in enumerate(sched.departures))
+    passengers = ids[board], demand.t_k[board], np.maximum(wait, 0.0), rides[stops[board]], access[board]
+    return np.full(n, scenario.cost.gamma_o * grid.gl_x), cuts, passengers, trips
 
 
 def _amsod_drives(scenario: Scenario, demand: Demand):
@@ -474,34 +441,48 @@ def _amsod_drives(scenario: Scenario, demand: Demand):
                 del pending[x]
 
 
-def _amsod_columns(scenario: Scenario, demand: Demand) -> tuple:
-    """_fixed_columns on demand, by _amsod_rows' rules on arrays."""
-    c_o, served, end = [], [], []
-    for trip_c_o, trip, _, route, _ in _amsod_drives(scenario, demand):
+def _amsod_columns(scenario: Scenario, trips) -> tuple:
+    """The first three of _fixed_columns on demand, from the trips that
+    _amsod_drives yields.
+
+    Access is identically zero.  Wait runs from request time to the bus's
+    arrival at the pickup point; in-vehicle time from when the bus leaves
+    that point (so a lone passenger carries no dwell at all) to the
+    corridor end, express legs included.
+    """
+    c_o, served, end, cuts = [], [], [], [0]
+    for trip_c_o, trip, _, route, _ in trips:
         c_o.append(trip_c_o)
         served += trip
         end += [route[4]] * len(trip)
+        cuts.append(len(served))
+    ids = np.fromiter(map(itemgetter(0), served), object, len(served))  # the candidates' ints, as in the spills
     t_k, arrival = (np.fromiter(map(itemgetter(i), served), float, len(served)) for i in (1, 2))
     wait = arrival - t_k
     late = np.flatnonzero(wait < -1e-9)
     if late.size:
-        raise ValueError(f"negative wait for request {served[late[0]][0]}: {wait[late[0]]}")
+        raise ValueError(f"negative wait for request {ids[late[0]]}: {wait[late[0]]}")
     ivtt = np.maximum(np.array(end) - arrival - scenario.service.t_s_prime, 0.0)  # max(0.0, x) as np.maximum(x, 0.0)
-    return np.array(c_o), t_k, np.maximum(wait, 0.0), ivtt, np.zeros(len(served))
+    return np.array(c_o), cuts, (ids, t_k, np.maximum(wait, 0.0), ivtt, np.zeros(len(served)))
 
 
 def trip_records(scenario: Scenario, mode: str, demand: Demand):
-    """The departure loop of one mode over a demand realization.  It yields
-    per trip (c_o, rows, spilled_ids, drive, depart time): the operator
-    cost, the passenger rows (id, t_k, wait, ivtt, access) in boarding
-    order, a spilled-id iterator valid only until the loop resumes and, on
-    demand, _drive's (served, route).  Unvalidated: callers validate."""
+    """The departure loop of one mode over a demand realization, run when
+    called.  Yields per trip (c_o, rows, spilled_ids, drive, depart time):
+    the operator cost, the passenger rows (id, t_k, wait, ivtt, access) in
+    boarding order, sliced from the columns run_scenario folds, the list of
+    spilled ids and, on demand, _drive's (served, route).  Unvalidated:
+    callers validate."""
     if mode == "fixed":
-        return _fixed_records(scenario, demand)
-    if mode != "amsod":
+        c_o, cuts, passengers, trips = _fixed_columns(scenario, demand)
+    elif mode == "amsod":
+        drives = [(c_o, served, list(spilled), route, dep) for c_o, served, spilled, route, dep in _amsod_drives(scenario, demand)]  # each spill read before the loop resumes
+        c_o, cuts, passengers = _amsod_columns(scenario, drives)
+        trips = [(spilled, (served, route), dep) for _, served, spilled, route, dep in drives]
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    drives = _amsod_drives(scenario, demand)  # c_o is per km over the whole path
-    return ((c_o, _amsod_rows(served, route, scenario.service), spilled, (served, route), dep) for c_o, served, spilled, route, dep in drives)
+    rows = list(zip(*(column.tolist() for column in passengers)))
+    return ((trip_c_o, rows[cuts[j] : cuts[j + 1]], *trip) for j, (trip_c_o, trip) in enumerate(zip(c_o.tolist(), trips)))
 
 
 def _trip_logs(scenario: Scenario, mode: str, demand: Demand):

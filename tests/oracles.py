@@ -1,14 +1,16 @@
 """Reference code the tests compare the package against.
 
 No production path calls any of it: single-trip planning and costing
-from Request lists, zone slices, a Monte Carlo mean access time, the
-rectilinear length of a route plan, the brute-force zone count, the
-request ledger of a run's trip logs, the on-demand hourly cost composed
-from its closed-form terms, the fixed-route departure loop as a
-sort-per-trip cohort loop with row-by-row costing, and the window fold
-of a replication's rows one tuple at a time.  The on-demand
-helpers reuse the simulator's private code, so a check built on them
-exercises the same rules the departure loop runs.
+from Request lists, an on-demand trip's passenger rows costed one
+served record at a time (_amsod_rows), zone slices, a Monte Carlo mean
+access time, the rectilinear length of a route plan, the brute-force
+zone count, the request ledger of a run's trip logs, the on-demand
+hourly cost composed from its closed-form terms, the fixed-route
+departure loop as a sort-per-trip cohort loop with row-by-row costing,
+and the window fold of a replication's rows one tuple at a time.  The
+on-demand planning helpers reuse the simulator's routing code (_drive,
+_route_plan), so a check built on them drives the routes the departure
+loop drives; the costing here is this module's own.
 """
 import math
 from bisect import insort
@@ -24,7 +26,6 @@ from semibus.simulator import (
     FixedSchedule,
     SeedLike,
     TripLog,
-    _amsod_rows,
     _demand,
     _drive,
     _nearest_stops,
@@ -54,10 +55,27 @@ def plan_amsod_route(requests: Sequence[Request], grid: GridGeometry, svc: Servi
     return _route_plan(depart_time, served, route)
 
 
+def _amsod_rows(served, route, svc: ServiceConfig) -> list:
+    """The passenger rows of one on-demand trip from its served records
+    (request_id, t_k, arrival, point) and route.
+
+    Access is identically zero.  Wait runs from request time to the bus's
+    arrival at the pickup point; in-vehicle time from when the bus leaves
+    that point (so a lone passenger carries no dwell at all) to the
+    corridor end, express legs included.
+    """
+    rows = []
+    for rid, t_k, arrival, _ in served:
+        wait = arrival - t_k
+        if wait < -1e-9:
+            raise ValueError(f"negative wait for request {rid}: {wait}")
+        rows.append((rid, t_k, max(0.0, wait), max(0.0, route[4] - arrival - svc.t_s_prime), 0.0))
+    return rows
+
+
 def evaluate_amsod_trip(plan: RoutePlan, cost: CostParams, svc: ServiceConfig, requests: Sequence[Request]) -> tuple:
     """(c_o, passenger rows (id, t_k, wait, ivtt, access)) of one on-demand
-    trip from its plan: per km over its path, and the on-demand loop's rows
-    (_amsod_rows)."""
+    trip from its plan: per km over its path, and the rows of _amsod_rows."""
     t_k = {r.id: r.t_k for r in requests}
     served = [(p.request_id, t_k[p.request_id], p.time, p.point) for p in plan.pickups]
     route = (plan.waypoints[0][0], plan.waypoints[-1][0], plan.d_y, plan.express_legs, plan.end_time)

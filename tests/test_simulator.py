@@ -432,26 +432,61 @@ def test_fixed_spill_fifo(model1):
     assert first.spilled_ids == (2,)
 
 
+def _variant(scn, variant):
+    """scn with its service at one of the named settings."""
+    svc = scn.service
+    settings = {
+        "shipped": svc,
+        "zonal3": replace(svc, n_parallel=1, n_zones=3, v_h=60.0),
+        "parallel2": replace(svc, n_parallel=2, n_zones=1),
+        "cap5_200": replace(svc, capacity=5, demand_rate=200.0),
+        "lambda480": replace(svc, demand_rate=480.0),
+    }
+    return replace(scn, service=settings[variant])
+
+
 @pytest.mark.parametrize("setting", ["shipped", "cap5_200", "lambda480"])
 @pytest.mark.parametrize("name", ["model1", "model2", "cta126", "cta84"])
 def test_fixed_matches_cohort_reference(request, name, setting):
     # every trip's operator cost, rows, spill and departure equal the
     # sort-per-trip cohort loop's, with no tolerance
-    scn = request.getfixturevalue(name)
-    svc = {
-        "shipped": scn.service,
-        "cap5_200": replace(scn.service, capacity=5, demand_rate=200.0),
-        "lambda480": replace(scn.service, demand_rate=480.0),
-    }[setting]
-    scn = replace(scn, service=svc)
+    scn = _variant(request.getfixturevalue(name), setting)
     spills = 0
     for seed in range(10):
-        demand = S.sample_demand(scn.grid, svc, seed)
+        demand = S.sample_demand(scn.grid, scn.service, seed)
         got = [(c_o, rows, list(spilled), dep) for c_o, rows, spilled, _, dep in S.trip_records(scn, "fixed", demand)]
         want = [(c_o, rows, list(spilled), dep) for c_o, rows, spilled, _, dep in O.reference_fixed_records(scn, demand)]
         assert got == want, seed
         spills += sum(len(trip[2]) for trip in got)
     assert spills or setting == "shipped"  # the loaded settings spill
+
+
+@pytest.mark.parametrize("name, variant", [("model1", "shipped"), ("model1", "zonal3"), ("model1", "parallel2"), ("cta126", "lambda480")])
+def test_amsod_rows_match_row_by_row_reference(request, name, variant):
+    # every on-demand trip's rows equal the oracle's row-by-row costing of
+    # the trip's own drive, signed zeros included
+    scn = _variant(request.getfixturevalue(name), variant)
+    rows = 0
+    for seed in range(5):
+        demand = S.sample_demand(scn.grid, scn.service, seed)
+        for _, got, _, drive, _ in S.trip_records(scn, "amsod", demand):
+            assert repr(got) == repr(O._amsod_rows(*drive, scn.service)), seed
+            rows += len(got)
+    assert rows
+
+
+@pytest.mark.parametrize("mode", ["fixed", "amsod"])
+@pytest.mark.parametrize("name, variant", [("cta126", "lambda480"), ("model1", "cap5_200")])
+def test_spills_do_not_depend_on_when_they_are_read(request, name, variant, mode):
+    # collecting every trip first gives the spills that reading each trip's
+    # spill before the loop advances gives, trip for trip and in order
+    scn = _variant(request.getfixturevalue(name), variant)
+    for seed in range(3):
+        demand = S.sample_demand(scn.grid, scn.service, seed)
+        collected = [list(spilled) for _, _, spilled, _, _ in list(S.trip_records(scn, mode, demand))]
+        read = [list(spilled) for _, _, spilled, _, _ in S.trip_records(scn, mode, demand)]
+        assert collected == read, seed
+        assert any(read), seed  # the loaded settings spill
 
 
 def test_simulated_means_near_analytic(model1):
