@@ -65,17 +65,18 @@ def _window_metrics(scenario: Scenario, c_o, passengers) -> dict:
 
     Averages cover passengers whose request time falls in the warm-up
     counting window and who were actually served; operator cost covers
-    every departure.  Sums run left to right in trip, then boarding order,
-    as += runs them (np.cumsum; np.sum adds pairwise, and the builtin sum
-    compensates rounding from Python 3.12 on); reported numbers depend on
-    that order.
+    every departure.  The three passenger sums are one np.cumsum along the
+    stacked counted columns, each still left to right in trip, then boarding
+    order, as += runs them (np.sum adds pairwise, and the builtin sum
+    compensates rounding from Python 3.12 on); reported numbers depend on it.
     """
     _, t_k, wait, ivtt, access = passengers
     cost, svc = scenario.cost, scenario.service
     w0, w1 = svc.warmup_window
     counted = (w0 <= t_k) & (t_k < w1)
     n = int(np.count_nonzero(counted))
-    wait_sum, ivtt_sum, access_sum, c_o = (float(np.cumsum(x)[-1]) if len(x) else 0.0 for x in (wait[counted], ivtt[counted], access[counted], c_o))
+    wait_sum, ivtt_sum, access_sum = np.cumsum(np.array((wait[counted], ivtt[counted], access[counted]), float), axis=1)[:, -1].tolist() if n else (0.0,) * 3
+    c_o = float(np.cumsum(c_o)[-1]) if len(c_o) else 0.0
     c_a = cost.gamma_a * cost.vot * access_sum
     c_w = cost.gamma_w * cost.vot * wait_sum
     c_r = cost.gamma_r * cost.vot * ivtt_sum

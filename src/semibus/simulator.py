@@ -168,15 +168,19 @@ def _grid_arrays(grid: GridGeometry) -> tuple:
 
 def _sample_positions(grid: GridGeometry, n: int, rng: np.random.Generator):
     """Draw n demand points: stop by weight, then uniform around the stop,
-    redrawn until its rectilinear offset fits the catchment, on the corridor."""
+    redrawn until its rectilinear offset fits the catchment, on the corridor.
+    A round over m points maps one rng.random(2 * m) as Generator.uniform maps
+    the same doubles (low + (high - low) * u), so dx and y are bitwise
+    uniform(-h, h, m) then uniform(-g, g), generator state included, without
+    uniform's array-bound overhead; this is numpy's arithmetic (CI pins 2.4.6)."""
     cdf, chainage, gl_y, _ = _grid_arrays(grid)
     stops = cdf.searchsorted(rng.random(n), side="right")
-    chain, gl = chainage[stops], gl_y[stops]
+    chain, gl, h = chainage[stops], gl_y[stops], grid.d_xs / 2.0
     x, y, left = np.empty(n), np.empty(n), np.arange(n)  # left: points still to draw
-    while left.size:
-        dx = rng.uniform(-grid.d_xs / 2.0, grid.d_xs / 2.0, left.size)
-        g = gl[left]
-        y[left] = yt = rng.uniform(-g, g)
+    while m := left.size:
+        u, g = rng.random(2 * m), gl[left]
+        dx = -h + (h - -h) * u[:m]
+        y[left] = yt = -g + (g - -g) * u[m:]
         x[left] = xt = chain[left] + dx
         left = left[(np.abs(dx) + np.abs(yt) > g) | (xt < 0.0) | (xt > grid.gl_x)]
     return x, y, stops
@@ -202,8 +206,8 @@ def _nearest_stops(grid: GridGeometry, x: np.ndarray) -> tuple:
     distance; ties go downstream."""
     chainage = _grid_arrays(grid)[1]
     pos = np.searchsorted(chainage, x)
-    pos_lo = np.clip(pos - 1, 0, grid.n_stops - 1)
-    pos_hi = np.clip(pos, 0, grid.n_stops - 1)
+    pos_lo = np.maximum(pos - 1, 0)  # np.clip costs several times np.maximum on small arrays
+    pos_hi = np.minimum(pos, grid.n_stops - 1)
     left = np.abs(x - chainage[pos_lo])
     right = np.abs(chainage[pos_hi] - x)
     down = right <= left
@@ -347,10 +351,10 @@ def _sub_routes(demand: Demand, grid: GridGeometry, n_zones: int, n_parallel: in
     gl = _grid_arrays(grid)[2][demand.home_stop]
     w = 2.0 * gl / n_parallel
     r = (demand.y + gl) / w
-    k = np.round(r)
+    k = np.rint(r)  # half to even, as np.round
     edge = (np.abs(r - k) < 1e-9) & (0 < k) & (k < n_parallel)
     lower = 2 * k >= n_parallel  # edge k lies on or above the axis
-    return np.clip(np.where(edge, np.where(lower, k - 1, k), np.floor(r)), 0, n_parallel - 1).astype(int), bounds
+    return np.minimum(np.maximum(np.where(edge, np.where(lower, k - 1, k), np.floor(r)), 0), n_parallel - 1).astype(int), bounds
 
 
 def partition_parallel(requests: Sequence[Request], grid: GridGeometry, n_p: int) -> list:

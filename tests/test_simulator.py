@@ -11,6 +11,7 @@ from pytest import approx
 
 import oracles as O
 from semibus import simulator as S
+from semibus.experiments import replication_rng
 from semibus.model import GridGeometry, Request
 
 
@@ -55,19 +56,26 @@ def test_request_counts_match_poisson_moments(model1):
 def _reference_positions(grid, n, rng):
     """The sampler written with Generator.choice for the stops and a
     rejection loop that rescans every point after each redraw."""
+    return _reference_rounds(grid, n, rng)[:3]
+
+
+def _reference_rounds(grid, n, rng):
+    """_reference_positions' (x, y, stops) and the number of rounds it drew."""
     weights = np.asarray(grid.stop_weights, dtype=float)
     stops = rng.choice(grid.n_stops, size=n, p=weights / weights.sum())
     chain, gl = np.asarray(grid.stop_chainages)[stops], np.asarray(grid.gl_y)[stops]
     dx = rng.uniform(-grid.d_xs / 2.0, grid.d_xs / 2.0, n)
     y = rng.uniform(-gl, gl)
     bad = (np.abs(dx) + np.abs(y) > gl) | (chain + dx < 0.0) | (chain + dx > grid.gl_x)
+    rounds = 1
     while bad.any():
+        rounds += 1
         idx = np.nonzero(bad)[0]
         dx[idx] = rng.uniform(-grid.d_xs / 2.0, grid.d_xs / 2.0, idx.size)
         y[idx] = rng.uniform(-gl[idx], gl[idx])
         x = chain[idx] + dx[idx]
         bad[idx] = (np.abs(dx[idx]) + np.abs(y[idx]) > gl[idx]) | (x < 0.0) | (x > grid.gl_x)
-    return chain + dx, y, stops
+    return chain + dx, y, stops, rounds
 
 
 @pytest.mark.parametrize("name", ["model1", "model2", "cta126", "cta84"])
@@ -79,6 +87,63 @@ def test_stop_draws_match_generator_choice(request, name):
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
         assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_no_draw_for_no_points(cta84):
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    assert all(a.size == 0 for a in S._sample_positions(cta84.grid, 0, rng))
+    assert rng.bit_generator.state == state
+
+
+def test_many_rejection_rounds_match_reference(cta126):
+    """cta126's catchment is a diamond half the area of its square draw,
+    so 1,440 points take many rounds, the last ones over a few points."""
+    a, b = replication_rng((1729,), 0), replication_rng((1729,), 0)
+    got = S._sample_positions(cta126.grid, 1440, a)
+    *want, rounds = _reference_rounds(cta126.grid, 1440, b)
+    assert rounds >= 8
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_one_random_call_per_round_equals_two_uniform_calls(cta84):
+    """numpy's Generator.uniform maps next_double as low + (high - low) * u,
+    so one random(2m) carries both of a round's uniform draws bit for bit."""
+    h, widths = cta84.grid.d_xs / 2.0, np.unique(cta84.grid.gl_y)
+    assert widths.tolist() == [0.2, 0.4, 0.8]
+    cases = np.random.default_rng(99)
+    for seed in range(300):
+        m = int(cases.integers(1, 301))
+        g = cases.choice(widths, m)
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        u = a.random(2 * m)
+        dx, y = -h + (h - -h) * u[:m], -g + (g - -g) * u[m:]
+        assert dx.tobytes() == b.uniform(-h, h, m).tobytes()
+        assert y.tobytes() == b.uniform(-g, g).tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+def _brute_nearest(chainage, x):
+    """The stop with the smallest |x - chainage| for each x, the last of
+    equals on a tie (downstream), and that distance."""
+    dist = np.abs(x[:, None] - chainage[None, :])
+    stop = len(chainage) - 1 - np.argmin(dist[:, ::-1], axis=1)
+    return stop, dist[np.arange(len(x)), stop]
+
+
+@pytest.mark.parametrize("name", ["model1", "model2", "cta126", "cta84"])
+def test_nearest_stops_match_brute_force(request, name):
+    grid = request.getfixturevalue(name).grid
+    chainage = np.asarray(grid.stop_chainages)
+    x = np.concatenate([chainage, (chainage[:-1] + chainage[1:]) / 2.0, [0.0, grid.gl_x], np.random.default_rng(4).uniform(0.0, grid.gl_x, 1000)])
+    stop, dist = S._nearest_stops(grid, x)
+    want_stop, want_dist = _brute_nearest(chainage, x)
+    assert np.array_equal(stop, want_stop)
+    assert np.array_equal(dist, want_dist)
+    mid = x[len(chainage) : 2 * len(chainage) - 1]
+    assert (np.abs(mid - chainage[:-1]) == np.abs(chainage[1:] - mid)).any()  # some midpoints are exact ties, so the downstream rule is exercised
 
 
 def _copy_grid(grid):
