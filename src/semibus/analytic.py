@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -35,53 +35,42 @@ _SQRT_PI = math.sqrt(math.pi)
 
 @dataclass(frozen=True)
 class Dispersion:
-    """Perpendicular spread of demand around the route axis."""
+    """Perpendicular spread of demand around the route axis, held as the
+    one number the cost formulas read: md, the mean absolute difference of
+    two independent draws, in km."""
 
-    kind: str  # "uniform" | "normal" | "empirical"
-    a: float = 0.0
-    b: float = 0.0
-    sigma: float = 0.0
-    samples: tuple = ()
+    md: float
 
     @classmethod
     def uniform(cls, a: float, b: float) -> "Dispersion":
+        """uniform(a, b): md = (b - a)/3."""
         if not a < b:
             raise ValueError(f"uniform dispersion requires a < b, got ({a}, {b})")
-        return cls("uniform", a=a, b=b)
+        return cls((b - a) / 3.0)
 
     @classmethod
     def normal(cls, sigma: float) -> "Dispersion":
+        """normal(sigma): md = 2*sigma/sqrt(pi)."""
         if not sigma > 0:
             raise ValueError(f"normal dispersion requires sigma > 0, got {sigma}")
-        return cls("normal", sigma=sigma)
+        return cls(2.0 * sigma / _SQRT_PI)
 
     @classmethod
-    def empirical(cls, samples: Sequence[float]) -> "Dispersion":
-        samples = tuple(float(s) for s in samples)
-        if len(samples) < 2:
+    def empirical(cls, samples: Iterable[float]) -> "Dispersion":
+        """The all-pairs estimator (every ordered pair i != j) of any
+        iterable of samples, computed in O(n log n) from the sorted sample."""
+        y = np.sort(np.fromiter(samples, float))
+        n = y.size
+        if n < 2:
             raise ValueError("empirical dispersion requires at least 2 samples")
-        return cls("empirical", samples=samples)
+        # sum over i<j of (y_j - y_i) = sum_k (2k - n + 1) * y_(k)
+        coeff = 2.0 * np.arange(n) - (n - 1)
+        return cls(2.0 * float(np.dot(coeff, y)) / (n * (n - 1)))
 
 
 def mean_abs_diff(d: Dispersion) -> float:
-    """Mean absolute difference of two independent draws, in km.
-
-    uniform(a, b) -> (b - a)/3;  normal(sigma) -> 2*sigma/sqrt(pi);
-    empirical -> the all-pairs estimator (every ordered pair i != j),
-    computed in O(n log n) from the sorted sample.
-    """
-    if d.kind == "uniform":
-        return (d.b - d.a) / 3.0
-    if d.kind == "normal":
-        return 2.0 * d.sigma / _SQRT_PI
-    if d.kind == "empirical":
-        y = np.sort(np.asarray(d.samples, dtype=float))
-        n = y.size
-        # sum over i<j of (y_j - y_i) = sum_k (2k - n + 1) * y_(k)
-        coeff = 2.0 * np.arange(n) - (n - 1)
-        pair_sum = float(np.dot(coeff, y))
-        return 2.0 * pair_sum / (n * (n - 1))
-    raise ValueError(f"unknown dispersion kind {d.kind!r}")
+    """Mean absolute difference of two independent draws, in km."""
+    return d.md
 
 
 def expected_wait(headway: float, headway_variance: float) -> float:

@@ -67,25 +67,18 @@ def screen_row(scenario: Scenario) -> dict:
 
 def write_screen_ranking(rows: list, out_dir) -> Path:
     """Write screen_ranking.csv: screen_row results, given in rank order, at full precision."""
-    path = Path(out_dir) / "screen_ranking.csv"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write("rank,scenario,si,md_km,mean_access_min,demand_bound_per_hour\n")
-        for i, row in enumerate(rows, start=1):
-            fh.write(
-                f"{i},{row['scenario']},{row['si']!r},{row['md_km']!r},"
-                f"{row['mean_access_min']!r},{row['demand_bound_per_hour']!r}\n"
-            )
-    return path
+    keys = ("si", "md_km", "mean_access_min", "demand_bound_per_hour")
+    lines = [[str(i), row["scenario"], *(repr(row[k]) for k in keys)] for i, row in enumerate(rows, start=1)]
+    return experiments.write_csv(Path(out_dir) / "screen_ranking.csv", [["rank", "scenario", *keys], *lines])
 
 
 def cmd_analytic(args) -> int:
     scenario = resolve_scenario(args.scenario)
     if args.v_h is not None:
         scenario = require_valid(replace(scenario, service=replace(scenario.service, v_h=args.v_h)))
-    row = screen_row(scenario)
-    md, mean_access = row["md_km"], row["mean_access_min"] / 60.0
     svc = scenario.service
+    row = screen_row(scenario)
+    md, mean_access = row["md_km"], analytic.screening_mean_access(svc)
     n_p = svc.n_parallel if svc.n_parallel > 1 else 2
     par = analytic.parallel_metrics(scenario.cost, svc, md, mean_access, n_p)
 
@@ -101,20 +94,15 @@ def cmd_analytic(args) -> int:
     if svc.v_h is not None and svc.demand_rate > 0:
         plan = analytic.zonal_plan(scenario.cost, scenario.grid, svc, md, args.n_max)
         print(f"zones n_o           {plan.n_opt} (continuous {sig4(plan.n_continuous)})")
+        table = [
+            {"n": n, "wait": r.wait, "ride": r.ride, "operator": r.operator, "total": r.total}
+            for n, r in enumerate(plan.table, start=1)
+        ]
         print("n  zone_headway_min  wait  ride  operator  total  ($/h)")
-        for n, rowz in enumerate(plan.table, start=1):
-            print(
-                f"{n}  {sig4(n * svc.headway * 60)}  {sig4(rowz.wait)}  {sig4(rowz.ride)}"
-                f"  {sig4(rowz.operator)}  {sig4(rowz.total)}"
-            )
-        report["zonal"] = {
-            "n_opt": plan.n_opt,
-            "n_continuous": plan.n_continuous,
-            "table": [
-                {"n": n, "wait": r.wait, "ride": r.ride, "operator": r.operator, "total": r.total}
-                for n, r in enumerate(plan.table, start=1)
-            ],
-        }
+        for r in table:
+            cells = [r["n"] * svc.headway * 60] + [r[k] for k in ("wait", "ride", "operator", "total")]
+            print(f"{r['n']}  " + "  ".join(map(sig4, cells)))
+        report["zonal"] = {"n_opt": plan.n_opt, "n_continuous": plan.n_continuous, "table": table}
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -138,7 +138,7 @@ def _one_replication(args):
     fixed, amsod, entropy, rep = args
     demand = sample_demand(fixed.grid, fixed.service, replication_rng(entropy, rep))
     fixed_c_o, _, fixed_passengers, _ = _fixed_columns(fixed, demand)
-    amsod_c_o, _, amsod_passengers = _amsod_columns(amsod, _amsod_drives(amsod, demand))
+    amsod_c_o, _, amsod_passengers, _ = _amsod_columns(amsod, _amsod_drives(amsod, demand))
     return _window_metrics(fixed, fixed_c_o, fixed_passengers), _window_metrics(amsod, amsod_c_o, amsod_passengers)
 
 
@@ -315,6 +315,14 @@ def run_to_dict(run: ScenarioRun) -> dict:
     }
 
 
+def write_csv(path: Path, rows) -> Path:
+    """Write rows of pre-formatted cells as comma-joined lines to path,
+    creating its directory; returns path."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("".join(",".join(row) + "\n" for row in rows), newline="")
+    return path
+
+
 def emit_report(run: ScenarioRun, out_dir: Union[str, Path], fmt: str = "csv") -> list:
     """Write the scenario report; returns the written paths.
 
@@ -337,35 +345,24 @@ def emit_report(run: ScenarioRun, out_dir: Union[str, Path], fmt: str = "csv") -
     if fmt == "json":
         return written
 
-    table_path = out_dir / f"{name}_table.csv"
-    with open(table_path, "w", newline="") as fh:
-        fh.write("metric," + ",".join(run.modes) + "\n")
-        for row in TABLE_ROWS:
-            if row == "generalized_cost_diff":
-                cells = [_cell(run.delta_tc), ""]
-            else:
-                cells = [_cell(stats.metrics[row]) for stats in run.stats]
-            fh.write(row + "," + ",".join(f'"{c}"' if c else "" for c in cells) + "\n")
-    written.append(table_path)
+    table = [["metric", *run.modes]]
+    for row in TABLE_ROWS:
+        if row == "generalized_cost_diff":
+            cells = [_cell(run.delta_tc), ""]
+        else:
+            cells = [_cell(stats.metrics[row]) for stats in run.stats]
+        table.append([row] + [f'"{c}"' if c else "" for c in cells])
+    written.append(write_csv(out_dir / f"{name}_table.csv", table))
 
     counts, edges = delta_tc_histogram(run.delta_tc_values)
-    hist_path = out_dir / f"{name}_delta_tc_hist.csv"
-    with open(hist_path, "w", newline="") as fh:
-        fh.write("bin_left,bin_right,count\n")
-        for i, c in enumerate(counts):
-            fh.write(f"{edges[i]!r},{edges[i + 1]!r},{int(c)}\n")
-    written.append(hist_path)
+    hist = [[repr(edges[i]), repr(edges[i + 1]), str(int(c))] for i, c in enumerate(counts)]
+    written.append(write_csv(out_dir / f"{name}_delta_tc_hist.csv", [["bin_left", "bin_right", "count"], *hist]))
     return written
 
 
 def emit_sweep(result: SweepResult, scenario_name: str, out_dir: Union[str, Path]) -> Path:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{scenario_name}_{result.dimension}_sweep.csv"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(f.name for f in fields(SweepRow)) + "\n")
-        for row in result.rows:
-            value, *medians = astuple(row)
-            cell = sig4(value) if float(sig4(value)) == value else repr(value)  # float(cell) == value
-            fh.write(",".join([cell] + [repr(m) for m in medians]) + "\n")
-    return path
+    rows = [[f.name for f in fields(SweepRow)]]
+    for value, *medians in map(astuple, result.rows):
+        cell = sig4(value) if float(sig4(value)) == value else repr(value)  # float(cell) == value
+        rows.append([cell] + [repr(m) for m in medians])
+    return write_csv(Path(out_dir) / f"{scenario_name}_{result.dimension}_sweep.csv", rows)

@@ -7,14 +7,14 @@ which trip i serves sub-route i mod n.  Both find with array operations
 the first trip that may take each request; what a trip does not serve
 waits for the sub-route's next trip.  Each mode costs its passengers in
 one place: _fixed_columns, and _amsod_columns over the trips _amsod_drives
-yields, return each trip's operator cost, the trip cuts and the boarded
+yields, return each trip's operator cost, the trip cuts, the boarded
 passengers' (id, t_k, wait, ivtt, access) columns in trip, then boarding
-order.  experiments.run_scenario folds them (only
-experiments._window_metrics weights them into costs, summing in that
-order with np.cumsum; reported numbers depend on it).  trip_records
-slices them into each trip's rows, yielded with its operator cost and
-its spilled ids as a list; simulate_requests and run_timeline (and so
-the trace) keep them in TripLogs.
+order, and per trip (spilled ids, drive, depart time).  run_scenario folds
+the columns (only experiments._window_metrics weights them into costs,
+summing in that order with np.cumsum; reported numbers depend on it) and
+never reads a spill.  trip_records slices the columns into each trip's
+rows, yielded with its operator cost and its spilled ids as a list;
+simulate_requests and run_timeline (and so the trace) keep them in TripLogs.
 
 Demand travels as columns (Demand: id, x, y, t_k, home_stop) from the
 draw (sample_demand) to both loops.  Request objects appear only at
@@ -38,7 +38,7 @@ amsod (semi-on-demand)
     pickup never lies behind the start or past the end of the bus's run.
     Requests are visited in x order; between consecutive points the bus
     turns off at the current cross-street, covers the y difference, then
-    runs forward along the grid (y-then-x).  Several requests snapped to
+    runs forward along the grid (y-then-x, _walk).  Several requests snapped to
     one cross-street are served in a single sweep, entering from the side
     whose extreme lies further from the axis.  Each sub-route keeps its
     pending requests in one dict from cross-street x to a sorted list of
@@ -304,26 +304,35 @@ def _drive(streets: dict, depart: float, svc: ServiceConfig, start_x: float, end
     return served, spilled, (start_x, end_x, d_y, express_legs, end_time)
 
 
+def _walk(start_x: float, points: Sequence[tuple], end_x: float):
+    """The y-then-x lattice path of a trip from (start_x, 0) through points
+    (cover the y difference on the current cross-street, then run forward in
+    x) to the axis at end_x.  Yields (waypoint, index of the first point it
+    reaches, or None at a plain corner and at the end), the start first; a
+    point where the bus already is adds no waypoint."""
+    bx, by = start_x, 0.0
+    yield (bx, by), 0 if points and points[0] == (bx, by) else None  # a first pickup at the start
+    for i, (sx, sy) in enumerate([*points, (end_x, 0.0)]):
+        if sy != by and sx != bx:
+            yield (bx, sy), None
+        if sy != by or sx != bx:
+            yield (sx, sy), i if i < len(points) else None
+        bx, by = sx, sy
+
+
 def _route_plan(depart: float, served, route) -> RoutePlan:
-    """The RoutePlan of a trip driven by _drive: y-then-x moves through the
+    """The RoutePlan of a trip driven by _drive: the _walk through the
     served points, then to the axis at the corridor end."""
     start_x, end_x, d_y, express_legs, end_time = route
     points = [point for _, _, _, point in served]
     dwells = [i == 0 or p != points[i - 1] for i, p in enumerate(points)]  # consecutive passengers share one
-    waypoints, (bx, by) = [(start_x, 0.0)], (start_x, 0.0)
-    for sx, sy in points + [(end_x, 0.0)]:
-        if sy != by:
-            waypoints.append((bx, sy))
-        if sx != bx:
-            waypoints.append((sx, sy))
-        bx, by = sx, sy
     n = sum(dwells)
     pickups = tuple(
         Pickup(request_id=rid, time=arrival, point=point, remaining_stops=n - k)
         for (rid, _, arrival, point), k in zip(served, accumulate(dwells))
     )
     return RoutePlan(
-        waypoints=tuple(waypoints),
+        waypoints=tuple(wp for wp, _ in _walk(start_x, points, end_x)),
         d_x=end_x - start_x,
         d_y=d_y,
         pickups=pickups,
@@ -445,21 +454,22 @@ def _amsod_drives(scenario: Scenario, demand: Demand):
                 del pending[x]
 
 
-def _amsod_columns(scenario: Scenario, trips) -> tuple:
-    """The first three of _fixed_columns on demand, from the trips that
-    _amsod_drives yields.
+def _amsod_columns(scenario: Scenario, drives) -> tuple:
+    """_fixed_columns' four items on demand, from the trips _amsod_drives
+    yields; per trip, its (spilled, (served, route), depart time) as given.
 
     Access is identically zero.  Wait runs from request time to the bus's
     arrival at the pickup point; in-vehicle time from when the bus leaves
     that point (so a lone passenger carries no dwell at all) to the
     corridor end, express legs included.
     """
-    c_o, served, end, cuts = [], [], [], [0]
-    for trip_c_o, trip, _, route, _ in trips:
+    c_o, served, end, cuts, trips = [], [], [], [0], []
+    for trip_c_o, trip, spilled, route, dep in drives:
         c_o.append(trip_c_o)
         served += trip
         end += [route[4]] * len(trip)
         cuts.append(len(served))
+        trips.append((spilled, (trip, route), dep))
     ids = np.fromiter(map(itemgetter(0), served), object, len(served))  # the candidates' ints, as in the spills
     t_k, arrival = (np.fromiter(map(itemgetter(i), served), float, len(served)) for i in (1, 2))
     wait = arrival - t_k
@@ -467,7 +477,7 @@ def _amsod_columns(scenario: Scenario, trips) -> tuple:
     if late.size:
         raise ValueError(f"negative wait for request {ids[late[0]]}: {wait[late[0]]}")
     ivtt = np.maximum(np.array(end) - arrival - scenario.service.t_s_prime, 0.0)  # max(0.0, x) as np.maximum(x, 0.0)
-    return np.array(c_o), cuts, (ids, t_k, np.maximum(wait, 0.0), ivtt, np.zeros(len(served)))
+    return np.array(c_o), cuts, (ids, t_k, np.maximum(wait, 0.0), ivtt, np.zeros(len(served))), trips
 
 
 def trip_records(scenario: Scenario, mode: str, demand: Demand):
@@ -479,10 +489,9 @@ def trip_records(scenario: Scenario, mode: str, demand: Demand):
     callers validate."""
     if mode == "fixed":
         c_o, cuts, passengers, trips = _fixed_columns(scenario, demand)
-    elif mode == "amsod":
-        drives = [(c_o, served, list(spilled), route, dep) for c_o, served, spilled, route, dep in _amsod_drives(scenario, demand)]  # each spill read before the loop resumes
-        c_o, cuts, passengers = _amsod_columns(scenario, drives)
-        trips = [(spilled, (served, route), dep) for _, served, spilled, route, dep in drives]
+    elif mode == "amsod":  # each spill read into a list before _amsod_drives resumes
+        drives = ((c, served, list(spilled), route, dep) for c, served, spilled, route, dep in _amsod_drives(scenario, demand))
+        c_o, cuts, passengers, trips = _amsod_columns(scenario, drives)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     rows = list(zip(*(column.tolist() for column in passengers)))
@@ -512,8 +521,9 @@ def run_timeline(scenario: Scenario, mode: str, seed: SeedLike) -> list:
 def write_trace(logs: Sequence[TripLog], svc: ServiceConfig, path: Union[str, Path]) -> None:
     """Per-trip waypoint trace as CSV: trip, time_h, x_km, y_km, event.
 
-    Pickup waypoints use the recorded pickup times (then dwell once per
-    point); plain corners are interpolated at street speed.
+    Rows follow each trip's _walk through its pickup points: a waypoint
+    that reaches a point takes its recorded pickup time (then dwells once
+    per point); plain corners are interpolated at street speed.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -522,30 +532,21 @@ def write_trace(logs: Sequence[TripLog], svc: ServiceConfig, path: Union[str, Pa
             plan = log.plan
             if plan is None:
                 continue
-            # distinct pickup stops in visit order; a lattice point may be
-            # revisited later as a plain corner, so match positionally
-            stops = []
-            for p in plan.pickups:
-                if not stops or stops[-1][0] != p.point:
-                    stops.append((p.point, p.time))
-            nxt = 0
+            pickups, start = plan.pickups, plan.waypoints[0]
 
             def row(t, x, y, event):
                 writer.writerow([log.trip_index, f"{t:.6f}", f"{x:.4f}", f"{y:.4f}", event])
 
-            t = plan.depart_time
-            prev = None
-            for wp in plan.waypoints:
-                if prev is not None:
-                    t += (abs(wp[0] - prev[0]) + abs(wp[1] - prev[1])) / svc.v_d
-                if nxt < len(stops) and wp == stops[nxt][0]:
-                    t = stops[nxt][1]
+            t, prev = plan.depart_time, start
+            for wp, i in _walk(start[0], [p.point for p in pickups], plan.waypoints[-1][0]):
+                t += (abs(wp[0] - prev[0]) + abs(wp[1] - prev[1])) / svc.v_d
+                if i is None:
+                    row(t, wp[0], wp[1], "move")
+                else:
+                    t = pickups[i].time
                     row(t, wp[0], wp[1], "pickup")
                     row(t + svc.t_s_prime, wp[0], wp[1], "dwell")
                     t += svc.t_s_prime
-                    nxt += 1
-                else:
-                    row(t, wp[0], wp[1], "move")
                 prev = wp
             for length, _speed in plan.express_legs:
                 row(plan.end_time, prev[0] + length, 0.0, "express")

@@ -7,15 +7,19 @@ access time, the rectilinear length of a route plan, the brute-force
 zone count, the request ledger of a run's trip logs, the on-demand
 hourly cost composed from its closed-form terms, the fixed-route
 departure loop as a sort-per-trip cohort loop with row-by-row costing,
-and the window fold of a replication's rows one tuple at a time.  The
+the window fold of a replication's rows one tuple at a time, and the
+waypoint trace read from a plan's waypoints with pickups matched by
+position.  The
 on-demand planning helpers reuse the simulator's routing code (_drive,
 _route_plan), so a check built on them drives the routes the departure
 loop drives; the costing here is this module's own.
 """
+import csv
 import math
 from bisect import insort
 from dataclasses import dataclass
-from typing import Sequence
+from pathlib import Path
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -258,3 +262,45 @@ def one_zone_cost(cost: CostParams, grid: GridGeometry, svc: ServiceConfig, md: 
     wait = cost.gamma_w * cost.vot * lam * expected_wait(h, var)
     ride = cost.gamma_r * cost.vot * lam * expected_ivtt_amsod(grid.gl_x, svc.v_d, svc.t_s_prime, lam * h, md)
     return wait, ride, cost.gamma_o * (grid.gl_x / h + lam * md)
+
+
+def reference_trace(logs: Sequence[TripLog], svc: ServiceConfig, path: Union[str, Path]) -> None:
+    """Per-trip waypoint trace as CSV: trip, time_h, x_km, y_km, event.
+
+    Pickup waypoints use the recorded pickup times (then dwell once per
+    point); plain corners are interpolated at street speed.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["trip", "time_h", "x_km", "y_km", "event"])
+        for log in logs:
+            plan = log.plan
+            if plan is None:
+                continue
+            # distinct pickup stops in visit order; a lattice point may be
+            # revisited later as a plain corner, so match positionally
+            stops = []
+            for p in plan.pickups:
+                if not stops or stops[-1][0] != p.point:
+                    stops.append((p.point, p.time))
+            nxt = 0
+
+            def row(t, x, y, event):
+                writer.writerow([log.trip_index, f"{t:.6f}", f"{x:.4f}", f"{y:.4f}", event])
+
+            t = plan.depart_time
+            prev = None
+            for wp in plan.waypoints:
+                if prev is not None:
+                    t += (abs(wp[0] - prev[0]) + abs(wp[1] - prev[1])) / svc.v_d
+                if nxt < len(stops) and wp == stops[nxt][0]:
+                    t = stops[nxt][1]
+                    row(t, wp[0], wp[1], "pickup")
+                    row(t + svc.t_s_prime, wp[0], wp[1], "dwell")
+                    t += svc.t_s_prime
+                    nxt += 1
+                else:
+                    row(t, wp[0], wp[1], "move")
+                prev = wp
+            for length, _speed in plan.express_legs:
+                row(plan.end_time, prev[0] + length, 0.0, "express")

@@ -84,6 +84,13 @@ def test_mean_abs_diff_empirical_large_sample():
     assert A.mean_abs_diff(A.Dispersion.empirical(ys)) == approx(1.0, rel=0.01)
 
 
+def test_empirical_dispersion_reads_any_iterable():
+    ys = [0.3, -1.2, 2.5, 0.0, 0.7, 0.7]
+    want = A.mean_abs_diff(A.Dispersion.empirical(ys))
+    for samples in (tuple(ys), np.array(ys), (y for y in ys)):
+        assert A.mean_abs_diff(A.Dispersion.empirical(samples)) == want
+
+
 def test_dispersion_validation():
     with pytest.raises(ValueError):
         A.Dispersion.uniform(1.0, 1.0)

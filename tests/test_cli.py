@@ -5,7 +5,7 @@ import pytest
 
 from semibus import analytic
 from semibus.cli import bundled_path, main
-from semibus.model import load_scenario
+from semibus.model import load_scenario, save_scenario
 
 
 def test_analytic_model1_report(capsys):
@@ -34,6 +34,19 @@ def test_analytic_json_zonal_table_is_zonal_plan(tmp_path, capsys):
     # printed rows start with n and the zone headway n * 15 min
     rows = capsys.readouterr().out.splitlines()[-4:]
     assert [row.split()[:2] for row in rows] == [["1", "15"], ["2", "30"], ["3", "45"], ["4", "60"]]
+
+
+def test_analytic_parallel_figures_use_the_screening_access(tmp_path, capsys):
+    # this s_o / 2 does not survive the trip through minutes (* 60 / 60)
+    base = load_scenario(bundled_path("model1"))
+    path = tmp_path / "scenario.json"
+    save_scenario(replace(base, service=replace(base.service, s_o=2 * 0.035191402383526194)), path)
+    assert main(["analytic", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "model1_analytic.json").read_text())
+    scenario = load_scenario(path)
+    md, mean_access = analytic.screening_dispersion(scenario.grid), analytic.screening_mean_access(scenario.service)
+    par = analytic.parallel_metrics(scenario.cost, scenario.service, md, mean_access, 2)
+    assert (report["si_p"], report["parallel_bound"]) == (par.si, par.demand_bound)
 
 
 def test_screen_ranking(capsys):

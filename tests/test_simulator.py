@@ -591,6 +591,41 @@ def test_write_trace(tmp_path, model1):
         by_trip[trip] = t
 
 
+TRACE_VARIANTS = {  # 3 zones run express legs; 480/h fills trips
+    "shipped": {},
+    "zonal3": {"n_parallel": 1, "n_zones": 3, "v_h": 60.0},
+    "bands2": {"n_zones": 1, "n_parallel": 2},
+    "lam480": {"demand_rate": 480.0},
+}
+
+
+def assert_trace_matches_reference(logs, svc, tmp_path) -> str:
+    S.write_trace(logs, svc, tmp_path / "got.csv")
+    O.reference_trace(logs, svc, tmp_path / "want.csv")
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    return got.decode()
+
+
+@pytest.mark.parametrize("variant", sorted(TRACE_VARIANTS))
+@pytest.mark.parametrize("corridor", ["model1", "model2", "cta126", "cta84"])
+def test_write_trace_matches_positional_reference(request, tmp_path, corridor, variant):
+    base = request.getfixturevalue(corridor)
+    scn = replace(base, service=replace(base.service, **TRACE_VARIANTS[variant]))
+    for seed in (1, 2, 3):
+        assert_trace_matches_reference(S.run_timeline(scn, "amsod", seed), scn.service, tmp_path)
+        fixed = assert_trace_matches_reference(S.run_timeline(scn, "fixed", seed), scn.service, tmp_path)
+        assert fixed == "trip,time_h,x_km,y_km,event\r\n"
+
+
+def test_write_trace_first_pickup_at_the_start(tmp_path, model1):
+    # both snap to the terminal (0, 0): the first pickup is the start, and they share it
+    logs = S.simulate_requests(model1, "amsod", [Request(0, 0.05, 0.02, 0.0, 0), Request(1, 0.05, 0.02, 0.0, 0)])
+    assert [p.point for p in logs[0].plan.pickups] == [(0.0, 0.0)] * 2
+    rows = assert_trace_matches_reference(logs, model1.service, tmp_path).splitlines()
+    assert rows[1:3] == ["0,0.000000,0.0000,0.0000,pickup", f"0,{model1.service.t_s_prime:.6f},0.0000,0.0000,dwell"]
+
+
 def test_sampled_mean_access_matches_quadrature(model1):
     got = O.sampled_mean_access(model1.grid, model1.service, n_samples=400_000, seed=1729)
     gl = model1.grid.max_gl_y
