@@ -355,7 +355,7 @@ def emit_report(run: ScenarioRun, out_dir: Union[str, Path], fmt: str = "csv") -
     written.append(write_csv(out_dir / f"{name}_table.csv", table))
 
     counts, edges = delta_tc_histogram(run.delta_tc_values)
-    hist = [[repr(edges[i]), repr(edges[i + 1]), str(int(c))] for i, c in enumerate(counts)]
+    hist = [[repr(float(edges[i])), repr(float(edges[i + 1])), str(int(c))] for i, c in enumerate(counts)]
     written.append(write_csv(out_dir / f"{name}_delta_tc_hist.csv", [["bin_left", "bin_right", "count"], *hist]))
     return written
 

@@ -119,6 +119,26 @@ def test_simulate_runtime_error_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+def test_written_files_hold_plain_numbers(tmp_path):
+    # numpy 2 reprs its scalars as np.float64(...), which no CSV reader parses
+    out = tmp_path / "out"
+    for name in ("model1", "model2", "cta126", "cta84"):
+        assert main(["simulate", "--scenario", name, "--replications", "3", "--trace", "--out", str(out)]) == 0
+        assert main(["analytic", "--scenario", name, "--v-h", "50", "--out", str(out)]) == 0
+    assert main(["screen", "--scenario", "cta126", "model1", "cta84", "model2", "--out", str(out)]) == 0
+    assert main(["sweep", "--scenario", "model1", "--dimension", "capacity", "--values", "10,20", "--replications", "2", "--out", str(out)]) == 0
+    data = bundled_path("cta126").parent / "cta126_boardings.csv"
+    assert main(["ingest", "--data", str(data), "--route-id", "126", "--template", "cta126", "--out", str(out / "ingested.json")]) == 0
+    written = sorted(out.iterdir())
+    assert len(written) == 23
+    assert [p.name for p in written if "np." in p.read_text()] == []
+    hists = [p for p in written if p.name.endswith("_delta_tc_hist.csv")]
+    assert len(hists) == 4
+    for path in hists:
+        for line in path.read_text().splitlines()[1:]:
+            [float(cell) for cell in line.split(",")]
+
+
 def test_sweep_cli(tmp_path, capsys):
     rc = main(
         [
