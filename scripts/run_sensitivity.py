@@ -33,8 +33,8 @@ def main() -> None:
         result = sweep(spec, workers=args.workers)
         path = emit_sweep(result, scenario.name, out)
         print(f"{spec.dimension} sweep -> {path}")
-        for row in result.rows:
-            print(f"  {sig4(row.value):>6s}  delta_tc {sig4(row.delta_tc_median):>8s}")
+        for value, run in zip(result.values, result.runs):
+            print(f"  {sig4(value):>6s}  delta_tc {sig4(run.delta_tc.median):>8s}")
 
 
 if __name__ == "__main__":

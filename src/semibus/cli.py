@@ -29,7 +29,7 @@ from pathlib import Path
 from . import analytic, experiments, ingest
 from .experiments import sig4
 from .model import Scenario, ScenarioError, load_scenario, require_valid, save_scenario, scenario_problems
-from .simulator import run_timeline, write_trace
+from .simulator import sample_demand, write_trace
 
 BUNDLED = ("model1", "model2", "cta126", "cta84")
 
@@ -145,10 +145,9 @@ def cmd_simulate(args) -> int:
     d = run.delta_tc
     print(f"delta_tc {sig4(d.median)} ({sig4(d.p2_5)} - {sig4(d.p97_5)})")
     if args.trace:
-        logs = run_timeline(scenario, "amsod", experiments.replication_rng(run.seed, 0))
-        trace_path = Path(args.out) / f"{scenario.name}_trace.csv"
-        write_trace(logs, scenario.service, trace_path)
-        paths.append(trace_path)
+        demand = sample_demand(scenario.grid, scenario.service, experiments.replication_rng(run.seed, 0))
+        paths.append(Path(args.out) / f"{scenario.name}_trace.csv")
+        write_trace(scenario, demand, paths[-1])
     for p in paths:
         print(f"wrote {p}")
     return 0
@@ -165,8 +164,8 @@ def cmd_sweep(args) -> int:
     result = experiments.sweep(spec, seed=args.seed, workers=args.workers)
     path = experiments.emit_sweep(result, scenario.name, args.out)
     print(f"{args.dimension:<9s} delta_tc_median")
-    for row in result.rows:
-        print(f"{sig4(row.value):<9s} {sig4(row.delta_tc_median)}")
+    for value, run in zip(result.values, result.runs):
+        print(f"{sig4(value):<9s} {sig4(run.delta_tc.median)}")
     print(f"wrote {path}")
     return 0
 

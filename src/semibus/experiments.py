@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -170,7 +171,7 @@ def _run_scenario(fixed, amsod, replications, seed, workers, pool) -> ScenarioRu
     demand is drawn from fixed), on pool when given (sweep shares one),
     else on its own."""
     J = fixed.replications if replications is None else replications
-    if isinstance(J, bool) or not float(J).is_integer() or J < 1:
+    if isinstance(J, bool) or not isinstance(J, numbers.Real) or not float(J).is_integer() or J < 1:
         raise ValueError(f"replications must be an integer >= 1, got {J!r}")
     J = int(J)
     entropy = _entropy(fixed.seed if seed is None else seed)
@@ -226,20 +227,10 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    value: float
-    delta_tc_median: float
-    fixed_wait_min: float
-    fixed_ivtt_min: float
-    amsod_wait_min: float
-    amsod_ivtt_min: float
-
-
-@dataclass(frozen=True)
 class SweepResult:
     dimension: str
-    rows: tuple
-    runs: tuple
+    values: tuple  # the spec's values
+    runs: tuple  # ScenarioRun per value, same order
 
 
 def sweep(spec: SweepSpec, seed=None, workers: int = 1) -> SweepResult:
@@ -257,24 +248,12 @@ def sweep(spec: SweepSpec, seed=None, workers: int = 1) -> SweepResult:
     base = spec.scenario
     entropy = _entropy(base.seed if seed is None else seed)
     _check_workers(workers)
-    rows = []
     runs = []
     with _pool(workers, spec.replications) if workers > 1 else nullcontext() as pool:
-        for idx, (value, swept) in enumerate(zip(spec.values, spec.points)):
+        for idx, swept in enumerate(spec.points):
             fixed = base if spec.dimension == "capacity" else swept
-            run = _run_scenario(fixed, swept, spec.replications, entropy + (idx,), workers, pool)
-            rows.append(
-                SweepRow(
-                    value=value,
-                    delta_tc_median=run.delta_tc.median,
-                    fixed_wait_min=run.fixed.metrics["avg_wait_min"].median,
-                    fixed_ivtt_min=run.fixed.metrics["avg_ivtt_min"].median,
-                    amsod_wait_min=run.amsod.metrics["avg_wait_min"].median,
-                    amsod_ivtt_min=run.amsod.metrics["avg_ivtt_min"].median,
-                )
-            )
-            runs.append(run)
-    return SweepResult(dimension=spec.dimension, rows=tuple(rows), runs=tuple(runs))
+            runs.append(_run_scenario(fixed, swept, spec.replications, entropy + (idx,), workers, pool))
+    return SweepResult(dimension=spec.dimension, values=spec.values, runs=tuple(runs))
 
 
 # --- report emission ---------------------------------------------------------
@@ -361,8 +340,11 @@ def emit_report(run: ScenarioRun, out_dir: Union[str, Path], fmt: str = "csv") -
 
 
 def emit_sweep(result: SweepResult, scenario_name: str, out_dir: Union[str, Path]) -> Path:
-    rows = [[f.name for f in fields(SweepRow)]]
-    for value, *medians in map(astuple, result.rows):
+    """Write <scenario>_<dimension>_sweep.csv: per value, the run's median
+    cost difference and each mode's median wait and ride, at full precision."""
+    rows = [["value", "delta_tc_median", "fixed_wait_min", "fixed_ivtt_min", "amsod_wait_min", "amsod_ivtt_min"]]
+    for value, run in zip(result.values, result.runs):
         cell = sig4(value) if float(sig4(value)) == value else repr(value)  # float(cell) == value
-        rows.append([cell] + [repr(m) for m in medians])
+        summaries = [run.delta_tc] + [stats.metrics[m] for stats in (run.fixed, run.amsod) for m in METRICS[:2]]
+        rows.append([cell, *(repr(s.median) for s in summaries)])
     return write_csv(Path(out_dir) / f"{scenario_name}_{result.dimension}_sweep.csv", rows)

@@ -22,6 +22,7 @@ DEFAULT_REPLICATIONS = 10_000
 
 _WEIGHT_TOL = 1e-9
 _FLOAT_MAX = sys.float_info.max
+_INFINITE = frozenset((float("inf"), float("-inf")))
 
 
 class ScenarioError(ValueError):
@@ -267,20 +268,24 @@ _PARSE = {section: _parse_rules(cls, table) for section, (cls, table) in _SCHEMA
 
 
 def _sign_problems(section: str, obj) -> list:
-    """Violations of the table's count and sign rules; a per-stop tuple reports its first bad value."""
+    """Violations of the table's count, finiteness and sign rules, one per field: +-inf is a
+    non-finite number (as at parse), else a per-stop tuple reports its first bad value."""
     out = []
     for field, family, _, sign in _SCHEMA[section][1]:
         value = getattr(obj, field)
         if family is _COUNT and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
             out.append(Violation(f"{section}.{field}", "non-integer count", detail=f"value {value!r}"))
             continue
-        if sign is None:
-            continue
-        test, rule = sign
-        for v in value if isinstance(value, tuple) else (value,):
-            if not test(v):
-                out.append(Violation(f"{section}.{field}", rule, detail=f"value {v!r}"))
-                break
+        values = value if isinstance(value, tuple) else (value,)
+        if not _INFINITE.isdisjoint(values):  # one scan in C, not a test per value
+            inf = next(v for v in values if v in _INFINITE)
+            out.append(Violation(f"{section}.{field}", "non-finite number", detail=f"value {inf!r}"))
+        elif sign is not None:
+            test, rule = sign
+            for v in values:
+                if not test(v):
+                    out.append(Violation(f"{section}.{field}", rule, detail=f"value {v!r}"))
+                    break
     return out
 
 
@@ -290,6 +295,7 @@ def validate_scenario(cost: CostParams, grid: GridGeometry, svc: ServiceConfig) 
     Side-effect free and idempotent.  "catchment exceeds walk reach" is a
     warning, not an error: widening s_o is a legitimate design (wide
     catchments simply imply long walks for the fixed-route baseline).
+    +-inf that a field's own rule below refuses reports that rule alone.
     """
     out = _sign_problems("cost", cost) + _sign_problems("grid", grid) + _sign_problems("service", svc)
 
@@ -330,7 +336,7 @@ def validate_scenario(cost: CostParams, grid: GridGeometry, svc: ServiceConfig) 
                     detail=f"s_o*v_w = {svc.s_o * svc.v_w:.3f} km < max gl_y = {grid.max_gl_y:.3f} km",
                 )
             )
-    return out
+    return [v for v in out if v.rule != "non-finite number" or not any(w.field == v.field and w is not v for w in out)]
 
 
 def scenario_problems(scenario: Scenario) -> list:

@@ -14,7 +14,8 @@ the columns (only experiments._window_metrics weights them into costs,
 summing in that order with np.cumsum; reported numbers depend on it) and
 never reads a spill.  trip_records slices the columns into each trip's
 rows, yielded with its operator cost and its spilled ids as a list;
-simulate_requests and run_timeline (and so the trace) keep them in TripLogs.
+simulate_requests and run_timeline keep them in TripLogs.  write_trace
+walks the trips _amsod_drives yields.
 
 Demand travels as columns (Demand: id, x, y, t_k, home_stop) from the
 draw (sample_demand) to both loops.  Request objects appear only at
@@ -518,35 +519,33 @@ def run_timeline(scenario: Scenario, mode: str, seed: SeedLike) -> list:
     return list(_trip_logs(scenario, mode, sample_demand(scenario.grid, scenario.service, seed)))
 
 
-def write_trace(logs: Sequence[TripLog], svc: ServiceConfig, path: Union[str, Path]) -> None:
-    """Per-trip waypoint trace as CSV: trip, time_h, x_km, y_km, event.
+def write_trace(scenario: Scenario, demand: Demand, path: Union[str, Path]) -> None:
+    """The on-demand waypoint trace of one demand realization as CSV: trip
+    (departure index), time_h, x_km, y_km, event.
 
-    Rows follow each trip's _walk through its pickup points: a waypoint
-    that reaches a point takes its recorded pickup time (then dwells once
-    per point); plain corners are interpolated at street speed.
+    Rows follow each trip's _walk through its served points: a waypoint that
+    reaches a point takes that passenger's arrival (then dwells once per
+    point); plain corners are interpolated at street speed.
     """
+    svc, drives = scenario.service, _amsod_drives(require_valid(scenario), demand)  # validated before the file opens
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["trip", "time_h", "x_km", "y_km", "event"])
-        for log in logs:
-            plan = log.plan
-            if plan is None:
-                continue
-            pickups, start = plan.pickups, plan.waypoints[0]
+        for trip, (_, served, _, (start_x, end_x, _, express_legs, end_time), dep) in enumerate(drives):
 
             def row(t, x, y, event):
-                writer.writerow([log.trip_index, f"{t:.6f}", f"{x:.4f}", f"{y:.4f}", event])
+                writer.writerow([trip, f"{t:.6f}", f"{x:.4f}", f"{y:.4f}", event])
 
-            t, prev = plan.depart_time, start
-            for wp, i in _walk(start[0], [p.point for p in pickups], plan.waypoints[-1][0]):
+            t, prev = dep, (start_x, 0.0)
+            for wp, i in _walk(start_x, [point for *_, point in served], end_x):
                 t += (abs(wp[0] - prev[0]) + abs(wp[1] - prev[1])) / svc.v_d
                 if i is None:
                     row(t, wp[0], wp[1], "move")
                 else:
-                    t = pickups[i].time
+                    t = served[i][2]
                     row(t, wp[0], wp[1], "pickup")
                     row(t + svc.t_s_prime, wp[0], wp[1], "dwell")
                     t += svc.t_s_prime
                 prev = wp
-            for length, _speed in plan.express_legs:
-                row(plan.end_time, prev[0] + length, 0.0, "express")
+            for length, _speed in express_legs:
+                row(end_time, prev[0] + length, 0.0, "express")

@@ -158,15 +158,15 @@ def demand_sweep(model1):
 
 def test_criterion_7_sensitivity_shape(capacity_sweep, demand_sweep):
     with criterion(7, "sensitivity shapes"):
-        by_cap = {row.value: row.delta_tc_median for row in capacity_sweep.rows}
+        by_cap = {value: run.delta_tc.median for value, run in zip(capacity_sweep.values, capacity_sweep.runs)}
         assert by_cap[20] - by_cap[15] < -0.25 * abs(by_cap[20]), "no sharp decrease from capacity 15 to 20"
         assert abs(by_cap[30] - by_cap[20]) < 0.10 * abs(by_cap[20]), (
             "no level-off between capacity 20 and 30: "
             f"|{by_cap[30]:.1f} - {by_cap[20]:.1f}| vs 0.1*|{by_cap[20]:.1f}|"
         )
-        by_lam = {row.value: row.delta_tc_median for row in demand_sweep.rows}
+        by_lam = {value: run.delta_tc.median for value, run in zip(demand_sweep.values, demand_sweep.runs)}
         assert by_lam[60] < 0.0 < by_lam[90], "cost-difference sign change outside (60, 90)"
-        ivtts = [row.amsod_ivtt_min for row in demand_sweep.rows]
+        ivtts = [run.amsod.metrics["avg_ivtt_min"].median for run in demand_sweep.runs]
         assert all(a <= b + 1e-9 for a, b in zip(ivtts, ivtts[1:]))
 
 

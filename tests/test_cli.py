@@ -191,8 +191,9 @@ def test_ingest_cli_roundtrip(tmp_path):
 def test_trace_replays_replication_0(tmp_path):
     import numpy as np
 
+    from oracles import reference_trace
     from semibus.cli import bundled_path
-    from semibus.simulator import sample_requests, simulate_requests, write_trace
+    from semibus.simulator import sample_requests, simulate_requests
 
     argv = ["simulate", "--scenario", "model1", "--out", str(tmp_path), "--replications", "3", "--seed", "4"]
     assert main(argv + ["--trace"]) == 0
@@ -200,7 +201,7 @@ def test_trace_replays_replication_0(tmp_path):
     rng = np.random.default_rng(np.random.SeedSequence([4], spawn_key=(0,)))
     requests = sample_requests(scenario.grid, scenario.service, rng)
     expected = tmp_path / "expected_trace.csv"
-    write_trace(simulate_requests(scenario, "amsod", requests), scenario.service, expected)
+    reference_trace(simulate_requests(scenario, "amsod", requests), scenario.service, expected)
     assert (tmp_path / "model1_trace.csv").read_bytes() == expected.read_bytes()
 
 
@@ -262,6 +263,11 @@ def test_reproduce_script_writes_the_screen_ranking(tmp_path):
     assert main(["screen", "--scenario", "cta126", "model1", "cta84", "model2", "--out", str(tmp_path / "cli")]) == 0
     ranking = "screen_ranking.csv"
     assert (tmp_path / "script" / ranking).read_bytes() == (tmp_path / "cli" / ranking).read_bytes()
+    for name in ("model1", "model2", "cta126", "cta84"):
+        assert main(["simulate", "--scenario", name, "--replications", "2", "--out", str(tmp_path / "cli")]) == 0
+        for suffix in ("_stats.json", "_table.csv", "_delta_tc_hist.csv"):
+            assert (tmp_path / "script" / f"{name}{suffix}").read_bytes() == (tmp_path / "cli" / f"{name}{suffix}").read_bytes()
+    assert sorted(p.name for p in (tmp_path / "script").iterdir()) == sorted(p.name for p in (tmp_path / "cli").iterdir())
 
 
 @pytest.mark.parametrize(

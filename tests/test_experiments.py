@@ -60,7 +60,7 @@ def test_single_value_sweep_matches_run_scenario(model1):
     spec = E.SweepSpec(dimension="lambda", values=(60.0,), replications=12, scenario=model1)
     swept = E.sweep(spec, seed=11)
     direct = E.run_scenario(model1, replications=12, seed=(11, 0))
-    assert swept.rows[0].delta_tc_median == direct.delta_tc.median
+    assert swept.runs[0].delta_tc.median == direct.delta_tc.median
     assert swept.runs[0].stats == direct.stats
 
 
@@ -105,9 +105,9 @@ def test_capacity_sweep_keeps_fixed_side(model1):
     spec = E.SweepSpec(dimension="capacity", values=(5.0, 30.0), replications=8, scenario=model1)
     swept = E.sweep(spec, seed=13)
     # the incumbent fixed service is untouched, so its wait stays headway-bound
-    for row in swept.rows:
-        assert row.fixed_wait_min < 10.0
-    assert swept.rows[0].amsod_wait_min > swept.rows[1].amsod_wait_min
+    for run in swept.runs:
+        assert run.fixed.metrics["avg_wait_min"].median < 10.0
+    assert swept.runs[0].amsod.metrics["avg_wait_min"].median > swept.runs[1].amsod.metrics["avg_wait_min"].median
 
 
 def test_capacity_sweep_point_pairs_plain_runs(model1):
@@ -120,12 +120,12 @@ def test_capacity_sweep_point_pairs_plain_runs(model1):
 
 
 @pytest.mark.parametrize("dimension, values", [("lambda", (10.0, 40.0)), ("capacity", (5.0, 30.0))])
-def test_sweep_on_two_workers_equals_one(model1, dimension, values):
+def test_sweep_on_two_workers_equals_one(model1, dimension, values, tmp_path):
     # a capacity sweep sends its on-demand scenario through the shared pool apart from the fixed one
     spec = E.SweepSpec(dimension=dimension, values=values, replications=7, scenario=model1)
     one, two = (E.sweep(spec, seed=21, workers=w) for w in (1, 2))
     assert [E.run_to_dict(r) for r in two.runs] == [E.run_to_dict(r) for r in one.runs]
-    assert two.rows == one.rows
+    assert E.emit_sweep(two, "two", tmp_path).read_bytes() == E.emit_sweep(one, "one", tmp_path).read_bytes()
     assert multiprocessing.active_children() == []
 
 
@@ -212,10 +212,10 @@ def test_no_process_outlives_a_sweep_that_raises(model1, monkeypatch, where):
     assert multiprocessing.active_children() == []
 
 
-def test_emit_sweep_values_round_trip(tmp_path):
+def test_emit_sweep_values_round_trip(tmp_path, model1):
     values = (10.0, 0.1, 1000.1, 1000.2, 12345.0)
-    rows = tuple(E.SweepRow(v, 1.0, 2.0, 3.0, 4.0, 5.0) for v in values)
-    path = E.emit_sweep(E.SweepResult("lambda", rows, ()), "hand", tmp_path)
+    run = E.run_scenario(model1, replications=2, seed=1)
+    path = E.emit_sweep(E.SweepResult("lambda", values, (run,) * len(values)), "hand", tmp_path)
     cells = [line.split(",")[0] for line in path.read_text().splitlines()[1:]]
     assert [float(c) for c in cells] == list(values)
     assert cells[:2] == ["10", "0.1"]  # sig4's text where it round-trips
@@ -287,7 +287,7 @@ def test_emit_report_byte_identical(tmp_path, model1):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
-@pytest.mark.parametrize("replications", [2.5, 0, -1, float("nan"), True])
+@pytest.mark.parametrize("replications", [2.5, 0, -1, float("nan"), True, "3"])
 def test_non_integer_or_small_replication_count_refused(model1, replications):
     with pytest.raises(ValueError, match="replications"):
         E.run_scenario(model1, replications=replications, seed=1)

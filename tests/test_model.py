@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import replace
 
@@ -14,6 +15,7 @@ from semibus.model import (
     require_valid,
     save_scenario,
     scenario_from_dict,
+    scenario_problems,
     scenario_to_dict,
     validate_scenario,
 )
@@ -267,3 +269,39 @@ def test_nan_and_non_integer_values_refused_before_a_run(section, field, value, 
     with pytest.raises(ScenarioError) as info:
         require_valid(scenario)
     assert [(p.field, p.rule) for p in info.value.problems] == [(f"{section}.{field}", rule) for rule in rules]
+
+
+def _with_inf(section, field):
+    """A valid scenario with field's value, or its last per-stop value, at +inf."""
+    scenario = Scenario("bad", CostParams(), grid_m1(), svc_m1())
+    part = getattr(scenario, section)
+    value = getattr(part, field)
+    value = value[:-1] + (math.inf,) if isinstance(value, tuple) else math.inf
+    return replace(scenario, **{section: replace(part, **{field: value})})
+
+
+@pytest.mark.parametrize(
+    "section,field",
+    [("cost", f) for f in ("gamma_a", "gamma_w", "gamma_r", "gamma_o", "vot")]
+    + [("grid", f) for f in ("l_x", "l_y", "gl_x", "gl_y", "d_xs")]
+    + [("service", f) for f in ("headway", "v_d", "v_w", "t_s", "t_s_prime", "demand_rate", "s_o", "horizon")],
+)
+def test_infinite_values_refused_before_a_run(section, field):
+    # unrefused, inf headway runs no trip, inf vot gives NaN costs and inf horizon dies in numpy
+    with pytest.raises(ScenarioError) as info:
+        require_valid(_with_inf(section, field))
+    assert [p.rule for p in info.value.problems if p.field == f"{section}.{field}"] == ["non-finite number"]
+
+
+@pytest.mark.parametrize(
+    "section,field,rule",
+    [
+        ("grid", "stop_chainages", "stop outside route"),
+        ("grid", "stop_weights", "weights not normalized"),
+        ("service", "warmup_window", "warmup beyond horizon"),
+        ("service", "v_h", "speed ordering"),
+    ],
+)
+def test_infinite_value_a_field_rule_refuses_reports_that_rule_alone(section, field, rule):
+    problems = [p for p in scenario_problems(_with_inf(section, field)) if p.severity == "error"]
+    assert [(p.field, p.rule) for p in problems] == [(f"{section}.{field}", rule)]

@@ -390,7 +390,7 @@ def test_zonal_trace_ends_outer_zone_trips_on_the_highway(model1, tmp_path):
     scn = replace(model1, service=replace(model1.service, n_zones=3, v_h=60.0))
     logs = S.run_timeline(scn, "amsod", 5)
     path = tmp_path / "zonal.csv"
-    S.write_trace(logs, scn.service, path)
+    S.write_trace(scn, S.sample_demand(scn.grid, scn.service, 5), path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     for log in logs:
@@ -400,9 +400,6 @@ def test_zonal_trace_ends_outer_zone_trips_on_the_highway(model1, tmp_path):
             assert express == [trip[-1]] == [[str(log.trip_index), f"{log.plan.end_time:.6f}", f"{scn.grid.gl_x:.4f}", "0.0000", "express"]]
         else:
             assert express == []
-    fixed = tmp_path / "fixed.csv"
-    S.write_trace(S.run_timeline(scn, "fixed", 5), scn.service, fixed)
-    assert fixed.read_text() == "trip,time_h,x_km,y_km,event\n"
 
 
 # --- timeline -------------------------------------------------------------------
@@ -575,9 +572,8 @@ def test_simulated_means_near_analytic(model1):
 
 
 def test_write_trace(tmp_path, model1):
-    logs = S.run_timeline(model1, "amsod", 3)
     path = tmp_path / "trace.csv"
-    S.write_trace(logs, model1.service, path)
+    S.write_trace(model1, S.sample_demand(model1.grid, model1.service, 3), path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "trip,time_h,x_km,y_km,event"
     assert len(lines) > 12
@@ -599,9 +595,10 @@ TRACE_VARIANTS = {  # 3 zones run express legs; 480/h fills trips
 }
 
 
-def assert_trace_matches_reference(logs, svc, tmp_path) -> str:
-    S.write_trace(logs, svc, tmp_path / "got.csv")
-    O.reference_trace(logs, svc, tmp_path / "want.csv")
+def assert_trace_matches_reference(scn, requests, tmp_path) -> str:
+    # the reference reads the TripLogs of the same draw
+    S.write_trace(scn, S._demand(requests), tmp_path / "got.csv")
+    O.reference_trace(S.simulate_requests(scn, "amsod", requests), scn.service, tmp_path / "want.csv")
     got = (tmp_path / "got.csv").read_bytes()
     assert got == (tmp_path / "want.csv").read_bytes()
     return got.decode()
@@ -613,16 +610,15 @@ def test_write_trace_matches_positional_reference(request, tmp_path, corridor, v
     base = request.getfixturevalue(corridor)
     scn = replace(base, service=replace(base.service, **TRACE_VARIANTS[variant]))
     for seed in (1, 2, 3):
-        assert_trace_matches_reference(S.run_timeline(scn, "amsod", seed), scn.service, tmp_path)
-        fixed = assert_trace_matches_reference(S.run_timeline(scn, "fixed", seed), scn.service, tmp_path)
-        assert fixed == "trip,time_h,x_km,y_km,event\r\n"
+        assert_trace_matches_reference(scn, S.sample_requests(scn.grid, scn.service, seed), tmp_path)
 
 
 def test_write_trace_first_pickup_at_the_start(tmp_path, model1):
     # both snap to the terminal (0, 0): the first pickup is the start, and they share it
-    logs = S.simulate_requests(model1, "amsod", [Request(0, 0.05, 0.02, 0.0, 0), Request(1, 0.05, 0.02, 0.0, 0)])
+    requests = [Request(0, 0.05, 0.02, 0.0, 0), Request(1, 0.05, 0.02, 0.0, 0)]
+    logs = S.simulate_requests(model1, "amsod", requests)
     assert [p.point for p in logs[0].plan.pickups] == [(0.0, 0.0)] * 2
-    rows = assert_trace_matches_reference(logs, model1.service, tmp_path).splitlines()
+    rows = assert_trace_matches_reference(model1, requests, tmp_path).splitlines()
     assert rows[1:3] == ["0,0.000000,0.0000,0.0000,pickup", f"0,{model1.service.t_s_prime:.6f},0.0000,0.0000,dwell"]
 
 
