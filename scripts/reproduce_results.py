@@ -1,46 +1,34 @@
 """Run the four bundled corridors end to end and write their reports.
 
-Produces, per scenario: the metric table, the cost-difference histogram,
-the full-precision JSON, and a screening summary across all corridors.
+Runs `semibus simulate` on each bundled corridor (the metric table, the
+cost-difference histogram and the full-precision JSON), printing its wall
+time, then `semibus screen` across all of them (screen_ranking.csv).
+Exits with the first non-zero status a verb returns.
 """
 from __future__ import annotations
 
 import argparse
+import sys
 import time
-from pathlib import Path
 
-from semibus.cli import BUNDLED, bundled_path, count_arg, screen_row, write_screen_ranking
-from semibus.experiments import emit_report, run_scenario, sig4
-from semibus.model import load_scenario
+from semibus.cli import BUNDLED, count_arg, main as semibus
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results")
     parser.add_argument("--replications", type=count_arg, default=10_000)
     parser.add_argument("--workers", type=count_arg, default=1)
     args = parser.parse_args()
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    rows = []
+    run = ["--out", args.out, "--replications", str(args.replications), "--workers", str(args.workers)]
     for name in BUNDLED:
-        scenario = load_scenario(bundled_path(name))
         t0 = time.perf_counter()
-        run = run_scenario(scenario, replications=args.replications, workers=args.workers)
-        emit_report(run, out)
-        d = run.delta_tc
-        rows.append(screen_row(scenario))
-        print(
-            f"{name:<8s} delta_tc {sig4(d.median):>7s} ({sig4(d.p2_5)} - {sig4(d.p97_5)})"
-            f"  [{time.perf_counter() - t0:.1f}s]"
-        )
-
-    rows.sort(key=lambda r: r["si"])
-    write_screen_ranking(rows, out)
-    print(f"reports in {out}/")
+        if status := semibus(["simulate", "--scenario", name, *run]):
+            return status
+        print(f"{name} wall time {time.perf_counter() - t0:.1f}s")
+    return semibus(["screen", "--scenario", *BUNDLED, "--out", args.out])
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

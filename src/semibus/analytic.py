@@ -68,11 +68,6 @@ class Dispersion:
         return cls(2.0 * float(np.dot(coeff, y)) / (n * (n - 1)))
 
 
-def mean_abs_diff(d: Dispersion) -> float:
-    """Mean absolute difference of two independent draws, in km."""
-    return d.md
-
-
 def expected_wait(headway: float, headway_variance: float) -> float:
     """Expected passenger wait: H/2 + variance/(2H), hours."""
     if not headway > 0:
@@ -331,7 +326,7 @@ def zonal_plan(
 
 def screening_dispersion(grid: GridGeometry) -> float:
     """Worst-case demand dispersion: uniform across the widest catchment."""
-    return mean_abs_diff(Dispersion.uniform(-grid.max_gl_y, grid.max_gl_y))
+    return Dispersion.uniform(-grid.max_gl_y, grid.max_gl_y).md
 
 
 def screening_mean_access(svc: ServiceConfig) -> float:

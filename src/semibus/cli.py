@@ -65,13 +65,6 @@ def screen_row(scenario: Scenario) -> dict:
     }
 
 
-def write_screen_ranking(rows: list, out_dir) -> Path:
-    """Write screen_ranking.csv: screen_row results, given in rank order, at full precision."""
-    keys = ("si", "md_km", "mean_access_min", "demand_bound_per_hour")
-    lines = [[str(i), row["scenario"], *(repr(row[k]) for k in keys)] for i, row in enumerate(rows, start=1)]
-    return experiments.write_csv(Path(out_dir) / "screen_ranking.csv", [["rank", "scenario", *keys], *lines])
-
-
 def cmd_analytic(args) -> int:
     scenario = resolve_scenario(args.scenario)
     if args.v_h is not None:
@@ -119,8 +112,10 @@ def cmd_screen(args) -> int:
             f"{i:<5d} {row['scenario']:<15s} {sig4(row['si']):<7s} {sig4(row['md_km']):<7s}"
             f" {sig4(row['demand_bound_per_hour'])}"
         )
-    if args.out:
-        write_screen_ranking(rows, args.out)
+    if args.out:  # screen_ranking.csv: the rows in rank order, at full precision
+        keys = ("si", "md_km", "mean_access_min", "demand_bound_per_hour")
+        lines = [[str(i), row["scenario"], *(repr(row[k]) for k in keys)] for i, row in enumerate(rows, start=1)]
+        experiments.write_csv(Path(args.out) / "screen_ranking.csv", [["rank", "scenario", *keys], *lines])
     return 0
 
 

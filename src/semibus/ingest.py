@@ -70,7 +70,7 @@ def parse_boardings(path: Union[str, Path], route_id: str, axis: Optional[RouteA
     non-finite number among them, carry the line number."""
     path = Path(path)
     records = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # utf-8-sig: drops the byte-order mark Excel writes
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         for col in ("stop_id", "routes", "boardings"):

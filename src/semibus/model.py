@@ -440,4 +440,6 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
 
 
 def save_scenario(scenario: Scenario, path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2) + "\n")
+    text = json.dumps(scenario_to_dict(scenario), indent=2) + "\n"
+    Path(path).parent.mkdir(parents=True, exist_ok=True)  # made only once the scenario has serialised
+    Path(path).write_text(text)

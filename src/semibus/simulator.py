@@ -14,8 +14,8 @@ the columns (only experiments._window_metrics weights them into costs,
 summing in that order with np.cumsum; reported numbers depend on it) and
 never reads a spill.  trip_records slices the columns into each trip's
 rows, yielded with its operator cost and its spilled ids as a list;
-simulate_requests and run_timeline keep them in TripLogs.  write_trace
-walks the trips _amsod_drives yields.
+simulate_requests keeps them in TripLogs.  write_trace walks the trips
+_amsod_drives yields.
 
 Demand travels as columns (Demand: id, x, y, t_k, home_stop) from the
 draw (sample_demand) to both loops.  Request objects appear only at
@@ -499,24 +499,16 @@ def trip_records(scenario: Scenario, mode: str, demand: Demand):
     return ((trip_c_o, rows[cuts[j] : cuts[j + 1]], *trip) for j, (trip_c_o, trip) in enumerate(zip(c_o.tolist(), trips)))
 
 
-def _trip_logs(scenario: Scenario, mode: str, demand: Demand):
-    """The TripLogs of trip_records over a demand realization."""
-    for i, (c_o, rows, spilled_ids, drive, dep) in enumerate(trip_records(scenario, mode, demand)):
-        plan = None if drive is None else _route_plan(dep, *drive)
-        yield TripLog(i, plan, c_o, tuple(rows), tuple(r[0] for r in rows), tuple(spilled_ids))
-
-
 def simulate_requests(scenario: Scenario, mode: str, requests: Sequence[Request]) -> list:
     """Run the dispatch timeline for one mode over a given demand
-    realization (the common-random-numbers entry point); returns TripLogs."""
+    realization (the common-random-numbers entry point); returns the
+    TripLogs of trip_records."""
     require_valid(scenario)
-    return list(_trip_logs(scenario, mode, _demand(requests)))
-
-
-def run_timeline(scenario: Scenario, mode: str, seed: SeedLike) -> list:
-    """Sample demand and run the dispatch timeline; returns TripLogs."""
-    require_valid(scenario)
-    return list(_trip_logs(scenario, mode, sample_demand(scenario.grid, scenario.service, seed)))
+    logs = []
+    for i, (c_o, rows, spilled_ids, drive, dep) in enumerate(trip_records(scenario, mode, _demand(requests))):
+        plan = None if drive is None else _route_plan(dep, *drive)
+        logs.append(TripLog(i, plan, c_o, tuple(rows), tuple(r[0] for r in rows), tuple(spilled_ids)))
+    return logs
 
 
 def write_trace(scenario: Scenario, demand: Demand, path: Union[str, Path]) -> None:

@@ -192,7 +192,7 @@ def test_criterion_8_analytic_simulation_consistency(model1, model1_means):
 
         rng = np.random.default_rng(model1.seed)
         ys = rng.uniform(0.0, 3.0, 1_000_000)
-        assert A.mean_abs_diff(A.Dispersion.empirical(ys)) == approx(1.0, rel=0.01)
+        assert A.Dispersion.empirical(ys).md == approx(1.0, rel=0.01)
 
 
 def test_criterion_9_property_bundle(model1, model2, cta84):

@@ -52,43 +52,43 @@ CASES = {
 
 def test_mean_abs_diff_uniform_catchment():
     gl = 8 / 60 * 4
-    assert A.mean_abs_diff(A.Dispersion.uniform(-gl, gl)) == approx(0.3556, abs=1e-3)
+    assert A.Dispersion.uniform(-gl, gl).md == approx(0.3556, abs=1e-3)
 
 
 def test_mean_abs_diff_uniform_simple():
-    assert A.mean_abs_diff(A.Dispersion.uniform(0, 3)) == approx(1.0)
+    assert A.Dispersion.uniform(0, 3).md == approx(1.0)
 
 
 @given(st.floats(min_value=1e-6, max_value=1e6))
 def test_mean_abs_diff_symmetric_uniform_exact(g):
-    assert A.mean_abs_diff(A.Dispersion.uniform(-g, g)) == (g - (-g)) / 3.0
+    assert A.Dispersion.uniform(-g, g).md == (g - (-g)) / 3.0
 
 
 def test_mean_abs_diff_normal_against_sampling():
     rng = np.random.default_rng(20260811)
     pairs = rng.standard_normal((2, 1_000_000))
     mc = float(np.abs(pairs[0] - pairs[1]).mean())
-    assert A.mean_abs_diff(A.Dispersion.normal(1.0)) == approx(mc, abs=0.01)
-    assert A.mean_abs_diff(A.Dispersion.normal(1.0)) == approx(2 / math.sqrt(math.pi))
+    assert A.Dispersion.normal(1.0).md == approx(mc, abs=0.01)
+    assert A.Dispersion.normal(1.0).md == approx(2 / math.sqrt(math.pi))
 
 
 @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=2, max_size=12))
 def test_mean_abs_diff_empirical_matches_all_pairs(ys):
     brute = np.mean([abs(a - b) for i, a in enumerate(ys) for j, b in enumerate(ys) if i != j])
-    assert A.mean_abs_diff(A.Dispersion.empirical(ys)) == approx(float(brute), abs=1e-9)
+    assert A.Dispersion.empirical(ys).md == approx(float(brute), abs=1e-9)
 
 
 def test_mean_abs_diff_empirical_large_sample():
     rng = np.random.default_rng(1729)
     ys = rng.uniform(0.0, 3.0, 1_000_000)
-    assert A.mean_abs_diff(A.Dispersion.empirical(ys)) == approx(1.0, rel=0.01)
+    assert A.Dispersion.empirical(ys).md == approx(1.0, rel=0.01)
 
 
 def test_empirical_dispersion_reads_any_iterable():
     ys = [0.3, -1.2, 2.5, 0.0, 0.7, 0.7]
-    want = A.mean_abs_diff(A.Dispersion.empirical(ys))
+    want = A.Dispersion.empirical(ys).md
     for samples in (tuple(ys), np.array(ys), (y for y in ys)):
-        assert A.mean_abs_diff(A.Dispersion.empirical(samples)) == want
+        assert A.Dispersion.empirical(samples).md == want
 
 
 def test_dispersion_validation():

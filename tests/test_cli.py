@@ -1,11 +1,25 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import semibus
 from semibus import analytic
 from semibus.cli import bundled_path, main
 from semibus.model import load_scenario, save_scenario
+
+
+def run_script(name, *args, timeout=60):
+    """Run scripts/<name> with args in a fresh interpreter that imports this
+    semibus; returns the CompletedProcess, its output as text."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / name
+    src = str(Path(semibus.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, str(path), *args], env=env, capture_output=True, text=True, timeout=timeout)
 
 
 def test_analytic_model1_report(capsys):
@@ -188,6 +202,17 @@ def test_ingest_cli_roundtrip(tmp_path):
     assert scenario.grid.gl_x == pytest.approx(10.9)
 
 
+def test_ingest_out_creates_missing_directories(tmp_path, capsys):
+    data = str(bundled_path("cta84").parent / "cta84_boardings.csv")
+    argv = ["ingest", "--data", data, "--route-id", "84", "--template", "cta84", "--out"]
+    assert main(argv + [str(tmp_path / "flat.json")]) == 0
+    assert main(argv + [str(tmp_path / "new" / "sub" / "x.json")]) == 0
+    assert (tmp_path / "new" / "sub" / "x.json").read_bytes() == (tmp_path / "flat.json").read_bytes()
+    # a refused value still writes nothing, not even the directories
+    assert main(argv + [str(tmp_path / "bad" / "x.json"), "--default-catchment-km=0"]) == 1
+    assert "Traceback" not in capsys.readouterr().err and not (tmp_path / "bad").exists()
+
+
 def test_trace_replays_replication_0(tmp_path):
     import numpy as np
 
@@ -270,6 +295,15 @@ def test_reproduce_script_writes_the_screen_ranking(tmp_path):
     assert sorted(p.name for p in (tmp_path / "script").iterdir()) == sorted(p.name for p in (tmp_path / "cli").iterdir())
 
 
+def test_reproduce_script_fails_the_way_the_cli_does(tmp_path, capsys):
+    taken = tmp_path / "taken"  # a file where the output directory should go
+    taken.write_text("")
+    proc = run_script("reproduce_results.py", "--replications", "1", "--out", str(taken), timeout=120)
+    assert main(["simulate", "--scenario", "model1", "--replications", "1", "--out", str(taken)]) == proc.returncode == 2
+    assert proc.stderr == capsys.readouterr().err
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "run,field",
     [
@@ -302,23 +336,7 @@ def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("script", ["reproduce_results.py", "run_sensitivity.py"])
 @pytest.mark.parametrize("flag", ["--replications", "--workers"])
 def test_script_count_flags_below_one_are_usage_errors(script, flag, tmp_path):
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import semibus
-
-    path = Path(__file__).resolve().parents[1] / "scripts" / script
-    src = str(Path(semibus.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, str(path), "--replications", "1", "--workers", "1", flag, "0", "--out", str(tmp_path / "out")],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = run_script(script, "--replications", "1", "--workers", "1", flag, "0", "--out", str(tmp_path / "out"))
     assert proc.returncode == 2  # argparse's usage-error status
     assert "must be at least 1" in proc.stderr and "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
@@ -329,23 +347,7 @@ def test_script_count_flags_below_one_are_usage_errors(script, flag, tmp_path):
     [("--capacities", "15.5", "service.capacity: non-integer count"), ("--demands", "abc", "invalid values_arg value")],
 )
 def test_sensitivity_script_bad_values_are_usage_errors(flag, value, message, tmp_path):
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import semibus
-
-    path = Path(__file__).resolve().parents[1] / "scripts" / "run_sensitivity.py"
-    src = str(Path(semibus.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, str(path), "--replications", "1", flag, value, "--out", str(tmp_path / "out")],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = run_script("run_sensitivity.py", "--replications", "1", flag, value, "--out", str(tmp_path / "out"))
     assert proc.returncode == 2  # argparse's usage-error status
     assert message in proc.stderr and "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()

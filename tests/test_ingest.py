@@ -67,6 +67,13 @@ def test_parse_refuses_fields_past_the_header(tmp_path):
             ingest.parse_boardings(path, rows[-1].split(",")[1])
 
 
+def test_parse_ignores_a_byte_order_mark(tmp_path):
+    plain = bundled_path("cta84").parent / "cta84_boardings.csv"
+    marked = tmp_path / "excel.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())  # the UTF-8 BOM Excel writes
+    assert ingest.parse_boardings(marked, "84") == ingest.parse_boardings(plain, "84")
+
+
 def test_parse_missing_column(tmp_path):
     path = tmp_path / "stops.csv"
     path.write_text("stop_id,chainage_km\na,0.0\n")

@@ -388,7 +388,7 @@ def test_zonal_ivtt_includes_express_leg(model1):
 def test_zonal_trace_ends_outer_zone_trips_on_the_highway(model1, tmp_path):
     # trip i serves zone i % 3; zones 0 and 1 run express from their end to gl_x
     scn = replace(model1, service=replace(model1.service, n_zones=3, v_h=60.0))
-    logs = S.run_timeline(scn, "amsod", 5)
+    logs = S.simulate_requests(scn, "amsod", S.sample_requests(scn.grid, scn.service, 5))
     path = tmp_path / "zonal.csv"
     S.write_trace(scn, S.sample_demand(scn.grid, scn.service, 5), path)
     with open(path, newline="") as fh:
@@ -422,15 +422,16 @@ def test_capacity_one_spills_to_next_trip(model1):
 
 
 def test_fixed_operator_cost_exact(model1, cta84):
-    logs = S.run_timeline(model1, "fixed", 5)
+    logs = S.simulate_requests(model1, "fixed", S.sample_requests(model1.grid, model1.service, 5))
     assert sum(l.c_o for l in logs) == 120.0
-    logs84 = S.run_timeline(cta84, "fixed", 5)
+    logs84 = S.simulate_requests(cta84, "fixed", S.sample_requests(cta84.grid, cta84.service, 5))
     assert sum(l.c_o for l in logs84) == 72.0
 
 
 def test_timeline_deterministic(model1):
     for mode in ("fixed", "amsod"):
-        assert S.run_timeline(model1, mode, 77) == S.run_timeline(model1, mode, 77)
+        first, again = (S.simulate_requests(model1, mode, S.sample_requests(model1.grid, model1.service, 77)) for _ in range(2))
+        assert first == again
 
 
 def test_request_conservation(model1):
@@ -445,7 +446,7 @@ def test_request_conservation(model1):
 
 
 def test_route_monotone_and_ends_on_axis(model1):
-    logs = S.run_timeline(model1, "amsod", 31)
+    logs = S.simulate_requests(model1, "amsod", S.sample_requests(model1.grid, model1.service, 31))
     for log in logs:
         xs = [p[0] for p in log.plan.waypoints]
         assert all(x1 <= x2 + 1e-12 for x1, x2 in zip(xs, xs[1:]))
@@ -454,7 +455,7 @@ def test_route_monotone_and_ends_on_axis(model1):
 
 
 def test_route_dy_matches_pickup_sequence(model1):
-    logs = S.run_timeline(model1, "amsod", 31)
+    logs = S.simulate_requests(model1, "amsod", S.sample_requests(model1.grid, model1.service, 31))
     for log in logs:
         ys = [p.point[1] for p in log.plan.pickups]
         if not ys:
@@ -465,7 +466,7 @@ def test_route_dy_matches_pickup_sequence(model1):
 
 
 def test_fixed_access_bounded_and_waits_nonnegative(model1):
-    logs = S.run_timeline(model1, "fixed", 13)
+    logs = S.simulate_requests(model1, "fixed", S.sample_requests(model1.grid, model1.service, 13))
     s_o = model1.service.s_o
     for _, _, wait, ivtt, access in all_rows(logs):
         assert access <= s_o + 1e-9
@@ -474,7 +475,7 @@ def test_fixed_access_bounded_and_waits_nonnegative(model1):
 
 
 def test_amsod_waits_nonnegative(model1):
-    logs = S.run_timeline(model1, "amsod", 13)
+    logs = S.simulate_requests(model1, "amsod", S.sample_requests(model1.grid, model1.service, 13))
     for _, _, wait, _, access in all_rows(logs):
         assert wait >= 0.0
         assert access == 0.0
@@ -558,7 +559,7 @@ def test_simulated_means_near_analytic(model1):
     svc, grid = model1.service, model1.grid
     ivtts, dys = [], []
     for k in range(60):
-        logs = S.run_timeline(model1, "amsod", (101, k))
+        logs = S.simulate_requests(model1, "amsod", S.sample_requests(model1.grid, model1.service, (101, k)))
         for log in logs:
             dys.append(log.plan.d_y)
         for _, _, _, ivtt, _ in all_rows(logs):
