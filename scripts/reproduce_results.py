@@ -21,10 +21,10 @@ def main() -> int:
     parser.add_argument("--workers", type=count_arg, default=1)
     args = parser.parse_args()
 
-    run = ["--out", args.out, "--replications", str(args.replications), "--workers", str(args.workers)]
+    flags = ["--out", args.out, "--replications", str(args.replications), "--workers", str(args.workers)]
     for name in BUNDLED:
         t0 = time.perf_counter()
-        if status := semibus(["simulate", "--scenario", name, *run]):
+        if status := semibus(["simulate", "--scenario", name, *flags]):
             return status
         print(f"{name} wall time {time.perf_counter() - t0:.1f}s")
     return semibus(["screen", "--scenario", *BUNDLED, "--out", args.out])
