@@ -20,6 +20,7 @@ refuses (a missing or extra field, a non-numeric or non-finite number).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -121,6 +122,7 @@ def cmd_screen(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario = resolve_scenario(args.scenario)
+    Path(args.out).mkdir(parents=True, exist_ok=True)  # an unusable --out fails before any replication
     run = experiments.run_scenario(
         scenario,
         replications=args.replications,
@@ -156,6 +158,7 @@ def cmd_sweep(args) -> int:
         replications=args.replications,
         scenario=scenario,
     )
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     result = experiments.sweep(spec, seed=args.seed, workers=args.workers)
     path = experiments.emit_sweep(result, scenario.name, args.out)
     print(f"{args.dimension:<9s} delta_tc_median")
@@ -204,6 +207,7 @@ def values_arg(text: str) -> tuple:
     return tuple(float(v) for v in text.split(",") if v.strip())
 
 
+@functools.cache  # built once per process, on the first main call; holds no per-call state
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="semibus", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="verb", required=True)

@@ -459,3 +459,78 @@ def test_ingest_latlon_and_non_finite_rows_exit_2(text, message, tmp_path, capsy
     assert main(["ingest", "--data", str(data), "--route-id", "1", "--template", "model1", "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--scenario", "model1", "--replications", "2000"],
+        ["sweep", "--scenario", "model1", "--dimension", "lambda", "--values", "40,60", "--replications", "3000"],
+    ],
+    ids=["simulate", "sweep"],
+)
+def test_unusable_out_fails_before_any_replication(argv, tmp_path, capsys, monkeypatch):
+    from semibus import experiments
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran replications before checking --out")
+
+    monkeypatch.setattr(experiments, "run_scenario", no_run)
+    monkeypatch.setattr(experiments, "sweep", no_run)
+    taken = tmp_path / "taken"  # a file where the output directory should go
+    taken.write_text("")
+    assert main(argv + ["--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "File exists" in err
+
+
+def test_reused_parser_matches_fresh_processes(tmp_path, capsys, monkeypatch):
+    """main builds its parser once per process: each call of a sequence in
+    this process prints and writes what a fresh `python -m semibus` does."""
+    from semibus.cli import build_parser
+
+    data = str(bundled_path("cta84").parent / "cta84_boardings.csv")
+    calls = [  # (argv, the directory it may write)
+        (["analytic", "--scenario", "model1", "--v-h", "50", "--out", "a1"], "a1"),
+        (["analytic", "--scenario", "model1", "--out", "a2"], "a2"),
+        (["simulate", "--scenario", "model1", "--seed", "-1", "--out", "s1"], "s1"),
+        (["simulate", "--scenario", "model1", "--replications", "2", "--out", "s2"], "s2"),
+        (["--help"], "."),
+        (["analytic", "--scenario", "cta84", "--out", "a3"], "a3"),
+        (["screen", "--scenario", "cta126", "model1", "cta84", "model2", "--out", "r1"], "r1"),
+        (["screen", "--scenario", "model2", "--out", "r2"], "r2"),
+        (["ingest", "--data", data, "--route-id", "84", "--template", "cta84", "--out", "i1/cta84.json"], "i1"),
+    ]
+    src = str(Path(semibus.__file__).resolve().parents[1])
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage and help to the terminal width
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+
+    def files(directory):
+        return {p.name: p.read_bytes() for p in directory.iterdir() if p.is_file()} if directory.exists() else {}
+
+    monkeypatch.chdir(here)
+    results = []
+    for argv, out in calls:
+        rc = main(argv)
+        results.append((rc, *capsys.readouterr(), files(here / out)))
+        proc = subprocess.run([sys.executable, "-m", "semibus", *argv], cwd=fresh, env=env, capture_output=True, text=True, timeout=60)
+        assert results[-1] == (proc.returncode, proc.stdout, proc.stderr, files(fresh / out)), argv
+    assert build_parser() is build_parser()
+    (_, with_v_h, _, a1), (_, without, _, a2) = results[:2]
+    assert "zones n_o" in with_v_h and "zones n_o" not in without
+    assert "zonal" in json.loads(a1["model1_analytic.json"]) and "zonal" not in json.loads(a2["model1_analytic.json"])
+    assert [r[0] for r in results] == [0, 0, 1, 0, 0, 0, 0, 0, 0]
+
+
+def test_walk_reach_warning_once_per_load(tmp_path, capsys):
+    base = load_scenario(bundled_path("model1"))
+    path = tmp_path / "narrow.json"
+    save_scenario(replace(base, service=replace(base.service, s_o=0.1)), path)  # s_o * v_w = 0.4 km < max gl_y
+    for _ in range(2):
+        assert main(["analytic", "--scenario", str(path)]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 1
+        assert warnings[0].startswith("warning: service.s_o: catchment exceeds walk reach")
