@@ -1,15 +1,17 @@
-"""Capacity and demand sensitivity sweeps for a corridor (default model1)."""
+"""Capacity, then demand sensitivity sweeps of a corridor (default model1)
+by `semibus sweep`, both value lists checked before either sweep runs.
+Exits with the first non-zero status a sweep returns."""
 from __future__ import annotations
 
 import argparse
-from pathlib import Path
+import sys
 
-from semibus.cli import count_arg, resolve_scenario, values_arg
-from semibus.experiments import SweepSpec, emit_sweep, sig4, sweep
+from semibus.cli import count_arg, main as semibus, resolve_scenario, values_arg
+from semibus.experiments import SweepSpec
 from semibus.model import ScenarioError
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scenario", default="model1")
     parser.add_argument("--out", default="results")
@@ -19,23 +21,21 @@ def main() -> None:
     parser.add_argument("--workers", type=count_arg, default=1)
     args = parser.parse_args()
 
-    try:  # every value is checked before either sweep runs
+    sweeps = (("capacity", args.capacities), ("lambda", args.demands))
+    try:
         scenario = resolve_scenario(args.scenario)
-        specs = [
+        for dimension, values in sweeps:
             SweepSpec(dimension=dimension, values=values, replications=args.replications, scenario=scenario)
-            for dimension, values in (("capacity", args.capacities), ("lambda", args.demands))
-        ]
     except ScenarioError as exc:
         parser.error(str(exc))
-    out = Path(args.out)
 
-    for spec in specs:
-        result = sweep(spec, workers=args.workers)
-        path = emit_sweep(result, scenario.name, out)
-        print(f"{spec.dimension} sweep -> {path}")
-        for value, run in zip(result.values, result.runs):
-            print(f"  {sig4(value):>6s}  delta_tc {sig4(run.delta_tc.median):>8s}")
+    flags = ["--scenario", args.scenario, "--replications", str(args.replications)]
+    flags += ["--workers", str(args.workers), "--out", args.out]
+    for dimension, values in sweeps:  # --values=: a value list may start with "-"
+        if status := semibus(["sweep", "--dimension", dimension, f"--values={','.join(map(repr, values))}", *flags]):
+            return status
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

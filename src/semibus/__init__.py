@@ -17,8 +17,8 @@ from .model import (
     load_scenario,
     save_scenario,
     scenario_from_dict,
+    scenario_problems,
     scenario_to_dict,
-    validate_scenario,
 )
 
 __version__ = "0.1.0"
@@ -39,7 +39,7 @@ __all__ = [
     "load_scenario",
     "save_scenario",
     "scenario_from_dict",
+    "scenario_problems",
     "scenario_to_dict",
-    "validate_scenario",
     "__version__",
 ]

@@ -175,7 +175,7 @@ def cmd_ingest(args) -> int:
         records,
         template,
         default_catchment_km=args.default_catchment_km,
-        name=args.name or template.name,
+        name=args.name,
     )
     save_scenario(scenario, args.out)
     print(

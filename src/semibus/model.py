@@ -199,7 +199,7 @@ class Scenario:
 # One table per file object, in the order its keys are written; an entry is
 # (field, unit family, key written, sign rule).  A unit family maps key
 # suffixes to factors to the canonical unit; _COUNT marks an integer count.
-# Each sign test is false for NaN, and so is each check of validate_scenario.
+# Each sign test is false for NaN, and so is each check of scenario_problems.
 # Fields with no dataclass default are required.
 
 _TIME = {"_h": 1.0, "_hours": 1.0, "_min": 1.0 / 60.0, "_s": 1.0 / 3600.0}
@@ -289,7 +289,7 @@ def _sign_problems(section: str, obj) -> list:
     return out
 
 
-def validate_scenario(cost: CostParams, grid: GridGeometry, svc: ServiceConfig) -> list:
+def scenario_problems(scenario: Scenario) -> list:
     """Check every type invariant; return all violations (possibly empty).
 
     Side-effect free and idempotent.  "catchment exceeds walk reach" is a
@@ -297,7 +297,8 @@ def validate_scenario(cost: CostParams, grid: GridGeometry, svc: ServiceConfig) 
     catchments simply imply long walks for the fixed-route baseline).
     +-inf that a field's own rule below refuses reports that rule alone.
     """
-    out = _sign_problems("cost", cost) + _sign_problems("grid", grid) + _sign_problems("service", svc)
+    grid, svc = scenario.grid, scenario.service
+    out = _sign_problems("cost", scenario.cost) + _sign_problems("grid", grid) + _sign_problems("service", svc)
 
     if grid.n_stops == 0:
         out.append(Violation("grid.stop_chainages", "no stops"))
@@ -336,11 +337,8 @@ def validate_scenario(cost: CostParams, grid: GridGeometry, svc: ServiceConfig) 
                     detail=f"s_o*v_w = {svc.s_o * svc.v_w:.3f} km < max gl_y = {grid.max_gl_y:.3f} km",
                 )
             )
-    return [v for v in out if v.rule != "non-finite number" or not any(w.field == v.field and w is not v for w in out)]
-
-
-def scenario_problems(scenario: Scenario) -> list:
-    return validate_scenario(scenario.cost, scenario.grid, scenario.service) + _sign_problems("run", scenario)
+    out = [v for v in out if v.rule != "non-finite number" or not any(w.field == v.field and w is not v for w in out)]
+    return out + _sign_problems("run", scenario)
 
 
 def require_valid(scenario: Scenario) -> Scenario:

@@ -121,18 +121,14 @@ class TripLog:
     spilled_ids: tuple  # assigned but deferred to the next trip
 
 
-def departure_times(svc: ServiceConfig) -> tuple:
-    n = math.ceil((svc.horizon - _EPS) / svc.headway)
-    return tuple(i * svc.headway for i in range(n))
-
-
 @lru_cache(maxsize=16)
 def build_schedule(grid: GridGeometry, svc: ServiceConfig) -> FixedSchedule:
     stops_x, n = grid.stop_chainages, grid.n_stops
     offsets = tuple(c / svc.v_d + svc.t_s * s for s, c in enumerate(stops_x))
     # one dwell per downstream stop
     rides = tuple((grid.gl_x - c) / svc.v_d + svc.t_s * (n - s - 1) for s, c in enumerate(stops_x))
-    return FixedSchedule(departures=departure_times(svc), stop_offsets=offsets, ride_times=rides)
+    departures = tuple(i * svc.headway for i in range(math.ceil((svc.horizon - _EPS) / svc.headway)))
+    return FixedSchedule(departures=departures, stop_offsets=offsets, ride_times=rides)
 
 
 # --- demand ------------------------------------------------------------------
@@ -164,7 +160,7 @@ def _grid_arrays(grid: GridGeometry) -> tuple:
     arrays = (cdf, np.asarray(grid.stop_chainages), np.asarray(grid.gl_y))
     for a in arrays:
         a.flags.writeable = False
-    return (*arrays, snap_to_streets((0.0, grid.max_gl_y), grid)[1])
+    return (*arrays, _snap(np.array(grid.max_gl_y), grid.l_y, tie_toward_zero=True).item())
 
 
 def _sample_positions(grid: GridGeometry, n: int, rng: np.random.Generator):
@@ -230,16 +226,6 @@ def _snap(values: np.ndarray, spacing: float, tie_toward_zero: bool) -> np.ndarr
         tie = f  # backward in x
     k = np.where(np.abs(frac - 0.5) < _TIE, tie, k)
     return (k + 0.0) * spacing  # + 0.0 turns -0.0 into 0.0
-
-
-def snap_to_streets(point: tuple, grid: GridGeometry) -> tuple:
-    """Snap a point to the nearest street intersection.
-
-    Midpoint ties go toward the route axis in y and backward in x, so
-    resnapping is a fixed point.
-    """
-    sx = _snap(np.array([point[0]], float), grid.l_x, tie_toward_zero=False)
-    return sx.item(), _snap(np.array([point[1]], float), grid.l_y, tie_toward_zero=True).item()
 
 
 # --- on-demand routing -------------------------------------------------------
@@ -413,10 +399,9 @@ def _fixed_columns(scenario: Scenario, demand: Demand) -> tuple:
     late = np.flatnonzero(wait < -1e-9)
     if late.size:
         raise ValueError(f"request {demand.id[board[late[0]]]} assigned to a departure it cannot catch")
-    # object arrays: rows and spills share one int per id and one float per stop's ride
-    ids, rides = demand.id.astype(object), np.array(sched.ride_times, dtype=object)
-    trips = ((ids[key[(first <= j) & (trip > j)]].tolist(), None, dep) for j, dep in enumerate(sched.departures))
-    passengers = ids[board], demand.t_k[board], np.maximum(wait, 0.0), rides[stops[board]], access[board]
+    rides = np.asarray(sched.ride_times)[stops[board]]
+    trips = ((demand.id[key[(first <= j) & (trip > j)]].tolist(), None, dep) for j, dep in enumerate(sched.departures))
+    passengers = demand.id[board], demand.t_k[board], np.maximum(wait, 0.0), rides, access[board]
     return np.full(n, scenario.cost.gamma_o * grid.gl_x), cuts, passengers, trips
 
 
@@ -471,7 +456,7 @@ def _amsod_columns(scenario: Scenario, drives) -> tuple:
         end += [route[4]] * len(trip)
         cuts.append(len(served))
         trips.append((spilled, (trip, route), dep))
-    ids = np.fromiter(map(itemgetter(0), served), object, len(served))  # the candidates' ints, as in the spills
+    ids = np.fromiter(map(itemgetter(0), served), int, len(served))
     t_k, arrival = (np.fromiter(map(itemgetter(i), served), float, len(served)) for i in (1, 2))
     wait = arrival - t_k
     late = np.flatnonzero(wait < -1e-9)

@@ -9,7 +9,7 @@ hourly cost composed from its closed-form terms, the fixed-route
 departure loop as a sort-per-trip cohort loop with row-by-row costing,
 the window fold of a replication's rows one tuple at a time, and the
 waypoint trace read from a plan's waypoints with pickups matched by
-position.  The
+position, and the snap of one point to its street intersection.  The
 on-demand planning helpers reuse the simulator's routing code (_drive,
 _route_plan), so a check built on them drives the routes the departure
 loop drives; the costing here is this module's own.
@@ -35,10 +35,20 @@ from semibus.simulator import (
     _nearest_stops,
     _route_plan,
     _sample_positions,
+    _snap,
     _sub_routes,
     build_schedule,
-    snap_to_streets,
 )
+
+
+def snap_to_streets(point: tuple, grid: GridGeometry) -> tuple:
+    """Snap a point to the nearest street intersection.
+
+    Midpoint ties go toward the route axis in y and backward in x, so
+    resnapping is a fixed point.
+    """
+    sx = _snap(np.array([point[0]], float), grid.l_x, tie_toward_zero=False)
+    return sx.item(), _snap(np.array([point[1]], float), grid.l_y, tie_toward_zero=True).item()
 
 
 def plan_amsod_route(requests: Sequence[Request], grid: GridGeometry, svc: ServiceConfig, depart_time: float = 0.0) -> RoutePlan:

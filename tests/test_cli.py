@@ -304,6 +304,16 @@ def test_reproduce_script_fails_the_way_the_cli_does(tmp_path, capsys):
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
+def test_sensitivity_script_fails_the_way_the_cli_does(tmp_path, capsys):
+    taken = tmp_path / "taken"  # a file where the output directory should go
+    taken.write_text("")
+    proc = run_script("run_sensitivity.py", "--replications", "1", "--out", str(taken), timeout=120)
+    argv = ["sweep", "--scenario", "model1", "--dimension", "capacity", "--values", "15,20,25,30", "--replications", "1"]
+    assert main([*argv, "--out", str(taken)]) == proc.returncode == 2
+    assert proc.stderr == capsys.readouterr().err
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "run,field",
     [

@@ -17,7 +17,6 @@ from semibus.model import (
     scenario_from_dict,
     scenario_problems,
     scenario_to_dict,
-    validate_scenario,
 )
 
 
@@ -47,31 +46,31 @@ def svc_m1():
 
 
 def test_model1_parameters_valid():
-    problems = validate_scenario(CostParams(), grid_m1(), svc_m1())
+    problems = scenario_problems(Scenario("model1", CostParams(), grid_m1(), svc_m1()))
     assert [p for p in problems if p.severity == "error"] == []
 
 
 def test_negative_operator_cost_rejected():
-    problems = validate_scenario(CostParams(gamma_o=-1.0), grid_m1(), svc_m1())
+    problems = scenario_problems(Scenario("model1", CostParams(gamma_o=-1.0), grid_m1(), svc_m1()))
     assert any(p.rule == "non-positive parameter" and "gamma_o" in p.field for p in problems)
 
 
 def test_unnormalized_weights_rejected():
     grid = replace(grid_m1(), stop_chainages=(0.0, 1.0), stop_weights=(0.5, 0.4), gl_y=(0.5, 0.5))
-    problems = validate_scenario(CostParams(), grid, svc_m1())
+    problems = scenario_problems(Scenario("model1", CostParams(), grid, svc_m1()))
     assert any(p.rule == "weights not normalized" for p in problems)
 
 
 def test_unsorted_stops_rejected():
     grid = replace(grid_m1(), stop_chainages=(1.0, 0.5), stop_weights=(0.5, 0.5), gl_y=(0.5, 0.5))
-    problems = validate_scenario(CostParams(), grid, svc_m1())
+    problems = scenario_problems(Scenario("model1", CostParams(), grid, svc_m1()))
     assert any(p.rule == "unsorted stops" for p in problems)
 
 
 def test_catchment_beyond_walk_reach_is_warning_only():
     # widening s_o is the documented fix, so this must not be fatal
     svc = replace(svc_m1(), s_o=2 / 60)
-    problems = validate_scenario(CostParams(), grid_m1(), svc)
+    problems = scenario_problems(Scenario("model1", CostParams(), grid_m1(), svc))
     walk = [p for p in problems if p.rule == "catchment exceeds walk reach"]
     assert walk and all(p.severity == "warning" for p in walk)
     assert not any(p.severity == "error" for p in problems)
@@ -79,13 +78,13 @@ def test_catchment_beyond_walk_reach_is_warning_only():
 
 def test_zonal_requires_highway_speed():
     svc = replace(svc_m1(), n_zones=2)
-    problems = validate_scenario(CostParams(), grid_m1(), svc)
+    problems = scenario_problems(Scenario("model1", CostParams(), grid_m1(), svc))
     assert any(p.rule == "missing v_h" for p in problems)
 
 
 def test_validation_is_idempotent():
-    args = (CostParams(gamma_o=-1.0), grid_m1(), svc_m1())
-    assert validate_scenario(*args) == validate_scenario(*args)
+    scenario = Scenario("model1", CostParams(gamma_o=-1.0), grid_m1(), svc_m1())
+    assert scenario_problems(scenario) == scenario_problems(scenario)
 
 
 def test_scalar_catchment_expands_per_stop():
@@ -240,7 +239,7 @@ def test_lambda_and_demand_rate_together_refused(model1):
     ],
 )
 def test_bad_service_values_named_by_field(field, value):
-    problems = validate_scenario(CostParams(), grid_m1(), replace(svc_m1(), **{field: value}))
+    problems = scenario_problems(Scenario("model1", CostParams(), grid_m1(), replace(svc_m1(), **{field: value})))
     assert [p.field for p in problems if p.severity == "error"] == [f"service.{field}"]
 
 

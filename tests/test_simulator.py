@@ -177,9 +177,9 @@ def test_replaced_grid_is_rehashed(model1):
 
 def test_snap_examples(model1):
     grid = model1.grid
-    assert S.snap_to_streets((1.03, 0.27), grid) == approx((1.0, 0.3))
-    assert S.snap_to_streets((1.1, 0.05), grid) == (1.0, 0.0)  # both midpoint ties
-    assert S.snap_to_streets((1.1, -0.05), grid) == (1.0, 0.0)
+    assert O.snap_to_streets((1.03, 0.27), grid) == approx((1.0, 0.3))
+    assert O.snap_to_streets((1.1, 0.05), grid) == (1.0, 0.0)  # both midpoint ties
+    assert O.snap_to_streets((1.1, -0.05), grid) == (1.0, 0.0)
 
 
 @given(st.floats(min_value=0, max_value=10), st.floats(min_value=-0.6, max_value=0.6))
@@ -191,8 +191,8 @@ def test_snap_idempotent(x, y):
         l_x=0.2, l_y=0.1, gl_x=10.0, gl_y=0.6,
         stop_chainages=(0.0, 10.0), stop_weights=(0.5, 0.5), d_xs=0.4,
     )
-    once = S.snap_to_streets((x, y), grid)
-    assert S.snap_to_streets(once, grid) == once
+    once = O.snap_to_streets((x, y), grid)
+    assert O.snap_to_streets(once, grid) == once
 
 
 # --- on-demand route planning ---------------------------------------------------
@@ -228,7 +228,7 @@ def test_plan_pickup_times_nondecreasing(model1):
     rng = np.random.default_rng(3)
     reqs = []
     for i in range(20):
-        x, y = S.snap_to_streets((rng.uniform(0, 10), rng.uniform(-0.5, 0.5)), model1.grid)
+        x, y = O.snap_to_streets((rng.uniform(0, 10), rng.uniform(-0.5, 0.5)), model1.grid)
         reqs.append(Request(i, x, y, 0.0, 0))
     plan = O.plan_amsod_route(reqs, model1.grid, model1.service)
     times = [p.time for p in plan.pickups]
@@ -406,8 +406,8 @@ def test_zonal_trace_ends_outer_zone_trips_on_the_highway(model1, tmp_path):
 
 
 def test_departure_count(model1, cta84):
-    assert len(S.departure_times(model1.service)) == 12
-    assert len(S.departure_times(cta84.service)) == 9
+    assert len(S.build_schedule(model1.grid, model1.service).departures) == 12
+    assert len(S.build_schedule(cta84.grid, cta84.service).departures) == 9
 
 
 def test_capacity_one_spills_to_next_trip(model1):
@@ -660,7 +660,7 @@ def test_request_caught_by_first_trip_past_the_snapped_width(model1):
     scn = replace(model1, grid=replace(model1.grid, gl_y=0.56))
     reqs = [Request(i, round(4.2 + 0.2 * i, 6), 0.555 * (-1) ** i, 0.0, 0) for i in range(29)]
     last = [Request(29, 10.0, -0.555, 0.0, 0)]
-    lattice = [Request(r.id, *S.snap_to_streets((r.x, r.y), scn.grid), 0.0, 0) for r in reqs + last]
+    lattice = [Request(r.id, *O.snap_to_streets((r.x, r.y), scn.grid), 0.0, 0) for r in reqs + last]
     arrival = O.plan_amsod_route(lattice, scn.grid, scn.service).pickups[-1].time
     t_k = arrival - 0.02
     assert t_k > 1.4457
@@ -738,7 +738,7 @@ def test_request_at_t_bound_is_admitted(model1):
     # before it is made, but it flips the sweep of x = 5.0 to start from its
     # +0.6 end; made one ulp later, it is left to a later trip
     grid, svc = model1.grid, model1.service
-    cap, y_hat = svc.capacity, S.snap_to_streets((0.0, grid.max_gl_y), grid)[1]
+    cap, y_hat = svc.capacity, O.snap_to_streets((0.0, grid.max_gl_y), grid)[1]
     t_bound = 0.0 + ((grid.gl_x - 0.0 + (cap + 1) * 2.0 * y_hat) / svc.v_d + cap * svc.t_s_prime)
     now = [Request(0, 5.0, 0.2, 0.0, 12), Request(1, 5.0, -0.4, 0.0, 12)]
     for t, pickups in [(t_bound, [0, 1]), (math.nextafter(t_bound, math.inf), [1, 0])]:
@@ -763,12 +763,12 @@ def _reference_amsod(scn, requests):
         subs = [(0.0, grid.gl_x, 0.0, band) for band in S.partition_parallel(requests, grid, svc.n_parallel)]
     pending = []
     for x_lo, x_hi, _, reqs in subs:
-        snapped = [S.snap_to_streets((r.x, r.y), grid) + (r.t_k, r.id) for r in reqs]
+        snapped = [O.snap_to_streets((r.x, r.y), grid) + (r.t_k, r.id) for r in reqs]
         pending.append([(min(max(sx, x_lo), x_hi), sy, tk, rid) for sx, sy, tk, rid in snapped])
-    y_hat = S.snap_to_streets((0.0, grid.max_gl_y), grid)[1]
+    y_hat = O.snap_to_streets((0.0, grid.max_gl_y), grid)[1]
     cap, inv_v = svc.capacity, 1.0 / svc.v_d
     rows = []
-    for i, dep in enumerate(S.departure_times(svc)):
+    for i, dep in enumerate(S.build_schedule(grid, svc).departures):
         k = i % len(subs)
         x_lo, x_hi, express, _ = subs[k]
         t_bound = dep + ((x_hi - x_lo + (cap + 1) * 2.0 * y_hat) / svc.v_d + cap * svc.t_s_prime)
