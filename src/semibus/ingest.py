@@ -1,7 +1,7 @@
 """Build corridor geometry and demand weights from stop-boardings CSVs.
 
 Input schema (header row required):
-    stop_id, routes, boardings, and either chainage_km or lat + lon.
+    stop_id, routes, chainage_km, boardings.
 Optional: catchment_km (per-stop half-width override).
 
 "routes" may list several route ids separated by commas; rows are kept
@@ -19,31 +19,6 @@ from typing import Optional, Sequence, Union
 
 from .model import GridGeometry, Scenario, ScenarioError, Violation, scenario_from_dict, scenario_to_dict
 
-_KM_PER_DEG_LAT = 110.574
-_KM_PER_DEG_LON_EQ = 111.320
-
-
-@dataclass(frozen=True)
-class RouteAxis:
-    """Straight reference axis for projecting stop coordinates."""
-
-    lat0: float
-    lon0: float
-    lat1: float
-    lon1: float
-
-    def chainage(self, lat: float, lon: float) -> float:
-        mid = math.radians((self.lat0 + self.lat1) / 2.0)
-        ax = (self.lon1 - self.lon0) * _KM_PER_DEG_LON_EQ * math.cos(mid)
-        ay = (self.lat1 - self.lat0) * _KM_PER_DEG_LAT
-        px = (lon - self.lon0) * _KM_PER_DEG_LON_EQ * math.cos(mid)
-        py = (lat - self.lat0) * _KM_PER_DEG_LAT
-        norm2 = ax * ax + ay * ay
-        if norm2 == 0.0:
-            raise ValueError("degenerate route axis")
-        t = (px * ax + py * ay) / norm2
-        return max(0.0, min(1.0, t)) * math.sqrt(norm2)
-
 
 @dataclass(frozen=True)
 class StopRecord:
@@ -54,18 +29,18 @@ class StopRecord:
     catchment_km: Optional[float] = None
 
 
-def _numbers(path: Path, line: int, what: str, *texts: str) -> list:
-    """The finite numbers written in texts; a refusal names the file and line."""
+def _number(path: Path, line: int, what: str, text: str) -> float:
+    """The finite number written in text; a refusal names the file and line."""
     try:
-        values = [float(text) for text in texts]
+        value = float(text)
     except ValueError:
-        raise ValueError(f"{path.name} line {line}: non-numeric {what} {', '.join(map(repr, texts))}") from None
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"{path.name} line {line}: non-finite {what} {', '.join(map(repr, texts))}")
-    return values
+        raise ValueError(f"{path.name} line {line}: non-numeric {what} {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{path.name} line {line}: non-finite {what} {text!r}")
+    return value
 
 
-def parse_boardings(path: Union[str, Path], route_id: str, axis: Optional[RouteAxis] = None) -> list:
+def parse_boardings(path: Union[str, Path], route_id: str) -> list:
     """Parse stop records for one route; row-level errors, a non-numeric or
     non-finite number among them, carry the line number."""
     path = Path(path)
@@ -73,15 +48,10 @@ def parse_boardings(path: Union[str, Path], route_id: str, axis: Optional[RouteA
     with open(path, newline="", encoding="utf-8-sig") as fh:  # utf-8-sig: drops the byte-order mark Excel writes
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
-        for col in ("stop_id", "routes", "boardings"):
+        required = ("stop_id", "routes", "boardings", "chainage_km")
+        for col in required:
             if col not in header:
                 raise ValueError(f"{path.name}: missing required column {col!r}")
-        has_chainage = "chainage_km" in header
-        if not has_chainage and not ("lat" in header and "lon" in header):
-            raise ValueError(f"{path.name}: need either chainage_km or lat+lon columns")
-        if not has_chainage and axis is None:
-            raise ValueError(f"{path.name}: lat/lon input requires a route axis")
-        required = ("stop_id", "routes", "boardings") + (("chainage_km",) if has_chainage else ("lat", "lon"))
         for row in reader:
             line = reader.line_num
             missing = [col for col in required if row[col] is None]  # DictReader's fill for a short row
@@ -92,15 +62,12 @@ def parse_boardings(path: Union[str, Path], route_id: str, axis: Optional[RouteA
             routes = {r.strip() for r in row["routes"].replace(";", ",").split(",")}
             if route_id not in routes:
                 continue
-            (boardings,) = _numbers(path, line, "boardings", row["boardings"])
+            boardings = _number(path, line, "boardings", row["boardings"])
             if boardings < 0:
                 raise ValueError(f"{path.name} line {line}: negative boardings")
-            if has_chainage:
-                (chainage,) = _numbers(path, line, "chainage", row["chainage_km"])
-            else:
-                chainage = axis.chainage(*_numbers(path, line, "lat/lon", row["lat"], row["lon"]))
+            chainage = _number(path, line, "chainage", row["chainage_km"])
             raw = (row.get("catchment_km") or "").strip()
-            catchment = _numbers(path, line, "catchment", raw)[0] if raw else None
+            catchment = _number(path, line, "catchment", raw) if raw else None
             records.append(
                 StopRecord(
                     stop_id=str(row["stop_id"]),

@@ -402,6 +402,9 @@ def _parse_section(section: str, data: dict) -> dict:
 
 def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     """Build a Scenario from parsed JSON; raises ScenarioError on any defect."""
+    for key in data:
+        if key != "name" and key not in _PARSE:
+            raise ScenarioError(f"unknown top-level key {key!r}")
     data = {"run": {}, **data}
     kw = {section: _parse_section(section, data) for section in _PARSE}
     if "warmup_window" in kw["service"] and len(kw["service"]["warmup_window"]) != 2:

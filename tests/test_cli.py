@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -11,15 +13,6 @@ import semibus
 from semibus import analytic
 from semibus.cli import bundled_path, main
 from semibus.model import load_scenario, save_scenario
-
-
-def run_script(name, *args, timeout=60):
-    """Run scripts/<name> with args in a fresh interpreter that imports this
-    semibus; returns the CompletedProcess, its output as text."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / name
-    src = str(Path(semibus.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, str(path), *args], env=env, capture_output=True, text=True, timeout=timeout)
 
 
 def test_analytic_model1_report(capsys):
@@ -267,53 +260,6 @@ def test_bad_scenario_numbers_exit_1(section, key, value, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_reproduce_script_writes_the_screen_ranking(tmp_path):
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import semibus
-
-    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_results.py"
-    src = str(Path(semibus.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    subprocess.run(
-        [sys.executable, str(script), "--replications", "2", "--out", str(tmp_path / "script")],
-        env=env,
-        check=True,
-        capture_output=True,
-        timeout=300,
-    )
-    assert main(["screen", "--scenario", "cta126", "model1", "cta84", "model2", "--out", str(tmp_path / "cli")]) == 0
-    ranking = "screen_ranking.csv"
-    assert (tmp_path / "script" / ranking).read_bytes() == (tmp_path / "cli" / ranking).read_bytes()
-    for name in ("model1", "model2", "cta126", "cta84"):
-        assert main(["simulate", "--scenario", name, "--replications", "2", "--out", str(tmp_path / "cli")]) == 0
-        for suffix in ("_stats.json", "_table.csv", "_delta_tc_hist.csv"):
-            assert (tmp_path / "script" / f"{name}{suffix}").read_bytes() == (tmp_path / "cli" / f"{name}{suffix}").read_bytes()
-    assert sorted(p.name for p in (tmp_path / "script").iterdir()) == sorted(p.name for p in (tmp_path / "cli").iterdir())
-
-
-def test_reproduce_script_fails_the_way_the_cli_does(tmp_path, capsys):
-    taken = tmp_path / "taken"  # a file where the output directory should go
-    taken.write_text("")
-    proc = run_script("reproduce_results.py", "--replications", "1", "--out", str(taken), timeout=120)
-    assert main(["simulate", "--scenario", "model1", "--replications", "1", "--out", str(taken)]) == proc.returncode == 2
-    assert proc.stderr == capsys.readouterr().err
-    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
-
-
-def test_sensitivity_script_fails_the_way_the_cli_does(tmp_path, capsys):
-    taken = tmp_path / "taken"  # a file where the output directory should go
-    taken.write_text("")
-    proc = run_script("run_sensitivity.py", "--replications", "1", "--out", str(taken), timeout=120)
-    argv = ["sweep", "--scenario", "model1", "--dimension", "capacity", "--values", "15,20,25,30", "--replications", "1"]
-    assert main([*argv, "--out", str(taken)]) == proc.returncode == 2
-    assert proc.stderr == capsys.readouterr().err
-    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
-
-
 @pytest.mark.parametrize(
     "run,field",
     [
@@ -341,26 +287,6 @@ def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys):
     assert main(["simulate", "--scenario", "model1", "--seed", "-1", "--out", str(tmp_path)]) == 1
     assert "usage" in capsys.readouterr().err.lower()
     assert not any(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("script", ["reproduce_results.py", "run_sensitivity.py"])
-@pytest.mark.parametrize("flag", ["--replications", "--workers"])
-def test_script_count_flags_below_one_are_usage_errors(script, flag, tmp_path):
-    proc = run_script(script, "--replications", "1", "--workers", "1", flag, "0", "--out", str(tmp_path / "out"))
-    assert proc.returncode == 2  # argparse's usage-error status
-    assert "must be at least 1" in proc.stderr and "Traceback" not in proc.stderr
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize(
-    "flag,value,message",
-    [("--capacities", "15.5", "service.capacity: non-integer count"), ("--demands", "abc", "invalid values_arg value")],
-)
-def test_sensitivity_script_bad_values_are_usage_errors(flag, value, message, tmp_path):
-    proc = run_script("run_sensitivity.py", "--replications", "1", flag, value, "--out", str(tmp_path / "out"))
-    assert proc.returncode == 2  # argparse's usage-error status
-    assert message in proc.stderr and "Traceback" not in proc.stderr
-    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("v_h", ["0", "-5", "nan", "inf"])
@@ -456,13 +382,13 @@ def test_ingest_row_past_the_header_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "text,message",
     [
-        ("stop_id,routes,lat,lon,boardings\na,1,41.877,-87.70,5\nb,1,41.877,-87.65,6\n", "stops.csv: lat/lon input requires a route axis"),
+        ("stop_id,routes,lat,lon,boardings\na,1,41.877,-87.70,5\nb,1,41.877,-87.65,6\n", "stops.csv: missing required column 'chainage_km'"),
         ("stop_id,routes,chainage_km,boardings\na,1,0.0,5\nb,1,0.5,inf\n", "stops.csv line 3: non-finite boardings 'inf'"),
     ],
     ids=["latlon", "inf-boardings"],
 )
 def test_ingest_latlon_and_non_finite_rows_exit_2(text, message, tmp_path, capsys):
-    # the CLI passes no route axis, so it reads chainage_km only
+    # stop positions come from chainage_km alone
     data = tmp_path / "stops.csv"
     data.write_text(text)
     out = tmp_path / "built.json"
@@ -544,3 +470,19 @@ def test_walk_reach_warning_once_per_load(tmp_path, capsys):
         warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
         assert len(warnings) == 1
         assert warnings[0].startswith("warning: service.s_o: catchment exceeds walk reach")
+
+
+def test_readme_commands_parse():
+    """Every `semibus ...` line in README's bash blocks is accepted by the
+    parser; nothing runs."""
+    from semibus.cli import build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```bash\n(.*?)^```", readme, re.M | re.S)
+    commands = [shlex.split(line, comments=True)[1:] for block in blocks for line in block.splitlines() if line.startswith("semibus ")]
+    assert {argv[0] for argv in commands} == {"analytic", "screen", "simulate", "sweep", "ingest"}
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command refused: {shlex.join(['semibus', *argv])}")

@@ -40,10 +40,6 @@ def test_parse_bad_boardings_names_line(tmp_path):
     short = write_csv(tmp_path / "short.csv", ["a,126,0.0,10,", "b"])  # a stop id only
     with pytest.raises(ValueError, match="short.csv line 3: missing routes, boardings, chainage_km"):
         ingest.parse_boardings(short, "126")
-    latlon = write_csv(tmp_path / "latlon.csv", ["a,9,41.877,-87.70,10", "b,9,abc,-87.65,10"], header="stop_id,routes,lat,lon,boardings")
-    axis = ingest.RouteAxis(lat0=41.877, lon0=-87.70, lat1=41.877, lon1=-87.60)
-    with pytest.raises(ValueError, match="latlon.csv line 3: non-numeric lat/lon 'abc'"):
-        ingest.parse_boardings(latlon, "9", axis=axis)
     # float() reads these; unrefused, the loader named a grid field and no row
     for rows, message in [
         (["a,126,0.0,10,", "b,126,0.5,inf,"], "line 3: non-finite boardings 'inf'"),
@@ -52,9 +48,6 @@ def test_parse_bad_boardings_names_line(tmp_path):
     ]:
         with pytest.raises(ValueError, match=f"nonfinite.csv {message}"):
             ingest.parse_boardings(write_csv(tmp_path / "nonfinite.csv", rows), "126")
-    latlon = write_csv(tmp_path / "latlon.csv", ["a,9,41.877,-87.70,10", "b,9,41.877,-inf,10"], header="stop_id,routes,lat,lon,boardings")
-    with pytest.raises(ValueError, match="latlon.csv line 3: non-finite lat/lon '41.877', '-inf'"):
-        ingest.parse_boardings(latlon, "9", axis=axis)
 
 
 def test_parse_refuses_fields_past_the_header(tmp_path):
@@ -82,46 +75,23 @@ def test_parse_missing_column(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "header, rows, axis, message",
+    "header, rows, message",
     [
-        pytest.param("stop_id,routes,chainage_km,boardings", ["a,126,0.0,10", "b,126,0.5,-1"], None, "stops.csv line 3: negative boardings", id="negative-boardings"),
-        pytest.param("stop_id,routes,boardings", ["a,126,10", "b,126,20"], None, "stops.csv: need either chainage_km or lat+lon columns", id="no-position-columns"),
-        pytest.param("stop_id,routes,chainage_km,boardings", ["a,126,0.5,10"], None, "need at least 2 stop records", id="one-stop"),
-        pytest.param(
-            "stop_id,routes,lat,lon,boardings",
-            ["a,126,41.877,-87.70,10", "b,126,41.877,-87.65,10"],
-            ingest.RouteAxis(lat0=41.877, lon0=-87.70, lat1=41.877, lon1=-87.70),
-            "degenerate route axis",
-            id="degenerate-axis",
-        ),
+        pytest.param("stop_id,routes,chainage_km,boardings", ["a,126,0.0,10", "b,126,0.5,-1"], "stops.csv line 3: negative boardings", id="negative-boardings"),
+        pytest.param("stop_id,routes,boardings", ["a,126,10", "b,126,20"], "stops.csv: missing required column 'chainage_km'", id="no-position-columns"),
+        pytest.param("stop_id,routes,chainage_km,boardings", ["a,126,0.5,10"], "need at least 2 stop records", id="one-stop"),
     ],
 )
-def test_ingest_refusals_name_their_rule(tmp_path, cta126, header, rows, axis, message):
+def test_ingest_refusals_name_their_rule(tmp_path, cta126, header, rows, message):
     path = write_csv(tmp_path / "stops.csv", rows, header=header)
     with pytest.raises(ValueError, match=re.escape(message)):
-        ingest.build_route_model(ingest.parse_boardings(path, "126", axis=axis), cta126)
+        ingest.build_route_model(ingest.parse_boardings(path, "126"), cta126)
 
 
 def test_parse_empty_result(tmp_path):
     path = write_csv(tmp_path / "stops.csv", ["a,20,0.0,10,"])
     with pytest.raises(ValueError, match="no stops for route"):
         ingest.parse_boardings(path, "126")
-
-
-def test_parse_latlon_projection(tmp_path):
-    path = tmp_path / "stops.csv"
-    path.write_text(
-        "stop_id,routes,lat,lon,boardings\n"
-        "a,9,41.877,-87.70,10\n"
-        "b,9,41.877,-87.65,10\n"
-        "c,9,41.877,-87.60,10\n"
-    )
-    axis = ingest.RouteAxis(lat0=41.877, lon0=-87.70, lat1=41.877, lon1=-87.60)
-    records = ingest.parse_boardings(path, "9", axis=axis)
-    chain = [r.chainage_km for r in records]
-    assert chain[0] == approx(0.0, abs=1e-9)
-    assert chain[1] == approx(chain[2] / 2, rel=1e-6)
-    assert 7.0 < chain[2] < 9.0  # ~0.1 deg lon at Chicago latitude
 
 
 def test_equal_boardings_equal_weights(tmp_path):

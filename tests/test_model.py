@@ -127,6 +127,17 @@ def test_unknown_field_reported(model1):
         scenario_from_dict(data)
 
 
+@pytest.mark.parametrize("key", ["seed", "replications", "servce"])
+def test_unknown_top_level_key_reported(model1, tmp_path, key):
+    # unrefused, "seed": 5 beside "run" loaded as seed 1729
+    data = scenario_to_dict(model1)
+    data[key] = 5
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ScenarioError, match=f"scenario: unknown top-level key '{key}'"):
+        load_scenario(path)
+
+
 def test_zero_headway_rejected(model1, tmp_path):
     data = scenario_to_dict(model1)
     data["service"].pop("headway_h")
