@@ -209,22 +209,23 @@ def values_arg(text: str) -> tuple:
 
 @functools.cache  # built once per process, on the first main call; holds no per-call state
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="semibus", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="verb", required=True)
+    # allow_abbrev=False: a shortened or misspelt flag is refused, not read as the flag it prefixes
+    parser = argparse.ArgumentParser(prog="semibus", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter, allow_abbrev=False)
+    add_verb = functools.partial(parser.add_subparsers(dest="verb", required=True).add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("analytic", help="closed-form screening report")
+    p = add_verb("analytic", help="closed-form screening report")
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--v-h", type=float, default=None, help="highway speed for the zonal table, km/h")
     p.add_argument("--n-max", type=count_arg, default=6)
     p.set_defaults(func=cmd_analytic)
 
-    p = sub.add_parser("screen", help="rank scenarios by selection indicator")
+    p = add_verb("screen", help="rank scenarios by selection indicator")
     p.add_argument("--scenario", required=True, nargs="+")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_screen)
 
-    p = sub.add_parser("simulate", help="Monte Carlo run and report")
+    p = add_verb("simulate", help="Monte Carlo run and report")
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", default=".")
     p.add_argument("--seed", type=seed_arg, default=None)
@@ -234,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true", help="also write replication 0's on-demand waypoint trace")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("sweep", help="sensitivity sweep")
+    p = add_verb("sweep", help="sensitivity sweep")
     p.add_argument("--scenario", required=True)
     p.add_argument("--dimension", choices=("capacity", "lambda"), required=True)
     p.add_argument("--values", type=values_arg, required=True, help="comma-separated, strictly increasing")
@@ -244,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=count_arg, default=1)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("ingest", help="scenario file from stop boardings CSV")
+    p = add_verb("ingest", help="scenario file from stop boardings CSV")
     p.add_argument("--data", required=True)
     p.add_argument("--route-id", required=True)
     p.add_argument("--template", required=True, help="scenario supplying cost/service config")

@@ -7,7 +7,10 @@ so per-replication cost differences are paired.  Passenger costs
 aggregate the warm-up counting window only; operator costs accrue for
 every departure in the horizon.  Replication r of a run seeded with s
 uses the independent substream SeedSequence(s, spawn_key=(r,)), so
-results are identical for any worker count and execution order.
+results are identical for any worker count and execution order.  A worker
+runs one contiguous range of replications, BLOCK at a time: their draws
+lie end to end in one block (simulator._sample_block), each from its own
+generator, and each is then run and folded on its own rows.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ import numpy as np
 
 from .model import MetricSummary, Scenario, ScenarioError, ScenarioStats, require_valid
 from .model import scenario_from_dict, scenario_to_dict
-from .simulator import _amsod_columns, _amsod_drives, _fixed_columns, sample_demand
+from .simulator import _amsod_columns, _amsod_drives, _fixed_columns, _sample_block
 
 MODES = ("fixed", "amsod")
 
@@ -43,6 +46,8 @@ METRICS = (
 TABLE_ROWS = METRICS[:7] + ("generalized_cost_diff", "passengers")
 
 HIST_BINS = 30
+
+BLOCK = 16  # consecutive replications whose array work runs together
 
 
 def _summaries(table: np.ndarray) -> list:
@@ -135,12 +140,19 @@ def replication_rng(entropy: tuple, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=list(entropy), spawn_key=(rep,)))
 
 
-def _one_replication(args):
-    fixed, amsod, entropy, rep = args
-    demand = sample_demand(fixed.grid, fixed.service, replication_rng(entropy, rep))
-    fixed_c_o, _, fixed_passengers, _ = _fixed_columns(fixed, demand)
-    amsod_c_o, _, amsod_passengers, _ = _amsod_columns(amsod, _amsod_drives(amsod, demand))
-    return _window_metrics(fixed, fixed_c_o, fixed_passengers), _window_metrics(amsod, amsod_c_o, amsod_passengers)
+def _replications(job) -> list:
+    """The (fixed, amsod) metrics of each replication in a range, drawn and
+    set up BLOCK at a time (simulator._sample_block); each replication keeps
+    its own generator, sorts and loops."""
+    fixed, amsod, entropy, reps = job
+    metrics = []
+    for lo in range(reps.start, reps.stop, BLOCK):
+        rngs = [replication_rng(entropy, r) for r in range(lo, min(lo + BLOCK, reps.stop))]
+        demand, draws = _sample_block(fixed.grid, fixed.service, rngs)
+        for (fixed_c_o, _, fixed_passengers, _), drives in zip(_fixed_columns(fixed, demand, draws), _amsod_drives(amsod, demand, draws)):
+            amsod_c_o, _, amsod_passengers, _ = _amsod_columns(amsod, drives)
+            metrics.append((_window_metrics(fixed, fixed_c_o, fixed_passengers), _window_metrics(amsod, amsod_c_o, amsod_passengers)))
+    return metrics
 
 
 def _check_workers(workers) -> None:
@@ -159,7 +171,7 @@ def run_scenario(scenario: Scenario, replications: Optional[int] = None, seed=No
 
     replications and seed default to the scenario's own.  workers > 1 runs
     the replications on a pool of min(workers, replications) processes,
-    one contiguous block each, opened after every argument check and
+    one contiguous range each, opened after every argument check and
     joined before this returns or raises.
     """
     return _run_scenario(require_valid(scenario), scenario, replications, seed, workers, None)
@@ -177,12 +189,12 @@ def _run_scenario(fixed, amsod, replications, seed, workers, pool) -> ScenarioRu
     entropy = _entropy(fixed.seed if seed is None else seed)
     _check_workers(workers)
 
-    jobs = [(fixed, amsod, entropy, rep) for rep in range(J)]
     if workers == 1:
-        per_rep = [_one_replication(job) for job in jobs]
-    else:  # one block of jobs per worker; map keeps job order
+        per_rep = _replications((fixed, amsod, entropy, range(J)))
+    else:  # one contiguous range of replications per worker; map keeps their order
+        step = -(-J // workers)
         with _pool(workers, J) if pool is None else nullcontext(pool) as pool:
-            per_rep = list(pool.map(_one_replication, jobs, chunksize=-(-J // workers)))
+            per_rep = list(chain.from_iterable(pool.map(_replications, [(fixed, amsod, entropy, range(lo, min(lo + step, J))) for lo in range(0, J, step)])))
     delta = [a["generalized_cost"] - f["generalized_cost"] for f, a in per_rep]
     *summaries, delta_tc = _summaries(np.array([[p[k][m] for p in per_rep] for k in (0, 1) for m in METRICS] + [delta]))
     stats = tuple(ScenarioStats(metrics=dict(zip(METRICS, summaries[k * len(METRICS) :]))) for k in (0, 1))

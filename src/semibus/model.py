@@ -405,12 +405,15 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     for key in data:
         if key != "name" and key not in _PARSE:
             raise ScenarioError(f"unknown top-level key {key!r}")
+    name = data.get("name", name)  # it names the report files
+    if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ScenarioError([Violation("name", "not a plain file name", detail=f"value {name!r}")])
     data = {"run": {}, **data}
     kw = {section: _parse_section(section, data) for section in _PARSE}
     if "warmup_window" in kw["service"] and len(kw["service"]["warmup_window"]) != 2:
         raise ScenarioError("service.warmup_window: expected [start, end]")
     scenario = Scenario(
-        name=str(data.get("name", name)),
+        name=name,
         cost=CostParams(**kw["cost"]),
         grid=GridGeometry(**kw["grid"]),
         service=ServiceConfig(**kw["service"]),

@@ -18,11 +18,17 @@ simulate_requests keeps them in TripLogs.  write_trace walks the trips
 _amsod_drives yields.
 
 Demand travels as columns (Demand: id, x, y, t_k, home_stop) from the
-draw (sample_demand) to both loops.  Request objects appear only at
-the public entry points: sample_requests builds them, and
-simulate_requests and partition_parallel turn them back into columns
-through one helper.  The arrays a draw reads from a grid are built once
-per grid.
+draw to both loops.  A block is consecutive draws laid end to end in one
+Demand, draw b in rows draws[b]:draws[b + 1] with ids from 0 in each
+(_sample_block).  The elementwise work runs once per block: the rejection
+rounds, the fixed route's stops, access, ready times and first departures,
+and the on-demand snapping, clamping, sub-routes and arrival trips.  The
+sorts, loops and columns run per draw on its rows, and the per-draw entry
+points (sample_demand, trip_records, write_trace) run a block of one.
+Request objects appear only at the public entry points: sample_requests
+builds them, and simulate_requests and partition_parallel turn them back
+into columns through one helper.  The arrays a draw reads from a grid are
+built once per grid.
 
 fixed
     One sub-route.  Passengers walk to the nearest stop and board the
@@ -163,34 +169,48 @@ def _grid_arrays(grid: GridGeometry) -> tuple:
     return (*arrays, _snap(np.array(grid.max_gl_y), grid.l_y, tie_toward_zero=True).item())
 
 
-def _sample_positions(grid: GridGeometry, n: int, rng: np.random.Generator):
-    """Draw n demand points: stop by weight, then uniform around the stop,
-    redrawn until its rectilinear offset fits the catchment, on the corridor.
-    A round over m points maps one rng.random(2 * m) as Generator.uniform maps
-    the same doubles (low + (high - low) * u), so dx and y are bitwise
+def _sample_positions(grid: GridGeometry, draws: Sequence[int], rngs: Sequence[np.random.Generator]):
+    """Draw a block's demand points, rows draws[b]:draws[b + 1] with rngs[b]:
+    stop by weight, then uniform around the stop, redrawn until its
+    rectilinear offset fits the catchment, on the corridor.  A generator's
+    round over its m points still to draw (none once it has none) maps the
+    two rows of one rng.random(2 * m) as Generator.uniform maps the same
+    doubles (low + (high - low) * u), so dx and y are bitwise
     uniform(-h, h, m) then uniform(-g, g), generator state included, without
-    uniform's array-bound overhead; this is numpy's arithmetic (CI pins 2.4.6)."""
+    uniform's array-bound overhead (numpy 2.4.6's arithmetic)."""
     cdf, chainage, gl_y, _ = _grid_arrays(grid)
-    stops = cdf.searchsorted(rng.random(n), side="right")
+    stops = cdf.searchsorted(np.concatenate([rng.random(hi - lo) for lo, hi, rng in zip(draws, draws[1:], rngs)]), side="right")
     chain, gl, h = chainage[stops], gl_y[stops], grid.d_xs / 2.0
-    x, y, left = np.empty(n), np.empty(n), np.arange(n)  # left: points still to draw
-    while m := left.size:
-        u, g = rng.random(2 * m), gl[left]
-        dx = -h + (h - -h) * u[:m]
-        y[left] = yt = -g + (g - -g) * u[m:]
+    x, y, left = np.empty(stops.size), np.empty(stops.size), np.arange(stops.size)  # left: points still to draw
+    while left.size:
+        ends = left.searchsorted(draws).tolist()  # draw b's points still to draw: left[ends[b]:ends[b + 1]]
+        u = np.concatenate([rng.random(2 * (hi - lo)).reshape(2, -1) for lo, hi, rng in zip(ends, ends[1:], rngs) if hi > lo], axis=1)
+        g = gl[left]
+        dx = -h + (h - -h) * u[0]
+        y[left] = yt = -g + (g - -g) * u[1]
         x[left] = xt = chain[left] + dx
         left = left[(np.abs(dx) + np.abs(yt) > g) | (xt < 0.0) | (xt > grid.gl_x)]
     return x, y, stops
 
 
+def _sample_block(grid: GridGeometry, svc: ServiceConfig, rngs: Sequence[np.random.Generator]) -> tuple:
+    """(Demand, draws): one draw of sample_demand per generator, laid end to
+    end as the columns of a block (draw b in rows draws[b]:draws[b + 1], its
+    ids from 0).  Each generator draws in sample_demand's order: the count,
+    the sorted times, the stops, then the rejection rounds."""
+    counts, times = [], []
+    for rng in rngs:
+        counts.append(int(rng.poisson(svc.demand_rate * svc.horizon)))
+        times.append(np.sort(rng.uniform(0.0, svc.horizon, counts[-1])))
+    draws = [0, *accumulate(counts)]
+    x, y, stops = _sample_positions(grid, draws, rngs)
+    return Demand(np.arange(draws[-1]) - np.repeat(draws[:-1], counts), x, y, np.concatenate(times), stops), draws
+
+
 def sample_demand(grid: GridGeometry, svc: ServiceConfig, seed: SeedLike) -> Demand:
     """Homogeneous Poisson request process over [0, horizon] as columns,
     deterministic given (seed, scenario); ids follow request time order."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.poisson(svc.demand_rate * svc.horizon))
-    times = np.sort(rng.uniform(0.0, svc.horizon, n))
-    x, y, stops = _sample_positions(grid, n, rng)
-    return Demand(np.arange(n), x, y, times, stops)
+    return _sample_block(grid, svc, [np.random.default_rng(seed)])[0]
 
 
 def sample_requests(grid: GridGeometry, svc: ServiceConfig, seed: SeedLike) -> list:
@@ -364,80 +384,90 @@ def partition_parallel(requests: Sequence[Request], grid: GridGeometry, n_p: int
 # --- dispatch ----------------------------------------------------------------
 
 
-def _fixed_columns(scenario: Scenario, demand: Demand) -> tuple:
-    """The fixed route's departure loop.  Each trip boards, up to capacity,
-    the spill of the trip before and the requests whose first catchable
-    departure it is, in (stop, ready, id) key order; its operator cost is
-    the full corridor length regardless of boardings.  Returns each trip's
-    operator cost, the trip cuts, the boarded passengers' (id, t_k, wait,
-    ivtt, access) columns in trip, then boarding order, and lazily per trip
-    (spilled ids in key order, None, depart time), which run_scenario never
-    reads."""
+def _fixed_columns(scenario: Scenario, demand: Demand, draws: Sequence[int]):
+    """The fixed route's departure loop of each draw of a block.  Each trip
+    boards, up to capacity, the spill of the trip before and the requests
+    whose first catchable departure it is, in (stop, ready, id) key order;
+    its operator cost is the full corridor length regardless of boardings.
+    Returns lazily per draw each trip's operator cost, the trip cuts, the
+    boarded passengers' (id, t_k, wait, ivtt, access) columns in trip, then
+    boarding order, and lazily per trip (spilled ids in key order, None,
+    depart time), which run_scenario never reads."""
     grid, svc = scenario.grid, scenario.service
     sched = build_schedule(grid, svc)
-    n, cap = len(sched.departures), svc.capacity
+    n, cap, departures = len(sched.departures), svc.capacity, np.asarray(sched.departures)
     stops, dx = _nearest_stops(grid, demand.x)
     access = (dx + np.abs(demand.y)) / svc.v_w
     ready = demand.t_k + access
     offsets = np.asarray(sched.stop_offsets)[stops]
-    first = np.maximum(0.0, np.ceil((ready - offsets) / svc.headway - 1e-12)).astype(np.int64)
-    key = np.lexsort((demand.id, ready, stops))  # the (stop, ready, id) order
-    first = first[key]
-    trip = np.minimum(first, n)  # per row in key order; n: never boards
-    if (np.bincount(trip, minlength=n + 1)[:n] > cap).any():
-        # trip j takes the first cap rows in key order that reached it
-        waiting, trip = trip < n, np.full(len(key), n)
-        for j in range(n):
-            take = np.flatnonzero(waiting & (first <= j))[:cap]
-            trip[take] = j
-            waiting[take] = False
-    by_trip = np.argsort(trip, kind="stable")  # by trip, then key order
-    cuts = np.searchsorted(trip[by_trip], np.arange(n + 1)).tolist()
-    boarded = by_trip[: cuts[n]]
-    board = key[boarded]  # demand indices in boarding order
-    wait = np.asarray(sched.departures)[trip[boarded]] + offsets[board] - ready[board]
-    late = np.flatnonzero(wait < -1e-9)
-    if late.size:
-        raise ValueError(f"request {demand.id[board[late[0]]]} assigned to a departure it cannot catch")
-    rides = np.asarray(sched.ride_times)[stops[board]]
-    trips = ((demand.id[key[(first <= j) & (trip > j)]].tolist(), None, dep) for j, dep in enumerate(sched.departures))
-    passengers = demand.id[board], demand.t_k[board], np.maximum(wait, 0.0), rides, access[board]
-    return np.full(n, scenario.cost.gamma_o * grid.gl_x), cuts, passengers, trips
+    firsts = np.maximum(0.0, np.ceil((ready - offsets) / svc.headway - 1e-12)).astype(np.int64)
+    rides = np.asarray(sched.ride_times)[stops]
+
+    def draw(lo, hi):
+        key = lo + np.lexsort((demand.id[lo:hi], ready[lo:hi], stops[lo:hi]))  # the (stop, ready, id) order
+        first = firsts[key]
+        trip = np.minimum(first, n)  # per row in key order; n: never boards
+        if (np.bincount(trip, minlength=n + 1)[:n] > cap).any():
+            # trip j takes the first cap rows in key order that reached it
+            waiting, trip = trip < n, np.full(len(key), n)
+            for j in range(n):
+                take = np.flatnonzero(waiting & (first <= j))[:cap]
+                trip[take] = j
+                waiting[take] = False
+        by_trip = np.argsort(trip, kind="stable")  # by trip, then key order
+        cuts = np.searchsorted(trip[by_trip], np.arange(n + 1)).tolist()
+        boarded = by_trip[: cuts[n]]
+        board = key[boarded]  # demand rows in boarding order
+        wait = departures[trip[boarded]] + offsets[board] - ready[board]
+        late = np.flatnonzero(wait < -1e-9)
+        if late.size:
+            raise ValueError(f"request {demand.id[board[late[0]]]} assigned to a departure it cannot catch")
+        trips = ((demand.id[key[(first <= j) & (trip > j)]].tolist(), None, dep) for j, dep in enumerate(sched.departures))
+        passengers = demand.id[board], demand.t_k[board], np.maximum(wait, 0.0), rides[board], access[board]
+        return np.full(n, scenario.cost.gamma_o * grid.gl_x), cuts, passengers, trips
+
+    return map(draw, draws[:-1], draws[1:])
 
 
-def _amsod_drives(scenario: Scenario, demand: Demand):
-    """Each trip drives its sub-route's pending candidates, kept in one dict
-    from cross-street x to a sorted list of (sx, sy, request_id, t_k); a
-    request arrives at the first trip of its sub-route whose t_bound it
-    does not exceed.  Yields (c_o, served, spilled, route, dep) per trip."""
+def _amsod_drives(scenario: Scenario, demand: Demand, draws: Sequence[int]):
+    """Lazily per draw of a block, the generator of its trips.  Each trip
+    drives its sub-route's pending candidates, kept in one dict from
+    cross-street x to a sorted list of (sx, sy, request_id, t_k); a request
+    arrives at the first trip of its sub-route whose t_bound it does not
+    exceed.  A trip yields (c_o, served, spilled, route, dep)."""
     grid, svc = scenario.grid, scenario.service
     sub, bounds = _sub_routes(demand, grid, svc.n_zones, svc.n_parallel)
     sx_all = _snap(demand.x, grid.l_x, tie_toward_zero=False)
-    sy_all = _snap(demand.y, grid.l_y, tie_toward_zero=True)
+    sy = _snap(demand.y, grid.l_y, tie_toward_zero=True)
     cap, n, deps = svc.capacity, len(bounds), build_schedule(grid, svc).departures
     y_hat = _grid_arrays(grid)[3]  # no request snaps further out
-    sx, first = np.empty(len(sub)), np.empty(len(sub), np.int64)
+    sx, firsts = np.empty(len(sub)), np.empty(len(sub), np.int64)
     for k, (x_lo, x_hi, _) in enumerate(bounds):
         mine = sub == k
         sx[mine] = np.minimum(np.maximum(sx_all[mine], x_lo), x_hi)  # kept inside the run
         # at most cap dwells and cap + 1 cross-street moves precede any arrival
         reach = (x_hi - x_lo + (cap + 1) * 2.0 * y_hat) / svc.v_d + cap * svc.t_s_prime
-        first[mine] = k + n * np.searchsorted(np.asarray(deps[k::n]) + reach, demand.t_k[mine])  # t_k <= t_bound
-    order = np.argsort(first, kind="stable")  # by arrival trip, then id
-    cands = list(zip(sx[order].tolist(), sy_all[order].tolist(), demand.id[order].tolist(), demand.t_k[order].tolist()))
-    cuts = np.searchsorted(first[order], np.arange(len(deps) + 1)).tolist()
-    streets = [{} for _ in bounds]
-    for i, dep in enumerate(deps):
-        pending, (start_x, end_x, express_len) = streets[i % n], bounds[i % n]
-        for c in cands[cuts[i] : cuts[i + 1]]:
-            insort(pending.setdefault(c[0], []), c)
-        served, spilled, route = _drive(pending, dep, svc, start_x, end_x, express_len, cap)
-        yield scenario.cost.gamma_o * (end_x - start_x + route[2] + sum(length for length, _ in route[3])), served, spilled, route, dep
-        for rid, tk, _, (x, y) in served:  # after the yield: spilled reads the lists as the trip left them
-            m = pending[x]
-            del m[bisect_left(m, (x, y, rid, tk))]
-            if not m:
-                del pending[x]
+        firsts[mine] = k + n * np.searchsorted(np.asarray(deps[k::n]) + reach, demand.t_k[mine])  # t_k <= t_bound
+    trip_numbers = np.arange(len(deps) + 1)
+
+    def drives(lo, hi):
+        order = lo + np.argsort(firsts[lo:hi], kind="stable")  # by arrival trip, then id
+        cands = list(zip(sx[order].tolist(), sy[order].tolist(), demand.id[order].tolist(), demand.t_k[order].tolist()))
+        cuts = np.searchsorted(firsts[order], trip_numbers).tolist()
+        streets = [{} for _ in bounds]
+        for i, dep in enumerate(deps):
+            pending, (start_x, end_x, express_len) = streets[i % n], bounds[i % n]
+            for c in cands[cuts[i] : cuts[i + 1]]:
+                insort(pending.setdefault(c[0], []), c)
+            served, spilled, route = _drive(pending, dep, svc, start_x, end_x, express_len, cap)
+            yield scenario.cost.gamma_o * (end_x - start_x + route[2] + sum(length for length, _ in route[3])), served, spilled, route, dep
+            for rid, tk, _, (x, y) in served:  # after the yield: spilled reads the lists as the trip left them
+                m = pending[x]
+                del m[bisect_left(m, (x, y, rid, tk))]
+                if not m:
+                    del pending[x]
+
+    return map(drives, draws[:-1], draws[1:])
 
 
 def _amsod_columns(scenario: Scenario, drives) -> tuple:
@@ -473,11 +503,12 @@ def trip_records(scenario: Scenario, mode: str, demand: Demand):
     boarding order, sliced from the columns run_scenario folds, the list of
     spilled ids and, on demand, _drive's (served, route).  Unvalidated:
     callers validate."""
+    draws = (0, len(demand.id))  # a block of one draw
     if mode == "fixed":
-        c_o, cuts, passengers, trips = _fixed_columns(scenario, demand)
-    elif mode == "amsod":  # each spill read into a list before _amsod_drives resumes
-        drives = ((c, served, list(spilled), route, dep) for c, served, spilled, route, dep in _amsod_drives(scenario, demand))
-        c_o, cuts, passengers, trips = _amsod_columns(scenario, drives)
+        [(c_o, cuts, passengers, trips)] = _fixed_columns(scenario, demand, draws)
+    elif mode == "amsod":  # each spill read into a list before its drive resumes
+        [drives] = _amsod_drives(scenario, demand, draws)
+        c_o, cuts, passengers, trips = _amsod_columns(scenario, ((c, served, list(spilled), route, dep) for c, served, spilled, route, dep in drives))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     rows = list(zip(*(column.tolist() for column in passengers)))
@@ -504,7 +535,7 @@ def write_trace(scenario: Scenario, demand: Demand, path: Union[str, Path]) -> N
     reaches a point takes that passenger's arrival (then dwells once per
     point); plain corners are interpolated at street speed.
     """
-    svc, drives = scenario.service, _amsod_drives(require_valid(scenario), demand)  # validated before the file opens
+    svc, [drives] = scenario.service, _amsod_drives(require_valid(scenario), demand, (0, len(demand.id)))  # validated before the file opens
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["trip", "time_h", "x_km", "y_km", "event"])

@@ -210,7 +210,7 @@ def sampled_mean_access(grid: GridGeometry, svc: ServiceConfig, n_samples: int =
     """Monte Carlo mean fixed-route access time (hours) under the
     simulator's demand distribution."""
     rng = np.random.default_rng(seed)
-    x, y, _ = _sample_positions(grid, n_samples, rng)
+    x, y, _ = _sample_positions(grid, [0, n_samples], [rng])
     dist = _nearest_stops(grid, x)[1] + np.abs(y)
     return float(dist.mean() / svc.v_w)
 

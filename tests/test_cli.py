@@ -283,6 +283,27 @@ def test_bad_run_object_exits_1(run, field, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name", [None, "../escaped"], ids=["null", "parent-dir"])
+def test_scenario_name_that_is_not_a_file_name_exits_1(name, tmp_path, capsys):
+    # the name names the report files: null wrote None_stats.json, and ../escaped wrote beside --out
+    data = json.loads(bundled_path("model1").read_text())
+    data["name"] = name
+    bad = tmp_path / "nm" / "bad.json"
+    bad.parent.mkdir()
+    bad.write_text(json.dumps(data))
+    assert main(["simulate", "--scenario", str(bad), "--replications", "1", "--out", str(tmp_path / "nm" / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: name: not a plain file name")
+    assert [p.name for p in (tmp_path / "nm").iterdir()] == ["bad.json"]
+
+
+def test_abbreviated_flag_exits_1(tmp_path, capsys):
+    # --replication is not read as --replications
+    assert main(["simulate", "--scenario", "model1", "--replication", "1", "--out", str(tmp_path)]) == 1
+    assert "unrecognized arguments: --replication 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys):
     assert main(["simulate", "--scenario", "model1", "--seed", "-1", "--out", str(tmp_path)]) == 1
     assert "usage" in capsys.readouterr().err.lower()

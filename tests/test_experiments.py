@@ -89,16 +89,25 @@ def test_sweep_values_checked_like_scenario_file_values(model1, dimension, value
     assert [p.field for p in info.value.problems] == [field]
 
 
-def test_capacity_sweep_refuses_an_invalid_base_before_any_replication(model1, monkeypatch):
-    # a capacity sweep never re-parses the base's own capacity: the spec checks the base itself
+@pytest.fixture
+def no_draw(monkeypatch):
+    """Every replication raises AssertionError("a replication ran"): the
+    patch is on the block draw that run_scenario makes."""
+
     def no_draw(*args):
         raise AssertionError("a replication ran")
 
-    monkeypatch.setattr(E, "sample_demand", no_draw)
+    monkeypatch.setattr(E, "_sample_block", no_draw)
+
+
+def test_capacity_sweep_refuses_an_invalid_base_before_any_replication(model1, no_draw):
+    # a capacity sweep never re-parses the base's own capacity: the spec checks the base itself
     base = replace(model1, service=replace(model1.service, capacity=15.5))
     with pytest.raises(ScenarioError) as info:
         E.sweep(E.SweepSpec(dimension="capacity", values=(10.0, 20.0), replications=2, scenario=base))
     assert [p.field for p in info.value.problems] == ["service.capacity"]
+    with pytest.raises(AssertionError, match="a replication ran"):  # control: a valid base reaches the patch
+        E.sweep(E.SweepSpec(dimension="capacity", values=(10.0, 20.0), replications=2, scenario=model1))
 
 
 def test_capacity_sweep_keeps_fixed_side(model1):
@@ -136,7 +145,7 @@ class FakePool:
     made = []
 
     def __init__(self, max_workers):
-        self.max_workers, self.chunksizes, self.shut = max_workers, [], False
+        self.max_workers, self.ranges, self.shut = max_workers, [], False
         FakePool.made.append(self)
 
     def __enter__(self):
@@ -146,7 +155,9 @@ class FakePool:
         self.shutdown()
 
     def map(self, fn, jobs, chunksize=1):
-        self.chunksizes.append(chunksize)
+        assert chunksize == 1  # a job is a worker's whole range
+        jobs = list(jobs)
+        self.ranges.append([job[-1] for job in jobs])  # each job's range of replications
         return map(fn, jobs)
 
     def shutdown(self, wait=True, cancel_futures=False):
@@ -164,7 +175,8 @@ def test_sweep_makes_one_pool_and_shuts_it_down(model1, fake_pool):
     spec = E.SweepSpec(dimension="lambda", values=(10.0, 20.0, 40.0), replications=5, scenario=model1)
     E.sweep(spec, seed=3, workers=2)
     [pool] = fake_pool
-    assert (pool.max_workers, pool.chunksizes, pool.shut) == (2, [3, 3, 3], True)
+    # per point, one contiguous range of the 5 replications per worker, in order
+    assert (pool.max_workers, pool.ranges, pool.shut) == (2, [[range(0, 3), range(3, 5)]] * 3, True)
 
 
 @pytest.mark.parametrize("replications", [2, 2.0])
@@ -172,9 +184,9 @@ def test_pool_holds_no_more_processes_than_replications(model1, fake_pool, repli
     E.run_scenario(model1, replications=replications, seed=3, workers=64)
     spec = E.SweepSpec(dimension="lambda", values=(10.0, 20.0), replications=replications, scenario=model1)
     E.sweep(spec, seed=3, workers=64)
-    assert [(type(p.max_workers), p.max_workers, p.chunksizes, p.shut) for p in fake_pool] == [
-        (int, 2, [1], True),
-        (int, 2, [1, 1], True),
+    assert [(type(p.max_workers), p.max_workers, p.ranges, p.shut) for p in fake_pool] == [
+        (int, 2, [[range(0, 1), range(1, 2)]], True),
+        (int, 2, [[range(0, 1), range(1, 2)]] * 2, True),
     ]
 
 
@@ -192,22 +204,23 @@ def test_sweep_refuses_bad_workers_before_any_pool(model1, fake_pool, workers):
 @pytest.mark.parametrize("where", ["worker", "parent"])
 def test_no_process_outlives_a_sweep_that_raises(model1, monkeypatch, where):
     # point 0 runs on the pool; point 1 raises in a worker (workers fork
-    # from this process, so they see the patched sample_demand) or in the
-    # parent before it maps
+    # from this process, so they see the patched block draw) or in the
+    # parent before it maps.  Each raises its own error, so the match shows
+    # that the patch was hit.
     if where == "worker":
-        draw = E.sample_demand
+        draw = E._sample_block
 
-        def sample_demand(grid, service, rng):
+        def sample_block(grid, service, rngs):
             if service.demand_rate == 40.0:
                 raise RuntimeError("draw failed")
-            return draw(grid, service, rng)
+            return draw(grid, service, rngs)
 
-        monkeypatch.setattr(E, "sample_demand", sample_demand)
+        monkeypatch.setattr(E, "_sample_block", sample_block)
     spec = E.SweepSpec(dimension="lambda", values=(10.0, 40.0), replications=4, scenario=model1)
     if where == "parent":
         run = E._run_scenario
         monkeypatch.setattr(E, "_run_scenario", lambda f, a, *rest: run(f, a, *rest) if a.service.demand_rate < 40.0 else 1 / 0)
-    with pytest.raises((RuntimeError, ZeroDivisionError)):
+    with pytest.raises(RuntimeError, match="draw failed") if where == "worker" else pytest.raises(ZeroDivisionError):
         E.sweep(spec, seed=5, workers=2)
     assert multiprocessing.active_children() == []
 
@@ -308,13 +321,11 @@ def test_non_integer_or_small_replication_count_refused(model1, replications):
         pytest.param({"workers": True}, "workers", id="kwargs9-workers"),
     ],
 )
-def test_bad_run_arguments_refused_before_any_replication(model1, monkeypatch, kwargs, name):
-    def no_draw(*args):
-        raise AssertionError("a replication ran")
-
-    monkeypatch.setattr(E, "sample_demand", no_draw)
+def test_bad_run_arguments_refused_before_any_replication(model1, no_draw, kwargs, name):
     with pytest.raises(ValueError, match=name):
         E.run_scenario(model1, replications=2, **kwargs)
+    with pytest.raises(AssertionError, match="a replication ran"):  # control: good arguments reach the patch
+        E.run_scenario(model1, replications=2)
 
 
 def test_run_scenario_builds_no_request(model1, model2, monkeypatch):
@@ -364,6 +375,41 @@ def test_summing_consumer_equals_logging_consumer(request, name):
                 assert got == ref[mode], f"{label} seed {s} {mode}"
                 assert got == _reference_metrics(scn, logs[mode]), f"{label} seed {s} {mode}"
             assert run.delta_tc_values == (ref["amsod"]["generalized_cost"] - ref["fixed"]["generalized_cost"],)
+
+
+def _block_case(request, label):
+    """model1's consumer variants; model1 at 0.5/h, where some draws are
+    empty; cta126 at 90/h, where some draws overflow the fixed route."""
+    model1 = request.getfixturevalue("model1")
+    if label == "model1-0.5/h":
+        return replace(model1, service=replace(model1.service, demand_rate=0.5))
+    if label == "cta126-90/h":
+        cta126 = request.getfixturevalue("cta126")
+        return replace(cta126, service=replace(cta126.service, demand_rate=90.0))
+    return dict(_consumer_variants(model1))[label]
+
+
+@pytest.mark.parametrize("label", ["shipped", "zonal3", "parallel2", "lam4x", "model1-0.5/h", "cta126-90/h"])
+def test_blocks_equal_a_replay_draw_by_draw(request, label):
+    # J crosses two block boundaries and ends on a short block; on 3
+    # workers each range (12, 12 and 11 replications) is shorter than a
+    # block.  Every replication must equal its draw made and run alone
+    # through trip_records.
+    scn, J, seed = _block_case(request, label), 2 * E.BLOCK + 3, (3,)
+    reqs = [sample_requests(scn.grid, scn.service, E.replication_rng(seed, r)) for r in range(J)]
+    logs = [{mode: simulate_requests(scn, mode, q) for mode in E.MODES} for q in reqs]
+    replay = [tuple(E.replication_metrics(scn, q, rep_logs[mode]) for mode in E.MODES) for q, rep_logs in zip(reqs, logs)]
+    assert E._replications((scn, scn, seed, range(J))) == replay
+    for workers in (1, 3):
+        run = E.run_scenario(scn, replications=J, seed=seed, workers=workers)
+        assert run.delta_tc_values == tuple(a["generalized_cost"] - f["generalized_cost"] for f, a in replay)
+        for k, mode in enumerate(E.MODES):
+            for m in E.METRICS:
+                assert run.stats_for(mode).metrics[m] == E.summarize([p[k][m] for p in replay]), f"workers={workers} {mode} {m}"
+    flags = {"model1-0.5/h": [not q for q in reqs], "cta126-90/h": [any(log.spilled_ids for log in rep_logs["fixed"]) for rep_logs in logs]}
+    if label in flags:  # the case holds both kinds of draw within one block
+        blocks = [set(flags[label][lo : lo + E.BLOCK]) for lo in range(0, J, E.BLOCK)]
+        assert {True, False} in blocks
 
 
 PASSENGER_METRICS = ("avg_wait_min", "avg_ivtt_min", "access_cost", "waiting_cost", "riding_cost", "passengers")

@@ -223,6 +223,15 @@ def test_integer_valued_counts_accepted(model1):
     assert scenario.seed == 10**30
 
 
+@pytest.mark.parametrize("name", [None, 5, "", ".", "..", "../escaped", "out/model1", "out\\model1"])
+def test_scenario_name_must_be_a_plain_file_name(model1, name):
+    data = scenario_to_dict(model1)
+    data["name"] = name
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(data)
+    assert [(p.field, p.rule) for p in info.value.problems] == [("name", "not a plain file name")]
+
+
 @pytest.mark.parametrize("name", ["model1", "model2", "cta126", "cta84"])
 def test_bundled_files_resave_byte_identical(name, tmp_path):
     from semibus.cli import bundled_path

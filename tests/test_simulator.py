@@ -83,7 +83,7 @@ def test_stop_draws_match_generator_choice(request, name):
     grid = request.getfixturevalue(name).grid
     for seed, n in [(0, 1), (1, 7), (2, 180), (3, 2000)]:
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        got, want = S._sample_positions(grid, n, a), _reference_positions(grid, n, b)
+        got, want = S._sample_positions(grid, [0, n], [a]), _reference_positions(grid, n, b)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
         assert a.bit_generator.state == b.bit_generator.state
@@ -92,7 +92,7 @@ def test_stop_draws_match_generator_choice(request, name):
 def test_no_draw_for_no_points(cta84):
     rng = np.random.default_rng(5)
     state = rng.bit_generator.state
-    assert all(a.size == 0 for a in S._sample_positions(cta84.grid, 0, rng))
+    assert all(a.size == 0 for a in S._sample_positions(cta84.grid, [0, 0], [rng]))
     assert rng.bit_generator.state == state
 
 
@@ -100,7 +100,7 @@ def test_many_rejection_rounds_match_reference(cta126):
     """cta126's catchment is a diamond half the area of its square draw,
     so 1,440 points take many rounds, the last ones over a few points."""
     a, b = replication_rng((1729,), 0), replication_rng((1729,), 0)
-    got = S._sample_positions(cta126.grid, 1440, a)
+    got = S._sample_positions(cta126.grid, [0, 1440], [a])
     *want, rounds = _reference_rounds(cta126.grid, 1440, b)
     assert rounds >= 8
     for g, w in zip(got, want):
@@ -131,6 +131,23 @@ def _brute_nearest(chainage, x):
     dist = np.abs(x[:, None] - chainage[None, :])
     stop = len(chainage) - 1 - np.argmin(dist[:, ::-1], axis=1)
     return stop, dist[np.arange(len(x)), stop]
+
+
+@pytest.mark.parametrize("name, rate", [("model1", 0.5), ("model2", None), ("cta126", 480.0), ("cta84", None)])
+def test_a_draw_alone_equals_its_slice_of_a_block(request, name, rate):
+    # model1 at 0.5/h has empty draws; cta126 at 480/h takes many rejection rounds
+    scn = request.getfixturevalue(name)
+    svc = scn.service if rate is None else replace(scn.service, demand_rate=rate)
+    rngs = [replication_rng((11,), r) for r in range(6)]
+    demand, draws = S._sample_block(scn.grid, svc, rngs)
+    assert draws[0] == 0 and draws[-1] == len(demand.id)
+    for r, (lo, hi) in enumerate(zip(draws, draws[1:])):
+        alone = replication_rng((11,), r)
+        for got, want in zip(demand, S.sample_demand(scn.grid, svc, alone)):
+            assert got.dtype == want.dtype and np.array_equal(got[lo:hi], want)
+        assert alone.bit_generator.state == rngs[r].bit_generator.state
+    if rate == 0.5:
+        assert 0 in np.diff(draws) and np.diff(draws).any()
 
 
 @pytest.mark.parametrize("name", ["model1", "model2", "cta126", "cta84"])
