@@ -10,7 +10,8 @@ uses the independent substream SeedSequence(s, spawn_key=(r,)), so
 results are identical for any worker count and execution order.  A worker
 runs one contiguous range of replications, BLOCK at a time: their draws
 lie end to end in one block (simulator._sample_block), each from its own
-generator, and each is then run and folded on its own rows.
+generator; each draw runs its own trip loops, and one fold sums every
+replication of the block (_window_metrics).
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import numbers
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -64,38 +65,40 @@ def summarize(values: Sequence[float]) -> MetricSummary:
     return _summaries(arr.reshape(1, -1))[0]
 
 
-def _window_metrics(scenario: Scenario, c_o, passengers) -> dict:
-    """Aggregate one replication of one mode to the reported metrics from
-    each trip's operator cost and the passengers' (id, t_k, wait, ivtt,
-    access) columns in trip, then boarding order.
+def _window_metrics(scenario: Scenario, c_o: np.ndarray, cuts: Sequence[int], passengers) -> list:
+    """The reported metrics of one mode, one dict per replication of a
+    block, from a column function's first three items: each trip's operator
+    cost (a row per replication), the trip cuts, and the passengers' (id,
+    t_k, wait, ivtt, access) columns in replication, trip, then boarding
+    order.
 
     Averages cover passengers whose request time falls in the warm-up
     counting window and who were actually served; operator cost covers
-    every departure.  The three passenger sums are one np.cumsum along the
-    stacked counted columns, each still left to right in trip, then boarding
-    order, as += runs them (np.sum adds pairwise, and the builtin sum
-    compensates rounding from Python 3.12 on); reported numbers depend on it.
+    every departure.  Each replication's four sums are rows of one padded
+    np.cumsum: from +0.0, its counted waits, in-vehicle times or accesses,
+    or its trips' operator costs, left to right in trip, then boarding
+    order, as a += loop from 0.0 adds them (np.sum adds pairwise, and the
+    builtin sum compensates rounding from Python 3.12 on); reported numbers
+    depend on it.  The padding is -0.0, as x + -0.0 == x for every x.
     """
     _, t_k, wait, ivtt, access = passengers
     cost, svc = scenario.cost, scenario.service
     w0, w1 = svc.warmup_window
-    counted = (w0 <= t_k) & (t_k < w1)
-    n = int(np.count_nonzero(counted))
-    wait_sum, ivtt_sum, access_sum = np.cumsum(np.array((wait[counted], ivtt[counted], access[counted]), float), axis=1)[:, -1].tolist() if n else (0.0,) * 3
-    c_o = float(np.cumsum(c_o)[-1]) if len(c_o) else 0.0
+    reps, trips = c_o.shape
+    rows = np.flatnonzero((w0 <= t_k) & (t_k < w1))
+    rep = np.searchsorted(cuts[:: max(trips, 1)], rows, side="right") - 1  # the replication of each counted row
+    n = np.bincount(rep, minlength=reps)
+    padded = np.full((4, reps, 1 + max(n.max(initial=0), trips)), -0.0)
+    padded[:, :, 0] = 0.0
+    padded[:3, rep, np.arange(1, rows.size + 1) - (np.cumsum(n) - n)[rep]] = wait[rows], ivtt[rows], access[rows]
+    padded[3, :, 1 : trips + 1] = c_o
+    wait_sum, ivtt_sum, access_sum, c_o = np.cumsum(padded, axis=2)[:, :, -1]
     c_a = cost.gamma_a * cost.vot * access_sum
     c_w = cost.gamma_w * cost.vot * wait_sum
     c_r = cost.gamma_r * cost.vot * ivtt_sum
-    return {
-        "avg_wait_min": 60.0 * wait_sum / n if n else 0.0,
-        "avg_ivtt_min": 60.0 * ivtt_sum / n if n else 0.0,
-        "access_cost": c_a,
-        "waiting_cost": c_w,
-        "riding_cost": c_r,
-        "operator_cost": c_o,
-        "generalized_cost": c_a + c_w + c_r + c_o,
-        "passengers": float(n),
-    }
+    counted = np.maximum(n, 1)  # the sums are 0.0 where n is 0
+    columns = (60.0 * wait_sum / counted, 60.0 * ivtt_sum / counted, c_a, c_w, c_r, c_o, c_a + c_w + c_r + c_o, n.astype(float))
+    return [dict(zip(METRICS, values)) for values in zip(*(column.tolist() for column in columns))]
 
 
 def replication_metrics(scenario: Scenario, requests, logs) -> dict:
@@ -103,7 +106,8 @@ def replication_metrics(scenario: Scenario, requests, logs) -> dict:
     run_scenario's own fold, from the columns of the logs' rows.  requests
     is unused (each row carries its t_k) and kept for positional callers."""
     rows = np.fromiter(chain.from_iterable(chain.from_iterable(log.rows for log in logs)), float).reshape(-1, 5)
-    return _window_metrics(scenario, np.array([log.c_o for log in logs], float), rows.T)
+    cuts = [0, *accumulate(len(log.rows) for log in logs)]
+    return _window_metrics(scenario, np.array([[log.c_o for log in logs]], float), cuts, rows.T)[0]
 
 
 @dataclass(frozen=True)
@@ -141,17 +145,16 @@ def replication_rng(entropy: tuple, rep: int) -> np.random.Generator:
 
 
 def _replications(job) -> list:
-    """The (fixed, amsod) metrics of each replication in a range, drawn and
-    set up BLOCK at a time (simulator._sample_block); each replication keeps
-    its own generator, sorts and loops."""
+    """The (fixed, amsod) metrics of each replication in a range, drawn,
+    run and folded BLOCK at a time (simulator._sample_block); each
+    replication keeps its own generator and trip loops."""
     fixed, amsod, entropy, reps = job
     metrics = []
     for lo in range(reps.start, reps.stop, BLOCK):
         rngs = [replication_rng(entropy, r) for r in range(lo, min(lo + BLOCK, reps.stop))]
         demand, draws = _sample_block(fixed.grid, fixed.service, rngs)
-        for (fixed_c_o, _, fixed_passengers, _), drives in zip(_fixed_columns(fixed, demand, draws), _amsod_drives(amsod, demand, draws)):
-            amsod_c_o, _, amsod_passengers, _ = _amsod_columns(amsod, drives)
-            metrics.append((_window_metrics(fixed, fixed_c_o, fixed_passengers), _window_metrics(amsod, amsod_c_o, amsod_passengers)))
+        per_fixed = _window_metrics(fixed, *_fixed_columns(fixed, demand, draws)[:3])
+        metrics += zip(per_fixed, _window_metrics(amsod, *_amsod_columns(amsod, _amsod_drives(amsod, demand, draws))))
     return metrics
 
 

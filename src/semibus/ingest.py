@@ -144,4 +144,4 @@ def build_route_model(
         d_xs=template.grid.d_xs,
         default_catchment_km=default_catchment_km,
     )
-    return scenario_from_dict(scenario_to_dict(replace(template, grid=grid, name=name or template.name)))
+    return scenario_from_dict(scenario_to_dict(replace(template, grid=grid, name=template.name if name is None else name)))

@@ -7,24 +7,25 @@ which trip i serves sub-route i mod n.  Both find with array operations
 the first trip that may take each request; what a trip does not serve
 waits for the sub-route's next trip.  Each mode costs its passengers in
 one place: _fixed_columns, and _amsod_columns over the trips _amsod_drives
-yields, return each trip's operator cost, the trip cuts, the boarded
+yields, return each trip's operator cost, the trip cuts, and the boarded
 passengers' (id, t_k, wait, ivtt, access) columns in trip, then boarding
-order, and per trip (spilled ids, drive, depart time).  run_scenario folds
-the columns (only experiments._window_metrics weights them into costs,
-summing in that order with np.cumsum; reported numbers depend on it) and
-never reads a spill.  trip_records slices the columns into each trip's
-rows, yielded with its operator cost and its spilled ids as a list;
-simulate_requests keeps them in TripLogs.  write_trace walks the trips
-_amsod_drives yields.
+order; _fixed_columns also gives per trip (spilled ids, None, depart
+time).  run_scenario folds the columns (only experiments._window_metrics
+weights them into costs, summing in that order with np.cumsum; reported
+numbers depend on it) and never reads a spill.  trip_records slices the
+columns into each trip's rows, yielded with its operator cost and its
+spilled ids as a list; simulate_requests keeps them in TripLogs.
+write_trace walks the trips _amsod_drives yields.
 
 Demand travels as columns (Demand: id, x, y, t_k, home_stop) from the
 draw to both loops.  A block is consecutive draws laid end to end in one
 Demand, draw b in rows draws[b]:draws[b + 1] with ids from 0 in each
-(_sample_block).  The elementwise work runs once per block: the rejection
-rounds, the fixed route's stops, access, ready times and first departures,
-and the on-demand snapping, clamping, sub-routes and arrival trips.  The
-sorts, loops and columns run per draw on its rows, and the per-draw entry
-points (sample_demand, trip_records, write_trace) run a block of one.
+(_sample_block).  The array work runs once per block, and the columns
+hold all its draws' trips end to end (draw b's trip j at cut b * n + j).
+The Python loops run per draw: the on-demand trips, whose served records
+become arrays before the next draw runs, and the fixed route's capacity
+loop, on a draw that overflows it.  The per-draw entry points
+(sample_demand, trip_records, write_trace) run a block of one.
 Request objects appear only at the public entry points: sample_requests
 builds them, and simulate_requests and partition_parallel turn them back
 into columns through one helper.  The arrays a draw reads from a grid are
@@ -50,8 +51,11 @@ amsod (semi-on-demand)
     whose extreme lies further from the axis.  Each sub-route keeps its
     pending requests in one dict from cross-street x to a sorted list of
     candidates (sx, sy, request_id, t_k); on one street sx is shared and
-    ids are unique, so plain tuple order is (y, id) order.  A trip visits
-    the streets by ascending x and reads each sweep from its list.  A
+    ids are unique, so plain tuple order is (y, id) order.  Beside it a
+    sorted list of the dict's keys gains a street when its first candidate
+    arrives and loses it when its last is served, so a trip visits the
+    streets by ascending x without sorting them and reads each sweep from
+    its list.  A
     request is served by the first trip whose arrival at its pickup point
     is no earlier than its request time (the point must still be ahead of
     the bus); otherwise it waits for the next trip, as do passengers
@@ -266,13 +270,13 @@ def _spill(cands, t: float, bx: float, by: float, last_arrival: float, inv_v: fl
             yield rid
 
 
-def _drive(streets: dict, depart: float, svc: ServiceConfig, start_x: float, end_x: float, express_length: float, capacity: int) -> tuple:
+def _drive(streets: dict, xs: list, depart: float, svc: ServiceConfig, start_x: float, end_x: float, express_length: float, capacity: int) -> tuple:
     """Drive one trip from (start_x, 0) to the axis at end_x, then
     express_length km on at v_h, serving the pending candidates of streets
     (cross-street x -> candidates sorted by (y, id)) in visit order: streets
-    by ascending x, each in one monotone y sweep from the end with the
-    larger |y| (the positive end on a tie), ids ascending within a point
-    (the sort is stable).
+    by ascending x (xs, the sorted keys of streets), each in one monotone y
+    sweep from the end with the larger |y| (the positive end on a tie), ids
+    ascending within a point (the sort is stable).
 
     A candidate whose request time is later than the bus's arrival at its
     point is left for the next trip; ready candidates beyond capacity are
@@ -284,7 +288,7 @@ def _drive(streets: dict, depart: float, svc: ServiceConfig, start_x: float, end
     bx, by = start_x, 0.0
     served, d_y = [], 0.0
     inv_v = 1.0 / svc.v_d
-    cands = chain.from_iterable(sorted(m, key=_Y, reverse=True) if len(m) > 1 and abs(m[-1][1]) >= abs(m[0][1]) else m for _, m in sorted(streets.items()))
+    cands = chain.from_iterable(sorted(m, key=_Y, reverse=True) if len(m) > 1 and abs(m[-1][1]) >= abs(m[0][1]) else m for m in map(streets.__getitem__, xs))
     for sx, sy, rid, tk in cands:
         arrival = t + (abs(sy - by) + (sx - bx)) * inv_v  # at the bus's point this is t >= last_arrival, so it screens same-point boardings too
         if tk > arrival + 1e-12:
@@ -384,62 +388,77 @@ def partition_parallel(requests: Sequence[Request], grid: GridGeometry, n_p: int
 # --- dispatch ----------------------------------------------------------------
 
 
+def _stable_order(keys: np.ndarray, top: int) -> np.ndarray:
+    """np.argsort(keys, kind="stable") of integer keys in [0, top], sorted
+    as the smallest unsigned type that holds top: numpy sorts 8- and 16-bit
+    keys by radix sort, in linear time, and a block's trip or stop keys fit."""
+    return np.argsort(keys.astype(np.min_scalar_type(top)), kind="stable")
+
+
 def _fixed_columns(scenario: Scenario, demand: Demand, draws: Sequence[int]):
     """The fixed route's departure loop of each draw of a block.  Each trip
     boards, up to capacity, the spill of the trip before and the requests
     whose first catchable departure it is, in (stop, ready, id) key order;
     its operator cost is the full corridor length regardless of boardings.
-    Returns lazily per draw each trip's operator cost, the trip cuts, the
-    boarded passengers' (id, t_k, wait, ivtt, access) columns in trip, then
-    boarding order, and lazily per trip (spilled ids in key order, None,
-    depart time), which run_scenario never reads."""
+    Returns the block's trips laid end to end, draw by draw: each trip's
+    operator cost (a row per draw), the trip cuts (draw b's trip j boards
+    rows cuts[b * n + j]:cuts[b * n + j + 1]), the boarded passengers' (id,
+    t_k, wait, ivtt, access) columns in draw, trip, then boarding order,
+    and lazily per trip (spilled ids in key order, None, depart time),
+    which run_scenario never reads."""
     grid, svc = scenario.grid, scenario.service
     sched = build_schedule(grid, svc)
-    n, cap, departures = len(sched.departures), svc.capacity, np.asarray(sched.departures)
+    n, cap, departures, n_draws = len(sched.departures), svc.capacity, np.asarray(sched.departures), len(draws) - 1
     stops, dx = _nearest_stops(grid, demand.x)
     access = (dx + np.abs(demand.y)) / svc.v_w
     ready = demand.t_k + access
     offsets = np.asarray(sched.stop_offsets)[stops]
     firsts = np.maximum(0.0, np.ceil((ready - offsets) / svc.headway - 1e-12)).astype(np.int64)
     rides = np.asarray(sched.ride_times)[stops]
-
-    def draw(lo, hi):
-        key = lo + np.lexsort((demand.id[lo:hi], ready[lo:hi], stops[lo:hi]))  # the (stop, ready, id) order
-        first = firsts[key]
-        trip = np.minimum(first, n)  # per row in key order; n: never boards
-        if (np.bincount(trip, minlength=n + 1)[:n] > cap).any():
-            # trip j takes the first cap rows in key order that reached it
-            waiting, trip = trip < n, np.full(len(key), n)
-            for j in range(n):
-                take = np.flatnonzero(waiting & (first <= j))[:cap]
-                trip[take] = j
-                waiting[take] = False
-        by_trip = np.argsort(trip, kind="stable")  # by trip, then key order
-        cuts = np.searchsorted(trip[by_trip], np.arange(n + 1)).tolist()
-        boarded = by_trip[: cuts[n]]
-        board = key[boarded]  # demand rows in boarding order
-        wait = departures[trip[boarded]] + offsets[board] - ready[board]
-        late = np.flatnonzero(wait < -1e-9)
-        if late.size:
-            raise ValueError(f"request {demand.id[board[late[0]]]} assigned to a departure it cannot catch")
-        trips = ((demand.id[key[(first <= j) & (trip > j)]].tolist(), None, dep) for j, dep in enumerate(sched.departures))
-        passengers = demand.id[board], demand.t_k[board], np.maximum(wait, 0.0), rides[board], access[board]
-        return np.full(n, scenario.cost.gamma_o * grid.gl_x), cuts, passengers, trips
-
-    return map(draw, draws[:-1], draws[1:])
+    draw = np.repeat(np.arange(n_draws), np.diff(draws))  # of each row, and of each key position: a draw keeps its rows
+    key = np.lexsort((demand.id, ready))  # the (ready, id) order
+    key = key[_stable_order((draw * grid.n_stops + stops)[key], n_draws * grid.n_stops)]  # by draw, then the (stop, ready, id) order
+    first = firsts[key]
+    trip = np.minimum(first, n)  # per row in key order; n: never boards
+    loads = np.bincount(draw * (n + 1) + trip, minlength=n_draws * (n + 1)).reshape(n_draws, n + 1)[:, :n]
+    for b in np.flatnonzero((loads > cap).any(axis=1)).tolist():
+        # trip j takes the first cap rows of the draw in key order that reached it
+        t, f = trip[draws[b] : draws[b + 1]], first[draws[b] : draws[b + 1]]  # views
+        waiting, t[:] = t < n, n
+        for j in range(n):
+            take = np.flatnonzero(waiting & (f <= j))[:cap]
+            t[take] = j
+            waiting[take] = False
+    slot = np.where(trip < n, draw * n + trip, n_draws * n)
+    by_trip = _stable_order(slot, n_draws * n)  # by draw, trip, then key order; the unboarded last
+    cuts = np.searchsorted(slot[by_trip], np.arange(n_draws * n + 1)).tolist()
+    boarded = by_trip[: cuts[-1]]
+    board = key[boarded]  # demand rows in boarding order
+    wait = departures[trip[boarded]] + offsets[board] - ready[board]
+    late = np.flatnonzero(wait < -1e-9)
+    if late.size:
+        raise ValueError(f"request {demand.id[board[late[0]]]} assigned to a departure it cannot catch")
+    trips = (
+        (demand.id[key[lo:hi][(first[lo:hi] <= j) & (trip[lo:hi] > j)]].tolist(), None, dep)
+        for lo, hi in zip(draws, draws[1:])
+        for j, dep in enumerate(sched.departures)
+    )
+    passengers = demand.id[board], demand.t_k[board], np.maximum(wait, 0.0), rides[board], access[board]
+    return np.full((n_draws, n), scenario.cost.gamma_o * grid.gl_x), cuts, passengers, trips
 
 
 def _amsod_drives(scenario: Scenario, demand: Demand, draws: Sequence[int]):
     """Lazily per draw of a block, the generator of its trips.  Each trip
     drives its sub-route's pending candidates, kept in one dict from
-    cross-street x to a sorted list of (sx, sy, request_id, t_k); a request
-    arrives at the first trip of its sub-route whose t_bound it does not
-    exceed.  A trip yields (c_o, served, spilled, route, dep)."""
+    cross-street x to a sorted list of (sx, sy, request_id, t_k) and the
+    dict's keys as one sorted list; a request arrives at the first trip of
+    its sub-route whose t_bound it does not exceed.  A trip yields (c_o,
+    served, spilled, route, dep)."""
     grid, svc = scenario.grid, scenario.service
     sub, bounds = _sub_routes(demand, grid, svc.n_zones, svc.n_parallel)
     sx_all = _snap(demand.x, grid.l_x, tie_toward_zero=False)
     sy = _snap(demand.y, grid.l_y, tie_toward_zero=True)
-    cap, n, deps = svc.capacity, len(bounds), build_schedule(grid, svc).departures
+    cap, n, deps, n_draws = svc.capacity, len(bounds), build_schedule(grid, svc).departures, len(draws) - 1
     y_hat = _grid_arrays(grid)[3]  # no request snaps further out
     sx, firsts = np.empty(len(sub)), np.empty(len(sub), np.int64)
     for k, (x_lo, x_hi, _) in enumerate(bounds):
@@ -448,52 +467,62 @@ def _amsod_drives(scenario: Scenario, demand: Demand, draws: Sequence[int]):
         # at most cap dwells and cap + 1 cross-street moves precede any arrival
         reach = (x_hi - x_lo + (cap + 1) * 2.0 * y_hat) / svc.v_d + cap * svc.t_s_prime
         firsts[mine] = k + n * np.searchsorted(np.asarray(deps[k::n]) + reach, demand.t_k[mine])  # t_k <= t_bound
-    trip_numbers = np.arange(len(deps) + 1)
+    # by draw, arrival trip, then id; a request no trip takes (past the last) stays within its draw
+    slot = np.repeat(np.arange(n_draws) * (len(deps) + 1), np.diff(draws)) + np.minimum(firsts, len(deps))
+    order = _stable_order(slot, n_draws * (len(deps) + 1))  # draw b keeps positions draws[b]:draws[b + 1]
+    columns = [column[order].tolist() for column in (sx, sy, demand.id, demand.t_k)]
+    cuts = np.searchsorted(slot[order], np.arange(n_draws * (len(deps) + 1))) - np.repeat(draws[:-1], len(deps) + 1)
 
-    def drives(lo, hi):
-        order = lo + np.argsort(firsts[lo:hi], kind="stable")  # by arrival trip, then id
-        cands = list(zip(sx[order].tolist(), sy[order].tolist(), demand.id[order].tolist(), demand.t_k[order].tolist()))
-        cuts = np.searchsorted(firsts[order], trip_numbers).tolist()
-        streets = [{} for _ in bounds]
+    def drives(lo, hi, cut):
+        cands = list(zip(*(column[lo:hi] for column in columns)))
+        streets = [({}, []) for _ in bounds]  # per sub-route: x -> candidates, and its sorted keys
         for i, dep in enumerate(deps):
-            pending, (start_x, end_x, express_len) = streets[i % n], bounds[i % n]
-            for c in cands[cuts[i] : cuts[i + 1]]:
-                insort(pending.setdefault(c[0], []), c)
-            served, spilled, route = _drive(pending, dep, svc, start_x, end_x, express_len, cap)
+            (pending, xs), (start_x, end_x, express_len) = streets[i % n], bounds[i % n]
+            for c in cands[cut[i] : cut[i + 1]]:
+                m = pending.get(c[0])
+                if m is None:
+                    pending[c[0]] = [c]
+                    insort(xs, c[0])
+                else:
+                    insort(m, c)
+            served, spilled, route = _drive(pending, xs, dep, svc, start_x, end_x, express_len, cap)
             yield scenario.cost.gamma_o * (end_x - start_x + route[2] + sum(length for length, _ in route[3])), served, spilled, route, dep
             for rid, tk, _, (x, y) in served:  # after the yield: spilled reads the lists as the trip left them
                 m = pending[x]
                 del m[bisect_left(m, (x, y, rid, tk))]
                 if not m:
                     del pending[x]
+                    del xs[bisect_left(xs, x)]
 
-    return map(drives, draws[:-1], draws[1:])
+    return map(drives, draws[:-1], draws[1:], cuts.reshape(n_draws, -1).tolist())
 
 
 def _amsod_columns(scenario: Scenario, drives) -> tuple:
-    """_fixed_columns' four items on demand, from the trips _amsod_drives
-    yields; per trip, its (spilled, (served, route), depart time) as given.
+    """_fixed_columns' first three items on demand, from the trips
+    _amsod_drives yields for each draw of a block.  Each draw's served
+    records become arrays before its next draw runs.
 
     Access is identically zero.  Wait runs from request time to the bus's
     arrival at the pickup point; in-vehicle time from when the bus leaves
     that point (so a lone passenger carries no dwell at all) to the
     corridor end, express legs included.
     """
-    c_o, served, end, cuts, trips = [], [], [], [0], []
-    for trip_c_o, trip, spilled, route, dep in drives:
-        c_o.append(trip_c_o)
-        served += trip
-        end += [route[4]] * len(trip)
-        cuts.append(len(served))
-        trips.append((spilled, (trip, route), dep))
-    ids = np.fromiter(map(itemgetter(0), served), int, len(served))
-    t_k, arrival = (np.fromiter(map(itemgetter(i), served), float, len(served)) for i in (1, 2))
+    c_o, cuts, end, records = [], [0], [], []
+    for trips in drives:
+        served = []
+        for trip_c_o, trip, _, route, _ in trips:
+            c_o.append(trip_c_o)
+            served += trip
+            end.append(route[4])
+            cuts.append(cuts[-1] + len(trip))
+        records.append([np.fromiter(map(itemgetter(i), served), dtype, len(served)) for i, dtype in ((0, int), (1, float), (2, float))])
+    ids, t_k, arrival = map(np.concatenate, zip(*records))
     wait = arrival - t_k
     late = np.flatnonzero(wait < -1e-9)
     if late.size:
         raise ValueError(f"negative wait for request {ids[late[0]]}: {wait[late[0]]}")
-    ivtt = np.maximum(np.array(end) - arrival - scenario.service.t_s_prime, 0.0)  # max(0.0, x) as np.maximum(x, 0.0)
-    return np.array(c_o), cuts, (ids, t_k, np.maximum(wait, 0.0), ivtt, np.zeros(len(served))), trips
+    ivtt = np.maximum(np.repeat(end, np.diff(cuts)) - arrival - scenario.service.t_s_prime, 0.0)  # max(0.0, x) as np.maximum(x, 0.0)
+    return np.reshape(c_o, (len(records), -1)), cuts, (ids, t_k, np.maximum(wait, 0.0), ivtt, np.zeros(len(ids)))
 
 
 def trip_records(scenario: Scenario, mode: str, demand: Demand):
@@ -505,14 +534,20 @@ def trip_records(scenario: Scenario, mode: str, demand: Demand):
     callers validate."""
     draws = (0, len(demand.id))  # a block of one draw
     if mode == "fixed":
-        [(c_o, cuts, passengers, trips)] = _fixed_columns(scenario, demand, draws)
+        c_o, cuts, passengers, trips = _fixed_columns(scenario, demand, draws)
     elif mode == "amsod":  # each spill read into a list before its drive resumes
-        [drives] = _amsod_drives(scenario, demand, draws)
-        c_o, cuts, passengers, trips = _amsod_columns(scenario, ((c, served, list(spilled), route, dep) for c, served, spilled, route, dep in drives))
+        trips = []
+
+        def logged(drives):
+            for c, served, spilled, route, dep in drives:
+                trips.append((list(spilled), (served, route), dep))
+                yield c, served, spilled, route, dep
+
+        c_o, cuts, passengers = _amsod_columns(scenario, map(logged, _amsod_drives(scenario, demand, draws)))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     rows = list(zip(*(column.tolist() for column in passengers)))
-    return ((trip_c_o, rows[cuts[j] : cuts[j + 1]], *trip) for j, (trip_c_o, trip) in enumerate(zip(c_o.tolist(), trips)))
+    return ((trip_c_o, rows[cuts[j] : cuts[j + 1]], *trip) for j, (trip_c_o, trip) in enumerate(zip(c_o[0].tolist(), trips)))
 
 
 def simulate_requests(scenario: Scenario, mode: str, requests: Sequence[Request]) -> list:

@@ -65,7 +65,7 @@ def plan_amsod_route(requests: Sequence[Request], grid: GridGeometry, svc: Servi
     streets = {}
     for req in requests:
         insort(streets.setdefault(req.x, []), (req.x, req.y, req.id, -math.inf))  # all already due
-    served, _, route = _drive(streets, depart_time, svc, 0.0, grid.gl_x, 0.0, len(requests))
+    served, _, route = _drive(streets, sorted(streets), depart_time, svc, 0.0, grid.gl_x, 0.0, len(requests))
     return _route_plan(depart_time, served, route)
 
 

@@ -206,6 +206,16 @@ def test_ingest_out_creates_missing_directories(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err and not (tmp_path / "bad").exists()
 
 
+def test_ingest_empty_name_exits_1(tmp_path, capsys):
+    # an empty --name is a name the loader refuses, not a missing --name
+    data = str(bundled_path("cta84").parent / "cta84_boardings.csv")
+    out = tmp_path / "x.json"
+    assert main(["ingest", "--data", data, "--route-id", "84", "--template", "cta84", "--name", "", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: name: not a plain file name") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_trace_replays_replication_0(tmp_path):
     import numpy as np
 

@@ -377,6 +377,38 @@ def test_summing_consumer_equals_logging_consumer(request, name):
             assert run.delta_tc_values == (ref["amsod"]["generalized_cost"] - ref["fixed"]["generalized_cost"],)
 
 
+@pytest.mark.parametrize("reps", [1, 2, 16])
+def test_block_fold_equals_the_tuple_fold_per_replication(model1, reps):
+    # hand-made blocks of 5 trips per replication: replication 0 counts no
+    # passenger (its request times lie outside the window, w1 included),
+    # 1 counts one whose wait is -0.0, and the others count waits and
+    # accesses of -0.0 and +0.0 among others; each replication's metrics
+    # must equal the oracle's fold of its own rows, signs of zero included
+    rng = np.random.default_rng(reps)
+    w0, w1 = model1.service.warmup_window
+    c_o = rng.uniform(5.0, 15.0, (reps, 5))
+    per_rep = []
+    for r in range(reps):
+        trips = []
+        for j in range(5):
+            k = int(rng.integers(1, 6))
+            t_k = rng.choice([0.5, w1, 2.5], k) if r == 0 else rng.uniform(0.0, 3.0, k)
+            wait, access = np.where(rng.random((2, k)) < 0.5, rng.choice([-0.0, 0.0], (2, k)), rng.uniform(0.0, 0.3, (2, k)))
+            trips.append(list(zip(range(k), t_k.tolist(), wait.tolist(), rng.uniform(0.0, 0.5, k).tolist(), access.tolist())))
+        if r == 1:
+            trips = [[], [(0, (w0 + w1) / 2.0, -0.0, 0.25, 0.0)], [], [], []]
+        per_rep.append(trips)
+    block = [trip for trips in per_rep for trip in trips]
+    cuts = [0, *np.cumsum([len(trip) for trip in block]).tolist()]
+    ids, *columns = zip(*(row for trip in block for row in trip))
+    got = E._window_metrics(model1, c_o, cuts, (np.array(ids), *map(np.array, columns)))
+    assert len(got) == reps
+    for r, trips in enumerate(per_rep):
+        assert repr(got[r]) == repr(O.reference_window_metrics(model1, list(zip(c_o[r].tolist(), trips)))), r
+    assert got[0]["passengers"] == 0.0 and repr(got[0]["avg_wait_min"]) == "0.0"
+    assert reps == 1 or (got[1]["passengers"] == 1.0 and repr(got[1]["waiting_cost"]) == "0.0")
+
+
 def _block_case(request, label):
     """model1's consumer variants; model1 at 0.5/h, where some draws are
     empty; cta126 at 90/h, where some draws overflow the fixed route."""

@@ -885,3 +885,53 @@ def test_amsod_matches_reference_on_crowded_points(model1, variant):
             for log in logs
         ]
         assert got == _reference_amsod(scn, reqs), f"trial {trial}"
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 3])
+@pytest.mark.parametrize("variant", ["shipped", "zonal3", "parallel2"])
+def test_street_keys_follow_streets_that_empty_and_refill(model1, monkeypatch, variant, capacity):
+    # requests on four cross-streets across the horizon, so a street's
+    # last candidate is served on trip i and the street gains a request
+    # again on trip i + n (n sub-routes); every trip's sorted key list must
+    # be the sorted keys of its streets, and the trips must equal the
+    # per-trip regrouping reference
+    svc = replace(model1.service, capacity=capacity)
+    if variant == "zonal3":
+        svc = replace(svc, n_zones=3, v_h=60.0)
+    elif variant == "parallel2":
+        svc = replace(svc, n_parallel=2)
+    scn = replace(model1, service=svc)
+    n = svc.n_zones * svc.n_parallel
+    keys, drive = [], S._drive
+
+    def recording(streets, xs, *args):
+        assert xs == sorted(streets)
+        keys.append({x: {c[2] for c in m} for x, m in streets.items()})
+        return drive(streets, xs, *args)
+
+    monkeypatch.setattr(S, "_drive", recording)
+    rng = np.random.default_rng(31)
+    refilled = 0
+    for trial in range(20):
+        m = int(rng.integers(10, 40))
+        x = rng.choice([1.0, 2.4, 5.0, 8.6], m).tolist()
+        y = rng.uniform(-0.45, 0.45, m).tolist()
+        t_k = np.sort(rng.uniform(0.0, svc.horizon, m)).tolist()
+        reqs = [Request(i, x[i], y[i], t_k[i], 0) for i in range(m)]
+        keys.clear()
+        logs = S.simulate_requests(scn, "amsod", reqs)
+        got = [
+            (
+                list(log.served_ids),
+                list(log.spilled_ids),
+                list(log.plan.waypoints),
+                [(p.request_id, p.time, p.point, p.remaining_stops) for p in log.plan.pickups],
+                log.plan.d_y,
+                log.plan.end_time,
+            )
+            for log in logs
+        ]
+        assert got == _reference_amsod(scn, reqs), f"trial {trial}"
+        # held on trip i, every candidate served by it, held again on trip i + n
+        refilled += sum(not held[x] & keys[i + n][x] for i, held in enumerate(keys[:-n]) for x in held.keys() & keys[i + n].keys())
+    assert refilled
