@@ -11,7 +11,8 @@ results are identical for any worker count and execution order.  A worker
 runs one contiguous range of replications, BLOCK at a time: their draws
 lie end to end in one block (simulator._sample_block), each from its own
 generator; each draw runs its own trip loops, and one fold sums every
-replication of the block (_window_metrics).
+replication of the block into a column of floats (_window_metrics), which
+stays a column of one table, both modes' rows stacked, up to the summary.
 """
 from __future__ import annotations
 
@@ -65,40 +66,36 @@ def summarize(values: Sequence[float]) -> MetricSummary:
     return _summaries(arr.reshape(1, -1))[0]
 
 
-def _window_metrics(scenario: Scenario, c_o: np.ndarray, cuts: Sequence[int], passengers) -> list:
-    """The reported metrics of one mode, one dict per replication of a
-    block, from a column function's first three items: each trip's operator
-    cost (a row per replication), the trip cuts, and the passengers' (id,
-    t_k, wait, ivtt, access) columns in replication, trip, then boarding
-    order.
+def _window_metrics(scenario: Scenario, c_o: np.ndarray, cuts: Sequence[int], passengers) -> np.ndarray:
+    """The reported metrics of one mode, a (len(METRICS), reps) array with
+    a column per replication of a block, from a column function's first
+    three items: each trip's operator cost (a row per replication), the
+    trip cuts, and the passengers' (id, t_k, wait, ivtt, access) columns in
+    replication, trip, then boarding order.
 
     Averages cover passengers whose request time falls in the warm-up
     counting window and who were actually served; operator cost covers
-    every departure.  Each replication's four sums are rows of one padded
-    np.cumsum: from +0.0, its counted waits, in-vehicle times or accesses,
-    or its trips' operator costs, left to right in trip, then boarding
-    order, as a += loop from 0.0 adds them (np.sum adds pairwise, and the
-    builtin sum compensates rounding from Python 3.12 on); reported numbers
-    depend on it.  The padding is -0.0, as x + -0.0 == x for every x.
+    every departure.  Each sum is a weighted np.bincount, which adds a
+    replication's counted waits, in-vehicle times or accesses, or its
+    trips' operator costs onto +0.0 in input order (trip, then boarding
+    order) as a += loop from 0.0 does; reported numbers depend on it
+    (np.sum adds pairwise; builtin sum compensates rounding from Python 3.12).
     """
     _, t_k, wait, ivtt, access = passengers
     cost, svc = scenario.cost, scenario.service
     w0, w1 = svc.warmup_window
     reps, trips = c_o.shape
+    trip_rep = np.arange(reps).repeat(trips)  # the replication of each trip
     rows = np.flatnonzero((w0 <= t_k) & (t_k < w1))
-    rep = np.searchsorted(cuts[:: max(trips, 1)], rows, side="right") - 1  # the replication of each counted row
+    rep = trip_rep[np.searchsorted(cuts, rows, side="right") - 1]  # the replication of each counted row
     n = np.bincount(rep, minlength=reps)
-    padded = np.full((4, reps, 1 + max(n.max(initial=0), trips)), -0.0)
-    padded[:, :, 0] = 0.0
-    padded[:3, rep, np.arange(1, rows.size + 1) - (np.cumsum(n) - n)[rep]] = wait[rows], ivtt[rows], access[rows]
-    padded[3, :, 1 : trips + 1] = c_o
-    wait_sum, ivtt_sum, access_sum, c_o = np.cumsum(padded, axis=2)[:, :, -1]
+    wait_sum, ivtt_sum, access_sum = (np.bincount(rep, column[rows], reps) for column in (wait, ivtt, access))
+    c_o = np.bincount(trip_rep, c_o.ravel(), reps)
     c_a = cost.gamma_a * cost.vot * access_sum
     c_w = cost.gamma_w * cost.vot * wait_sum
     c_r = cost.gamma_r * cost.vot * ivtt_sum
     counted = np.maximum(n, 1)  # the sums are 0.0 where n is 0
-    columns = (60.0 * wait_sum / counted, 60.0 * ivtt_sum / counted, c_a, c_w, c_r, c_o, c_a + c_w + c_r + c_o, n.astype(float))
-    return [dict(zip(METRICS, values)) for values in zip(*(column.tolist() for column in columns))]
+    return np.array([60.0 * wait_sum / counted, 60.0 * ivtt_sum / counted, c_a, c_w, c_r, c_o, c_a + c_w + c_r + c_o, n])
 
 
 def replication_metrics(scenario: Scenario, requests, logs) -> dict:
@@ -107,7 +104,8 @@ def replication_metrics(scenario: Scenario, requests, logs) -> dict:
     is unused (each row carries its t_k) and kept for positional callers."""
     rows = np.fromiter(chain.from_iterable(chain.from_iterable(log.rows for log in logs)), float).reshape(-1, 5)
     cuts = [0, *accumulate(len(log.rows) for log in logs)]
-    return _window_metrics(scenario, np.array([[log.c_o for log in logs]], float), cuts, rows.T)[0]
+    metrics = _window_metrics(scenario, np.array([[log.c_o for log in logs]], float), cuts, rows.T)
+    return dict(zip(METRICS, metrics[:, 0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -144,18 +142,20 @@ def replication_rng(entropy: tuple, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=list(entropy), spawn_key=(rep,)))
 
 
-def _replications(job) -> list:
-    """The (fixed, amsod) metrics of each replication in a range, drawn,
-    run and folded BLOCK at a time (simulator._sample_block); each
-    replication keeps its own generator and trip loops."""
+def _replications(job) -> np.ndarray:
+    """The metrics of each replication in a range, a column each (fixed
+    route's METRICS rows over the on-demand ones), drawn, run and folded
+    BLOCK at a time (simulator._sample_block); each replication keeps its
+    own generator and trip loops."""
     fixed, amsod, entropy, reps = job
-    metrics = []
+    blocks = []
     for lo in range(reps.start, reps.stop, BLOCK):
         rngs = [replication_rng(entropy, r) for r in range(lo, min(lo + BLOCK, reps.stop))]
         demand, draws = _sample_block(fixed.grid, fixed.service, rngs)
         per_fixed = _window_metrics(fixed, *_fixed_columns(fixed, demand, draws)[:3])
-        metrics += zip(per_fixed, _window_metrics(amsod, *_amsod_columns(amsod, _amsod_drives(amsod, demand, draws))))
-    return metrics
+        per_amsod = _window_metrics(amsod, *_amsod_columns(amsod, _amsod_drives(amsod, demand, draws)))
+        blocks.append(np.vstack([per_fixed, per_amsod]))
+    return np.hstack(blocks)
 
 
 def _check_workers(workers) -> None:
@@ -192,21 +192,20 @@ def _run_scenario(fixed, amsod, replications, seed, workers, pool) -> ScenarioRu
     entropy = _entropy(fixed.seed if seed is None else seed)
     _check_workers(workers)
 
-    if workers == 1:
-        per_rep = _replications((fixed, amsod, entropy, range(J)))
-    else:  # one contiguous range of replications per worker; map keeps their order
-        step = -(-J // workers)
-        with _pool(workers, J) if pool is None else nullcontext(pool) as pool:
-            per_rep = list(chain.from_iterable(pool.map(_replications, [(fixed, amsod, entropy, range(lo, min(lo + step, J))) for lo in range(0, J, step)])))
-    delta = [a["generalized_cost"] - f["generalized_cost"] for f, a in per_rep]
-    *summaries, delta_tc = _summaries(np.array([[p[k][m] for p in per_rep] for k in (0, 1) for m in METRICS] + [delta]))
-    stats = tuple(ScenarioStats(metrics=dict(zip(METRICS, summaries[k * len(METRICS) :]))) for k in (0, 1))
+    step = -(-J // workers)  # one contiguous range of replications per worker; map keeps their order
+    jobs = [(fixed, amsod, entropy, range(lo, min(lo + step, J))) for lo in range(0, J, step)]
+    with _pool(workers, J) if pool is None and workers > 1 else nullcontext(pool) as pool:
+        table = np.hstack(list((map if pool is None else pool.map)(_replications, jobs)))
+    k, g = len(METRICS), METRICS.index("generalized_cost")
+    delta = table[k + g] - table[g]  # amsod minus fixed
+    *summaries, delta_tc = _summaries(np.vstack([table, delta]))
+    stats = tuple(ScenarioStats(metrics=dict(zip(METRICS, summaries[i * k :]))) for i in (0, 1))
     return ScenarioRun(
         scenario_name=fixed.name,
         modes=MODES,
         stats=stats,
         delta_tc=delta_tc,
-        delta_tc_values=tuple(delta),
+        delta_tc_values=tuple(delta.tolist()),
         replications=J,
         seed=entropy,
     )
@@ -221,15 +220,16 @@ class SweepSpec:
     points: tuple = field(init=False, repr=False, compare=False)  # scenario_at of each value
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        values = tuple(self.values)
         if self.dimension not in ("capacity", "lambda"):
             raise ScenarioError(f"unknown sweep dimension {self.dimension!r}")
-        if not self.values:
+        if not values:
             raise ScenarioError("sweep values must be nonempty")
+        require_valid(self.scenario)
+        object.__setattr__(self, "points", tuple(map(self.scenario_at, values)))  # checked as file values first
+        object.__setattr__(self, "values", tuple(map(float, values)))
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ScenarioError("sweep values must be strictly increasing")
-        require_valid(self.scenario)
-        object.__setattr__(self, "points", tuple(self.scenario_at(v) for v in self.values))
 
     def scenario_at(self, value: float) -> Scenario:
         """The scenario at one sweep value: the swept service key (the

@@ -11,7 +11,7 @@ yields, return each trip's operator cost, the trip cuts, and the boarded
 passengers' (id, t_k, wait, ivtt, access) columns in trip, then boarding
 order; _fixed_columns also gives per trip (spilled ids, None, depart
 time).  run_scenario folds the columns (only experiments._window_metrics
-weights them into costs, summing in that order with np.cumsum; reported
+weights them into costs, summing in that order with np.bincount; reported
 numbers depend on it) and never reads a spill.  trip_records slices the
 columns into each trip's rows, yielded with its operator cost and its
 spilled ids as a list; simulate_requests keeps them in TripLogs.

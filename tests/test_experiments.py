@@ -81,6 +81,8 @@ def test_sweep_validation(model1):
         ("lambda", float("nan"), "service.lambda"),
         ("lambda", float("inf"), "service.lambda"),
         ("lambda", -5.0, "service.demand_rate"),
+        ("capacity", True, "service.capacity"),
+        ("capacity", "10", "service.capacity"),
     ],
 )
 def test_sweep_values_checked_like_scenario_file_values(model1, dimension, value, field):
@@ -377,13 +379,15 @@ def test_summing_consumer_equals_logging_consumer(request, name):
             assert run.delta_tc_values == (ref["amsod"]["generalized_cost"] - ref["fixed"]["generalized_cost"],)
 
 
-@pytest.mark.parametrize("reps", [1, 2, 16])
-def test_block_fold_equals_the_tuple_fold_per_replication(model1, reps):
+@pytest.mark.parametrize("reps, big", [(1, False), (2, False), (16, False), (3, True)], ids=["1", "2", "16", "3-big"])
+def test_block_fold_equals_the_tuple_fold_per_replication(model1, reps, big):
     # hand-made blocks of 5 trips per replication: replication 0 counts no
     # passenger (its request times lie outside the window, w1 included),
     # 1 counts one whose wait is -0.0, and the others count waits and
     # accesses of -0.0 and +0.0 among others; each replication's metrics
-    # must equal the oracle's fold of its own rows, signs of zero included
+    # must equal the oracle's fold of its own rows, signs of zero included.
+    # In the big case replication 2 boards 150 a trip, so that it counts
+    # enough passengers for a pairwise sum to differ from the += loop.
     rng = np.random.default_rng(reps)
     w0, w1 = model1.service.warmup_window
     c_o = rng.uniform(5.0, 15.0, (reps, 5))
@@ -391,7 +395,7 @@ def test_block_fold_equals_the_tuple_fold_per_replication(model1, reps):
     for r in range(reps):
         trips = []
         for j in range(5):
-            k = int(rng.integers(1, 6))
+            k = 150 if big and r == 2 else int(rng.integers(1, 6))
             t_k = rng.choice([0.5, w1, 2.5], k) if r == 0 else rng.uniform(0.0, 3.0, k)
             wait, access = np.where(rng.random((2, k)) < 0.5, rng.choice([-0.0, 0.0], (2, k)), rng.uniform(0.0, 0.3, (2, k)))
             trips.append(list(zip(range(k), t_k.tolist(), wait.tolist(), rng.uniform(0.0, 0.5, k).tolist(), access.tolist())))
@@ -401,12 +405,18 @@ def test_block_fold_equals_the_tuple_fold_per_replication(model1, reps):
     block = [trip for trips in per_rep for trip in trips]
     cuts = [0, *np.cumsum([len(trip) for trip in block]).tolist()]
     ids, *columns = zip(*(row for trip in block for row in trip))
-    got = E._window_metrics(model1, c_o, cuts, (np.array(ids), *map(np.array, columns)))
+    got = [dict(zip(E.METRICS, column)) for column in E._window_metrics(model1, c_o, cuts, (np.array(ids), *map(np.array, columns))).T.tolist()]
     assert len(got) == reps
     for r, trips in enumerate(per_rep):
         assert repr(got[r]) == repr(O.reference_window_metrics(model1, list(zip(c_o[r].tolist(), trips)))), r
     assert got[0]["passengers"] == 0.0 and repr(got[0]["avg_wait_min"]) == "0.0"
     assert reps == 1 or (got[1]["passengers"] == 1.0 and repr(got[1]["waiting_cost"]) == "0.0")
+    if big:
+        waits = [wait for trip in per_rep[2] for _, t_k, wait, _, _ in trip if w0 <= t_k < w1]
+        loop = 0.0
+        for wait in waits:
+            loop += wait
+        assert len(waits) == got[2]["passengers"] >= 200 and np.sum(waits) != loop
 
 
 def _block_case(request, label):
@@ -431,7 +441,7 @@ def test_blocks_equal_a_replay_draw_by_draw(request, label):
     reqs = [sample_requests(scn.grid, scn.service, E.replication_rng(seed, r)) for r in range(J)]
     logs = [{mode: simulate_requests(scn, mode, q) for mode in E.MODES} for q in reqs]
     replay = [tuple(E.replication_metrics(scn, q, rep_logs[mode]) for mode in E.MODES) for q, rep_logs in zip(reqs, logs)]
-    assert E._replications((scn, scn, seed, range(J))) == replay
+    assert E._replications((scn, scn, seed, range(J))).tolist() == [[p[k][m] for p in replay] for k in (0, 1) for m in E.METRICS]
     for workers in (1, 3):
         run = E.run_scenario(scn, replications=J, seed=seed, workers=workers)
         assert run.delta_tc_values == tuple(a["generalized_cost"] - f["generalized_cost"] for f, a in replay)
