@@ -7,12 +7,15 @@ so per-replication cost differences are paired.  Passenger costs
 aggregate the warm-up counting window only; operator costs accrue for
 every departure in the horizon.  Replication r of a run seeded with s
 uses the independent substream SeedSequence(s, spawn_key=(r,)), so
-results are identical for any worker count and execution order.  A worker
-runs one contiguous range of replications, BLOCK at a time: their draws
-lie end to end in one block (simulator._sample_block), each from its own
-generator; each draw runs its own trip loops, and one fold sums every
-replication of the block into a column of floats (_window_metrics), which
-stays a column of one table, both modes' rows stacked, up to the summary.
+results are identical for any worker count and execution order.  A run or
+sweep on N workers splits its replications into at most N contiguous
+ranges; the caller runs the first of every point, and one forked process
+each of the others (_runs).  A process runs its range BLOCK at a time:
+their draws lie end to end in one block (simulator._sample_block), each
+from its own generator; each draw runs its own trip loops, and one fold
+sums every replication of the block into a column of floats
+(_window_metrics), which stays a column of one table, both modes' rows
+stacked, up to the summary.
 """
 from __future__ import annotations
 
@@ -20,7 +23,6 @@ import json
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from itertools import accumulate, chain
 from pathlib import Path
@@ -163,50 +165,62 @@ def _check_workers(workers) -> None:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
 
 
-def _pool(workers: int, replications) -> ProcessPoolExecutor:
-    """A pool of no more processes than there are replications to run."""
-    return ProcessPoolExecutor(max_workers=min(workers, int(replications)))
-
-
 def run_scenario(scenario: Scenario, replications: Optional[int] = None, seed=None, workers: int = 1) -> ScenarioRun:
     """Paired Monte Carlo of the scenario's fixed-route bus against its
     semi-on-demand replacement on common demand draws.
 
-    replications and seed default to the scenario's own.  workers > 1 runs
-    the replications on a pool of min(workers, replications) processes,
-    one contiguous range each, opened after every argument check and
-    joined before this returns or raises.
+    replications and seed default to the scenario's own.  workers > 1 splits
+    the replications into contiguous ranges of ceil(replications / workers):
+    this process runs the first, and one forked process each of the others,
+    forked after every argument check and joined before this returns or raises.
     """
-    return _run_scenario(require_valid(scenario), scenario, replications, seed, workers, None)
+    J = scenario.replications if replications is None else replications
+    return _runs([(require_valid(scenario), scenario, ())], J, scenario.seed if seed is None else seed, workers)[0]
 
 
-def _run_scenario(fixed, amsod, replications, seed, workers, pool) -> ScenarioRun:
-    """run_scenario on validated scenarios, with the on-demand side on amsod
-    (a capacity sweep's point, which differs from fixed only in capacity;
-    demand is drawn from fixed), on pool when given (sweep shares one),
-    else on its own."""
-    J = fixed.replications if replications is None else replications
+def _range_job(job) -> list:
+    """_replications of every point of one range."""
+    return [_replications(point) for point in job]
+
+
+def _runs(points, J, seed, workers) -> list:
+    """The ScenarioRun of each point (fixed, amsod, key) of validated
+    scenarios, seeded with seed's entropy + key; amsod is the on-demand side
+    (a capacity sweep's point differs from fixed only in capacity; demand is
+    drawn from fixed).  One map sends ranges 1.. of every point to a process
+    each before this process runs range 0 of every point."""
     if isinstance(J, bool) or not isinstance(J, numbers.Real) or not float(J).is_integer() or J < 1:
         raise ValueError(f"replications must be an integer >= 1, got {J!r}")
     J = int(J)
-    entropy = _entropy(fixed.seed if seed is None else seed)
+    entropy = _entropy(seed)
     _check_workers(workers)
 
-    step = -(-J // workers)  # one contiguous range of replications per worker; map keeps their order
-    jobs = [(fixed, amsod, entropy, range(lo, min(lo + step, J))) for lo in range(0, J, step)]
-    with _pool(workers, J) if pool is None and workers > 1 else nullcontext(pool) as pool:
-        table = np.hstack(list((map if pool is None else pool.map)(_replications, jobs)))
+    points = [(fixed, amsod, entropy + key) for fixed, amsod, key in points]
+    step = -(-J // workers)  # one contiguous range of replications per process; map keeps their order
+    jobs = [[(*point, range(lo, min(lo + step, J))) for point in points] for lo in range(0, J, step)]
+    if len(jobs) == 1:
+        tables = [_range_job(jobs[0])]
+    else:
+        with ProcessPoolExecutor(max_workers=len(jobs) - 1) as pool:
+            rest = pool.map(_range_job, jobs[1:])  # submitted first, so the processes start while this one runs
+            tables = [_range_job(jobs[0]), *rest]
+    tables = map(np.hstack, zip(*tables))  # each point's ranges joined in order
+    return [_scenario_run(fixed.name, point_entropy, table) for (fixed, _, point_entropy), table in zip(points, tables)]
+
+
+def _scenario_run(name: str, entropy: tuple, table: np.ndarray) -> ScenarioRun:
+    """The ScenarioRun of one point's table, a column per replication."""
     k, g = len(METRICS), METRICS.index("generalized_cost")
     delta = table[k + g] - table[g]  # amsod minus fixed
     *summaries, delta_tc = _summaries(np.vstack([table, delta]))
     stats = tuple(ScenarioStats(metrics=dict(zip(METRICS, summaries[i * k :]))) for i in (0, 1))
     return ScenarioRun(
-        scenario_name=fixed.name,
+        scenario_name=name,
         modes=MODES,
         stats=stats,
         delta_tc=delta_tc,
         delta_tc_values=tuple(delta.tolist()),
-        replications=J,
+        replications=table.shape[1],
         seed=entropy,
     )
 
@@ -256,18 +270,12 @@ def sweep(spec: SweepSpec, seed=None, workers: int = 1) -> SweepResult:
     baseline is the scenario itself.  A demand sweep moves both services
     together.
 
-    workers > 1 runs every value on one pool, sized and dealt as in
-    run_scenario, opened after seed and workers are checked and joined
-    before this returns or raises.
+    workers > 1 runs every value in one dispatch, split and joined as in
+    run_scenario: each process runs its range of every value.
     """
     base = spec.scenario
-    entropy = _entropy(base.seed if seed is None else seed)
-    _check_workers(workers)
-    runs = []
-    with _pool(workers, spec.replications) if workers > 1 else nullcontext() as pool:
-        for idx, swept in enumerate(spec.points):
-            fixed = base if spec.dimension == "capacity" else swept
-            runs.append(_run_scenario(fixed, swept, spec.replications, entropy + (idx,), workers, pool))
+    points = [(base if spec.dimension == "capacity" else swept, swept, (idx,)) for idx, swept in enumerate(spec.points)]
+    runs = _runs(points, spec.replications, base.seed if seed is None else seed, workers)
     return SweepResult(dimension=spec.dimension, values=spec.values, runs=tuple(runs))
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -140,11 +141,29 @@ def test_sweep_on_two_workers_equals_one(model1, dimension, values, tmp_path):
     assert multiprocessing.active_children() == []
 
 
+def _three_point_sweep(model1, replications):
+    return E.SweepSpec(dimension="lambda", values=(10.0, 20.0, 40.0), replications=replications, scenario=model1)
+
+
+def test_three_point_sweep_is_the_same_on_one_two_and_three_workers(model1):
+    spec = _three_point_sweep(model1, 7)
+    one, two, three = ([E.run_to_dict(r) for r in E.sweep(spec, seed=21, workers=w).runs] for w in (1, 2, 3))
+    assert two == one and three == one
+    assert multiprocessing.active_children() == []
+
+
+def _job_ranges(job) -> list:
+    """The range of replications of each point of a range job."""
+    return [point[-1] for point in job]
+
+
 class FakePool:
     """Stands in for ProcessPoolExecutor: records how it is made and used,
-    maps in this process and starts none."""
+    maps lazily in this process and starts none.  log holds, in order, each
+    map as ("map", its jobs' ranges) and each range job run, mapped or not,
+    as ("run", its ranges) (the fake_pool fixture wraps the runs)."""
 
-    made = []
+    made, log = [], []
 
     def __init__(self, max_workers):
         self.max_workers, self.ranges, self.shut = max_workers, [], False
@@ -157,9 +176,10 @@ class FakePool:
         self.shutdown()
 
     def map(self, fn, jobs, chunksize=1):
-        assert chunksize == 1  # a job is a worker's whole range
+        assert chunksize == 1  # a job is a process's whole range of every point
         jobs = list(jobs)
-        self.ranges.append([job[-1] for job in jobs])  # each job's range of replications
+        self.ranges.append([_job_ranges(job) for job in jobs])
+        FakePool.log.append(("map", self.ranges[-1]))
         return map(fn, jobs)
 
     def shutdown(self, wait=True, cancel_futures=False):
@@ -168,17 +188,25 @@ class FakePool:
 
 @pytest.fixture
 def fake_pool(monkeypatch):
-    FakePool.made = []
+    FakePool.made, FakePool.log = [], []
     monkeypatch.setattr(E, "ProcessPoolExecutor", FakePool)
+    range_job = E._range_job
+
+    def logged_range_job(job):
+        FakePool.log.append(("run", _job_ranges(job)))
+        return range_job(job)
+
+    monkeypatch.setattr(E, "_range_job", logged_range_job)
     return FakePool.made
 
 
 def test_sweep_makes_one_pool_and_shuts_it_down(model1, fake_pool):
-    spec = E.SweepSpec(dimension="lambda", values=(10.0, 20.0, 40.0), replications=5, scenario=model1)
-    E.sweep(spec, seed=3, workers=2)
+    E.sweep(_three_point_sweep(model1, 5), seed=3, workers=2)
     [pool] = fake_pool
-    # per point, one contiguous range of the 5 replications per worker, in order
-    assert (pool.max_workers, pool.ranges, pool.shut) == (2, [[range(0, 3), range(3, 5)]] * 3, True)
+    # ranges 0-3 and 3-5: one map sends range 3-5 of every point to one
+    # process before this process runs range 0-3 of every point
+    assert (pool.max_workers, pool.ranges, pool.shut) == (1, [[[range(3, 5)] * 3]], True)
+    assert FakePool.log == [("map", [[range(3, 5)] * 3]), ("run", [range(0, 3)] * 3), ("run", [range(3, 5)] * 3)]
 
 
 @pytest.mark.parametrize("replications", [2, 2.0])
@@ -187,9 +215,56 @@ def test_pool_holds_no_more_processes_than_replications(model1, fake_pool, repli
     spec = E.SweepSpec(dimension="lambda", values=(10.0, 20.0), replications=replications, scenario=model1)
     E.sweep(spec, seed=3, workers=64)
     assert [(type(p.max_workers), p.max_workers, p.ranges, p.shut) for p in fake_pool] == [
-        (int, 2, [[range(0, 1), range(1, 2)]], True),
-        (int, 2, [[range(0, 1), range(1, 2)]] * 2, True),
+        (int, 1, [[[range(1, 2)]]], True),
+        (int, 1, [[[range(1, 2)] * 2]], True),
     ]
+    assert FakePool.log == [
+        ("map", [[range(1, 2)]]),
+        ("run", [range(0, 1)]),
+        ("run", [range(1, 2)]),
+        ("map", [[range(1, 2)] * 2]),
+        ("run", [range(0, 1)] * 2),
+        ("run", [range(1, 2)] * 2),
+    ]
+
+
+def test_pool_holds_one_process_per_range_after_the_first(model1, fake_pool):
+    # 5 replications on 4 workers split into ranges of 2: 0-2, 2-4 and 4-5,
+    # so two processes are forked, not four
+    E.run_scenario(model1, replications=5, seed=3, workers=4)
+    [pool] = fake_pool
+    assert (pool.max_workers, pool.ranges, pool.shut) == (2, [[[range(2, 4)], [range(4, 5)]]], True)
+    assert [event for event, _ in FakePool.log] == ["map", "run", "run", "run"]
+    assert [ranges for _, ranges in FakePool.log[1:]] == [[range(0, 2)], [range(2, 4)], [range(4, 5)]]
+
+
+def test_one_range_starts_no_process(model1, fake_pool):
+    E.run_scenario(model1, replications=1, seed=3, workers=4)
+    E.sweep(_three_point_sweep(model1, 1), seed=3, workers=4)
+    assert fake_pool == []
+    assert FakePool.log == [("run", [range(0, 1)]), ("run", [range(0, 1)] * 3)]
+
+
+def test_ranges_of_a_sweep_tile_its_replications_in_order(model1, fake_pool, monkeypatch):
+    # the table of a range is all zeros: only the split is under test
+    monkeypatch.setattr(E, "_replications", lambda job: np.zeros((2 * len(E.METRICS), len(job[-1]))))
+    for J in range(1, 41):
+        spec = _three_point_sweep(model1, J)
+        for workers in range(1, 6):
+            FakePool.made.clear()
+            FakePool.log.clear()
+            result = E.sweep(spec, seed=3, workers=workers)
+            assert [run.replications for run in result.runs] == [J] * 3
+            mapped = [job for pool in FakePool.made for ranges in pool.ranges for job in ranges]
+            events = [("map", mapped)] if mapped else []
+            caller = [range(0, -(-J // workers))] * 3  # ceil(J / workers)
+            assert FakePool.log == events + [("run", caller)] + [("run", job) for job in mapped], (J, workers)
+            assert [(p.max_workers, p.shut) for p in FakePool.made] == ([(len(mapped), True)] if mapped else [])
+            assert 1 + len(mapped) <= min(workers, J)  # this process runs a range too
+            for point in range(3):
+                ranges = [caller[point]] + [job[point] for job in mapped]
+                assert all(ranges) and [r for rng in ranges for r in rng] == list(range(J)), (J, workers)
+            assert all(job == [job[0]] * 3 for job in mapped)
 
 
 @pytest.mark.parametrize("workers", [0, 2.5, True])
@@ -203,26 +278,31 @@ def test_sweep_refuses_bad_workers_before_any_pool(model1, fake_pool, workers):
     assert fake_pool == []
 
 
-@pytest.mark.parametrize("where", ["worker", "parent"])
+@pytest.mark.parametrize("where", ["worker", "parent", "fold"])
 def test_no_process_outlives_a_sweep_that_raises(model1, monkeypatch, where):
-    # point 0 runs on the pool; point 1 raises in a worker (workers fork
-    # from this process, so they see the patched block draw) or in the
-    # parent before it maps.  Each raises its own error, so the match shows
-    # that the patch was hit.
-    if where == "worker":
-        draw = E._sample_block
+    # replications 2-3 of both points run on one forked process and 0-1 in
+    # this one.  Point 1 raises in the forked process only (it forks from
+    # this one, so it sees the patched block draw; its pid tells it apart),
+    # in this process's own range while the forked one runs, or in the fold
+    # after the pool is joined.  Each raises its own error, so the match
+    # shows that the patch was hit.
+    caller, draw, fold = os.getpid(), E._sample_block, E._scenario_run
 
-        def sample_block(grid, service, rngs):
-            if service.demand_rate == 40.0:
-                raise RuntimeError("draw failed")
-            return draw(grid, service, rngs)
+    def sample_block(grid, service, rngs):
+        if service.demand_rate == 40.0 and (os.getpid() != caller) == (where == "worker"):
+            raise RuntimeError(f"draw failed in {where}")
+        return draw(grid, service, rngs)
 
+    def scenario_run(name, entropy, table):
+        return fold(name, entropy, table) if entropy[-1] == 0 else 1 / 0
+
+    if where == "fold":
+        monkeypatch.setattr(E, "_scenario_run", scenario_run)
+    else:
         monkeypatch.setattr(E, "_sample_block", sample_block)
     spec = E.SweepSpec(dimension="lambda", values=(10.0, 40.0), replications=4, scenario=model1)
-    if where == "parent":
-        run = E._run_scenario
-        monkeypatch.setattr(E, "_run_scenario", lambda f, a, *rest: run(f, a, *rest) if a.service.demand_rate < 40.0 else 1 / 0)
-    with pytest.raises(RuntimeError, match="draw failed") if where == "worker" else pytest.raises(ZeroDivisionError):
+    raises = pytest.raises(ZeroDivisionError) if where == "fold" else pytest.raises(RuntimeError, match=f"in {where}")
+    with raises:
         E.sweep(spec, seed=5, workers=2)
     assert multiprocessing.active_children() == []
 
