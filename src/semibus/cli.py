@@ -15,7 +15,8 @@ Exit codes: 0 success, 1 usage or validation error, 2 runtime error.
 A scenario, or a value that overrides or builds one, that fails
 validation (ScenarioError) exits 1.  Every other ValueError or OSError
 exits 2; that includes each boardings row ingest.parse_boardings
-refuses (a missing or extra field, a non-numeric or non-finite number).
+refuses (a missing or extra field, a non-numeric or non-finite number)
+and a header that names a column twice.
 """
 from __future__ import annotations
 

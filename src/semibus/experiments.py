@@ -300,8 +300,7 @@ def delta_tc_histogram(values: Sequence[float]):
     lo, hi = np.percentile(arr, [0.5, 99.5])
     if hi <= lo:
         lo, hi = lo - 0.5, hi + 0.5
-    counts, edges = np.histogram(arr, bins=HIST_BINS, range=(lo, hi))
-    return counts, edges
+    return np.histogram(arr, bins=HIST_BINS, range=(lo, hi))
 
 
 def run_to_dict(run: ScenarioRun) -> dict:
@@ -339,11 +338,10 @@ def emit_report(run: ScenarioRun, out_dir: Union[str, Path], fmt: str = "csv") -
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     name = run.scenario_name
-    written = []
 
     json_path = out_dir / f"{name}_stats.json"
     json_path.write_text(json.dumps(run_to_dict(run), indent=2, sort_keys=True) + "\n")
-    written.append(json_path)
+    written = [json_path]
     if fmt == "json":
         return written
 

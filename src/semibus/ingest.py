@@ -48,6 +48,9 @@ def parse_boardings(path: Union[str, Path], route_id: str) -> list:
     with open(path, newline="", encoding="utf-8-sig") as fh:  # utf-8-sig: drops the byte-order mark Excel writes
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
+        for i, col in enumerate(header):
+            if col and col in header[:i]:  # DictReader would read the last such column; blank names name no column
+                raise ValueError(f"{path.name}: column {col!r} given twice")
         required = ("stop_id", "routes", "boardings", "chainage_km")
         for col in required:
             if col not in header:

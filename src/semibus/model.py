@@ -88,17 +88,8 @@ class GridGeometry:
     def __post_init__(self):
         object.__setattr__(self, "stop_chainages", tuple(float(c) for c in self.stop_chainages))
         object.__setattr__(self, "stop_weights", tuple(float(w) for w in self.stop_weights))
-        gl_y = self.gl_y
-        if isinstance(gl_y, (int, float)):
-            gl_y = (float(gl_y),) * len(self.stop_chainages)
-        else:
-            gl_y = tuple(float(g) for g in gl_y)
-        object.__setattr__(self, "gl_y", gl_y)
-        # hashed once: the per-stop tuples make each cache lookup's hash slow
-        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
-
-    def __hash__(self) -> int:
-        return self._hash
+        gl_y = (self.gl_y,) * len(self.stop_chainages) if isinstance(self.gl_y, (int, float)) else self.gl_y
+        object.__setattr__(self, "gl_y", tuple(float(g) for g in gl_y))
 
     @property
     def n_stops(self) -> int:
@@ -434,8 +425,19 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 def load_scenario(path: Union[str, Path]) -> Scenario:
     path = Path(path)
+
+    def unique(pairs: list) -> dict:  # json.loads keeps the last of a repeated key
+        data = {}
+        for key, value in pairs:
+            if key in data:
+                raise ScenarioError(f"{path.name}: key {key!r} given twice")
+            data[key] = value
+        return data
+
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=unique)
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path.name}: parse error at byte {exc.start}: not UTF-8") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path.name}: parse error at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(data, dict):

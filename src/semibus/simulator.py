@@ -28,8 +28,8 @@ loop, on a draw that overflows it.  The per-draw entry points
 (sample_demand, trip_records, write_trace) run a block of one.
 Request objects appear only at the public entry points: sample_requests
 builds them, and simulate_requests and partition_parallel turn them back
-into columns through one helper.  The arrays a draw reads from a grid are
-built once per grid.
+into columns through one helper.  The schedule and the arrays a block
+reads from its grid are built once per block.
 
 fixed
     One sub-route.  Passengers walk to the nearest stop and board the
@@ -86,7 +86,6 @@ import csv
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate, chain
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -131,7 +130,6 @@ class TripLog:
     spilled_ids: tuple  # assigned but deferred to the next trip
 
 
-@lru_cache(maxsize=16)
 def build_schedule(grid: GridGeometry, svc: ServiceConfig) -> FixedSchedule:
     stops_x, n = grid.stop_chainages, grid.n_stops
     offsets = tuple(c / svc.v_d + svc.t_s * s for s, c in enumerate(stops_x))
@@ -159,20 +157,6 @@ def _demand(requests: Sequence[Request]) -> Demand:
     return Demand(*(np.fromiter(map(attrgetter(f), requests), int if f in ("id", "home_stop") else float) for f in Demand._fields))
 
 
-@lru_cache(maxsize=16)
-def _grid_arrays(grid: GridGeometry) -> tuple:
-    """(stop CDF, chainages, catchment half-widths, y_hat) of a grid, the
-    arrays read-only; y_hat is max_gl_y snapped to the street lattice.
-    Generator.choice builds the same CDF, so the stop draws match it."""
-    weights = np.asarray(grid.stop_weights, dtype=float)
-    cdf = (weights / weights.sum()).cumsum()
-    cdf /= cdf[-1]
-    arrays = (cdf, np.asarray(grid.stop_chainages), np.asarray(grid.gl_y))
-    for a in arrays:
-        a.flags.writeable = False
-    return (*arrays, _snap(np.array(grid.max_gl_y), grid.l_y, tie_toward_zero=True).item())
-
-
 def _sample_positions(grid: GridGeometry, draws: Sequence[int], rngs: Sequence[np.random.Generator]):
     """Draw a block's demand points, rows draws[b]:draws[b + 1] with rngs[b]:
     stop by weight, then uniform around the stop, redrawn until its
@@ -182,9 +166,11 @@ def _sample_positions(grid: GridGeometry, draws: Sequence[int], rngs: Sequence[n
     doubles (low + (high - low) * u), so dx and y are bitwise
     uniform(-h, h, m) then uniform(-g, g), generator state included, without
     uniform's array-bound overhead (numpy 2.4.6's arithmetic)."""
-    cdf, chainage, gl_y, _ = _grid_arrays(grid)
+    weights = np.asarray(grid.stop_weights, dtype=float)
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]  # Generator.choice builds the same CDF, so the stop draws match it
     stops = cdf.searchsorted(np.concatenate([rng.random(hi - lo) for lo, hi, rng in zip(draws, draws[1:], rngs)]), side="right")
-    chain, gl, h = chainage[stops], gl_y[stops], grid.d_xs / 2.0
+    chain, gl, h = np.asarray(grid.stop_chainages)[stops], np.asarray(grid.gl_y)[stops], grid.d_xs / 2.0
     x, y, left = np.empty(stops.size), np.empty(stops.size), np.arange(stops.size)  # left: points still to draw
     while left.size:
         ends = left.searchsorted(draws).tolist()  # draw b's points still to draw: left[ends[b]:ends[b + 1]]
@@ -225,7 +211,7 @@ def sample_requests(grid: GridGeometry, svc: ServiceConfig, seed: SeedLike) -> l
 def _nearest_stops(grid: GridGeometry, x: np.ndarray) -> tuple:
     """(nearest stop, x distance to it) for each x by rectilinear
     distance; ties go downstream."""
-    chainage = _grid_arrays(grid)[1]
+    chainage = np.asarray(grid.stop_chainages)
     pos = np.searchsorted(chainage, x)
     pos_lo = np.maximum(pos - 1, 0)  # np.clip costs several times np.maximum on small arrays
     pos_hi = np.minimum(pos, grid.n_stops - 1)
@@ -368,7 +354,7 @@ def _sub_routes(demand: Demand, grid: GridGeometry, n_zones: int, n_parallel: in
     bounds = [(0.0, grid.gl_x, 0.0)] * n_parallel
     if n_parallel == 1:
         return np.zeros(len(demand.x), int), bounds
-    gl = _grid_arrays(grid)[2][demand.home_stop]
+    gl = np.asarray(grid.gl_y)[demand.home_stop]
     w = 2.0 * gl / n_parallel
     r = (demand.y + gl) / w
     k = np.rint(r)  # half to even, as np.round
@@ -459,7 +445,7 @@ def _amsod_drives(scenario: Scenario, demand: Demand, draws: Sequence[int]):
     sx_all = _snap(demand.x, grid.l_x, tie_toward_zero=False)
     sy = _snap(demand.y, grid.l_y, tie_toward_zero=True)
     cap, n, deps, n_draws = svc.capacity, len(bounds), build_schedule(grid, svc).departures, len(draws) - 1
-    y_hat = _grid_arrays(grid)[3]  # no request snaps further out
+    y_hat = _snap(np.array(grid.max_gl_y), grid.l_y, tie_toward_zero=True).item()  # max_gl_y snapped: no request snaps further out
     sx, firsts = np.empty(len(sub)), np.empty(len(sub), np.int64)
     for k, (x_lo, x_hi, _) in enumerate(bounds):
         mine = sub == k
@@ -535,15 +521,11 @@ def trip_records(scenario: Scenario, mode: str, demand: Demand):
     draws = (0, len(demand.id))  # a block of one draw
     if mode == "fixed":
         c_o, cuts, passengers, trips = _fixed_columns(scenario, demand, draws)
-    elif mode == "amsod":  # each spill read into a list before its drive resumes
-        trips = []
-
-        def logged(drives):
-            for c, served, spilled, route, dep in drives:
-                trips.append((list(spilled), (served, route), dep))
-                yield c, served, spilled, route, dep
-
-        c_o, cuts, passengers = _amsod_columns(scenario, map(logged, _amsod_drives(scenario, demand, draws)))
+    elif mode == "amsod":
+        [drives] = _amsod_drives(scenario, demand, draws)
+        log = [(c, served, list(spilled), route, dep) for c, served, spilled, route, dep in drives]  # each spill read before its drive resumes
+        c_o, cuts, passengers = _amsod_columns(scenario, [log])
+        trips = [(spilled, (served, route), dep) for _, served, spilled, route, dep in log]
     else:
         raise ValueError(f"unknown mode {mode!r}")
     rows = list(zip(*(column.tolist() for column in passengers)))

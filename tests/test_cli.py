@@ -293,6 +293,31 @@ def test_bad_run_object_exits_1(run, field, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["capacity", "service", "not-utf8"])
+def test_repeated_key_or_undecodable_file_exits_1(key, tmp_path, capsys):
+    # unrefused, a repeated key ran its last value and a Latin-1 byte exited 2 naming no file
+    text = bundled_path("model1").read_text()
+    if key == "capacity":
+        text = text.replace('"capacity": 30', '"capacity": 30, "capacity": 5')
+    elif key == "service":
+        text = text.rstrip()[:-1] + f', "service": {json.dumps(dict(json.loads(text)["service"], capacity=5))}}}'
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text.replace("model1", "mod\u00e8le").encode("latin-1") if key == "not-utf8" else text.encode())
+    assert main(["simulate", "--scenario", str(bad), "--replications", "1", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario: bad.json: ") and ("not UTF-8" if key == "not-utf8" else f"key '{key}' given twice") in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_ingest_column_named_twice_exits_2(tmp_path, capsys):
+    data = tmp_path / "stops.csv"
+    data.write_text("stop_id,routes,chainage_km,boardings,boardings\na,1,0,5,50\nb,1,1,6,60\n")
+    out = tmp_path / "built.json"
+    assert main(["ingest", "--data", str(data), "--route-id", "1", "--template", "model1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: stops.csv: column 'boardings' given twice"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", [None, "../escaped"], ids=["null", "parent-dir"])
 def test_scenario_name_that_is_not_a_file_name_exits_1(name, tmp_path, capsys):
     # the name names the report files: null wrote None_stats.json, and ../escaped wrote beside --out

@@ -67,6 +67,15 @@ def test_parse_ignores_a_byte_order_mark(tmp_path):
     assert ingest.parse_boardings(marked, "84") == ingest.parse_boardings(plain, "84")
 
 
+def test_parse_refuses_a_column_named_twice(tmp_path):
+    # unrefused, csv.DictReader read the last such column: boardings 50
+    path = write_csv(tmp_path / "twice.csv", ["a,1,0,5,50", "b,1,1,6,60"], header="stop_id,routes,chainage_km,boardings,boardings")
+    with pytest.raises(ValueError, match="twice.csv: column 'boardings' given twice"):
+        ingest.parse_boardings(path, "1")
+    blank = write_csv(tmp_path / "blank.csv", ["a,1,0,5,,", "b,1,1,6,,"], header="stop_id,routes,chainage_km,boardings,,")  # empty trailing columns
+    assert [r.boardings for r in ingest.parse_boardings(blank, "1")] == [5.0, 6.0]
+
+
 def test_parse_missing_column(tmp_path):
     path = tmp_path / "stops.csv"
     path.write_text("stop_id,chainage_km\na,0.0\n")

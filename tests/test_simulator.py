@@ -167,26 +167,22 @@ def _copy_grid(grid):
     return GridGeometry(**{f.name: getattr(grid, f.name) for f in fields(grid)})
 
 
-def test_equal_grids_share_cache_entries(cta126):
+def test_equal_grids_hash_equal(cta126):
     a, b = cta126.grid, _copy_grid(cta126.grid)
     assert a is not b and a == b and hash(a) == hash(b)
-    assert S._grid_arrays(a) is S._grid_arrays(b)
-    assert S.build_schedule(a, cta126.service) is S.build_schedule(b, cta126.service)
 
 
-def test_pickled_grid_keeps_equality_hash_and_cache(cta126):
+def test_pickled_grid_keeps_equality_and_hash(cta126):
     grid = cta126.grid
     back = pickle.loads(pickle.dumps(grid))
     assert back == grid and hash(back) == hash(grid) and repr(back) == repr(grid)
-    assert S._grid_arrays(back) is S._grid_arrays(grid)
 
 
 def test_replaced_grid_is_rehashed(model1):
     grid = replace(model1.grid, gl_y=0.25)
     fresh = _copy_grid(grid)
     assert grid != model1.grid and hash(grid) == hash(fresh)
-    assert S._grid_arrays(grid) is S._grid_arrays(fresh)
-    assert S._grid_arrays(grid)[2].tolist() == [0.25] * grid.n_stops
+    assert grid.gl_y == (0.25,) * grid.n_stops
 
 
 # --- street snapping ----------------------------------------------------------
