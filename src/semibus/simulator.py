@@ -59,7 +59,10 @@ amsod (semi-on-demand)
     request is served by the first trip whose arrival at its pickup point
     is no earlier than its request time (the point must still be ahead of
     the bus); otherwise it waits for the next trip, as do passengers
-    beyond capacity.
+    beyond capacity.  A trip skips a street whose earliest pending request
+    comes after the bus's latest possible arrival anywhere on it (_drive);
+    this needs each draw's requests in t_k order, so _amsod_drives refuses
+    others, and trip_records and write_trace sort theirs.
 
     Planning is causal.  A trip departing at dep on the sub-route
     [x_lo, x_hi] may take a request only if t_k <= t_bound, with
@@ -157,6 +160,12 @@ def _demand(requests: Sequence[Request]) -> Demand:
     return Demand(*(np.fromiter(map(attrgetter(f), requests), int if f in ("id", "home_stop") else float) for f in Demand._fields))
 
 
+def _by_time(demand: Demand) -> Demand:
+    """demand's rows stably sorted by t_k, as _amsod_drives takes a draw."""
+    order = np.argsort(demand.t_k, kind="stable")
+    return Demand(*(column[order] for column in demand))
+
+
 def _sample_positions(grid: GridGeometry, draws: Sequence[int], rngs: Sequence[np.random.Generator]):
     """Draw a block's demand points, rows draws[b]:draws[b + 1] with rngs[b]:
     stop by weight, then uniform around the stop, redrawn until its
@@ -247,6 +256,11 @@ def _snap(values: np.ndarray, spacing: float, tie_toward_zero: bool) -> np.ndarr
 _Y = itemgetter(1)
 
 
+def _sweep(m: list) -> list:
+    """One street's candidates in visit order (see _drive)."""
+    return sorted(m, key=_Y, reverse=True) if len(m) > 1 and abs(m[-1][1]) >= abs(m[0][1]) else m
+
+
 def _spill(cands, t: float, bx: float, by: float, last_arrival: float, inv_v: float):
     """Lazily, the ids of the candidates a full bus leaves that are ready
     at its last point (it no longer moves).  cands reads the street lists
@@ -256,7 +270,7 @@ def _spill(cands, t: float, bx: float, by: float, last_arrival: float, inv_v: fl
             yield rid
 
 
-def _drive(streets: dict, xs: list, depart: float, svc: ServiceConfig, start_x: float, end_x: float, express_length: float, capacity: int) -> tuple:
+def _drive(streets: dict, low: dict, xs: list, depart: float, svc: ServiceConfig, start_x: float, end_x: float, express_length: float, capacity: int, y_far: float) -> tuple:
     """Drive one trip from (start_x, 0) to the axis at end_x, then
     express_length km on at v_h, serving the pending candidates of streets
     (cross-street x -> candidates sorted by (y, id)) in visit order: streets
@@ -266,32 +280,48 @@ def _drive(streets: dict, xs: list, depart: float, svc: ServiceConfig, start_x: 
 
     A candidate whose request time is later than the bus's arrival at its
     point is left for the next trip; ready candidates beyond capacity are
-    spilled.  Returns (served, spilled_ids, route): served records
-    (request_id, t_k, arrival, point) in boarding order, a lazy _spill that
-    only trip_records reads, and (start_x, end_x, d_y, express_legs, end_time).
+    spilled.  No arrival on street x is later than t + (y_far + |by| + x -
+    bx) / v_d, with the bus at (bx, by) from time t and y_far at least every
+    candidate's |y|, so the trip skips street x when low[x] (at most its
+    earliest t_k minus x / v_d) exceeds reach = t + (y_far + |by| - bx) /
+    v_d + 1e-9.  Returns (served, spilled_ids, route): served records
+    (request_id, t_k, arrival, point) in boarding order, a full bus's lazy
+    _spill (else ()) that only trip_records reads, and (start_x, end_x, d_y,
+    express_legs, end_time).
     """
     t = last_arrival = depart
     bx, by = start_x, 0.0
-    served, d_y = [], 0.0
+    served, d_y, spilled = [], 0.0, ()
     inv_v = 1.0 / svc.v_d
-    cands = chain.from_iterable(sorted(m, key=_Y, reverse=True) if len(m) > 1 and abs(m[-1][1]) >= abs(m[0][1]) else m for m in map(streets.__getitem__, xs))
-    for sx, sy, rid, tk in cands:
-        arrival = t + (abs(sy - by) + (sx - bx)) * inv_v  # at the bus's point this is t >= last_arrival, so it screens same-point boardings too
-        if tk > arrival + 1e-12:
-            continue  # requested after the bus passes; next trip
-        if served and sx == bx and sy == by:
-            if tk > last_arrival + 1e-12:
-                continue
-            arrival = last_arrival  # boards during the same dwell
+    reach = t + (y_far - bx) * inv_v + 1e-9
+    keys = iter(xs)
+    for x in keys:
+        if low[x] > reach:
+            continue
+        m = streets[x]  # _sweep(m), inline: the call would cost about a tenth of the walk
+        street = iter(sorted(m, key=_Y, reverse=True) if len(m) > 1 and abs(m[-1][1]) >= abs(m[0][1]) else m)
+        for sx, sy, rid, tk in street:
+            arrival = t + (abs(sy - by) + (sx - bx)) * inv_v  # at the bus's point this is t >= last_arrival, so it screens same-point boardings too
+            if tk > arrival + 1e-12:
+                continue  # requested after the bus passes; next trip
+            if served and sx == bx and sy == by:
+                if tk > last_arrival + 1e-12:
+                    continue
+                arrival = last_arrival  # boards during the same dwell
+            else:
+                d_y += abs(sy - by)
+                t = arrival + svc.t_s_prime
+                bx, by = sx, sy
+                last_arrival = arrival
+                reach = t + (y_far + abs(by) - bx) * inv_v + 1e-9
+            served.append((rid, tk, arrival, (sx, sy)))
+            if len(served) == capacity:
+                break
         else:
-            d_y += abs(sy - by)
-            t = arrival + svc.t_s_prime
-            bx, by = sx, sy
-            last_arrival = arrival
-        served.append((rid, tk, arrival, (sx, sy)))
-        if len(served) == capacity:
-            break
-    spilled = _spill(cands, t, bx, by, last_arrival, inv_v)  # empty unless full
+            continue
+        # full: the rest of this street, then every later one
+        spilled = _spill(chain(street, chain.from_iterable(map(_sweep, map(streets.__getitem__, keys)))), t, bx, by, last_arrival, inv_v)
+        break
     d_y += abs(by)
     end_time = t + (abs(by) + (end_x - bx)) * inv_v
     express_legs = ()
@@ -438,13 +468,18 @@ def _amsod_drives(scenario: Scenario, demand: Demand, draws: Sequence[int]):
     drives its sub-route's pending candidates, kept in one dict from
     cross-street x to a sorted list of (sx, sy, request_id, t_k) and the
     dict's keys as one sorted list; a request arrives at the first trip of
-    its sub-route whose t_bound it does not exceed.  A trip yields (c_o,
-    served, spilled, route, dep)."""
+    its sub-route whose t_bound it does not exceed.  A draw out of t_k order
+    is refused: in order, a street's first candidate is its earliest, and
+    low[x] is written from it.  A trip yields (c_o, served, spilled, route,
+    dep)."""
+    if not set((np.flatnonzero(np.diff(demand.t_k) < 0) + 1).tolist()).issubset(draws):
+        raise ValueError("each draw's requests must be in request time order")
     grid, svc = scenario.grid, scenario.service
     sub, bounds = _sub_routes(demand, grid, svc.n_zones, svc.n_parallel)
     sx_all = _snap(demand.x, grid.l_x, tie_toward_zero=False)
     sy = _snap(demand.y, grid.l_y, tie_toward_zero=True)
     cap, n, deps, n_draws = svc.capacity, len(bounds), build_schedule(grid, svc).departures, len(draws) - 1
+    inv_v, y_far = 1.0 / svc.v_d, np.abs(sy).max(initial=0.0).item()
     y_hat = _snap(np.array(grid.max_gl_y), grid.l_y, tie_toward_zero=True).item()  # max_gl_y snapped: no request snaps further out
     sx, firsts = np.empty(len(sub)), np.empty(len(sub), np.int64)
     for k, (x_lo, x_hi, _) in enumerate(bounds):
@@ -461,23 +496,24 @@ def _amsod_drives(scenario: Scenario, demand: Demand, draws: Sequence[int]):
 
     def drives(lo, hi, cut):
         cands = list(zip(*(column[lo:hi] for column in columns)))
-        streets = [({}, []) for _ in bounds]  # per sub-route: x -> candidates, and its sorted keys
+        streets = [({}, {}, []) for _ in bounds]  # per sub-route: x -> candidates, x -> low, and the sorted keys
         for i, dep in enumerate(deps):
-            (pending, xs), (start_x, end_x, express_len) = streets[i % n], bounds[i % n]
+            (pending, low, xs), (start_x, end_x, express_len) = streets[i % n], bounds[i % n]
             for c in cands[cut[i] : cut[i + 1]]:
                 m = pending.get(c[0])
                 if m is None:
                     pending[c[0]] = [c]
+                    low[c[0]] = c[3] - c[0] * inv_v
                     insort(xs, c[0])
                 else:
                     insort(m, c)
-            served, spilled, route = _drive(pending, xs, dep, svc, start_x, end_x, express_len, cap)
-            yield scenario.cost.gamma_o * (end_x - start_x + route[2] + sum(length for length, _ in route[3])), served, spilled, route, dep
+            served, spilled, route = _drive(pending, low, xs, dep, svc, start_x, end_x, express_len, cap, y_far)
+            yield scenario.cost.gamma_o * (end_x - start_x + route[2] + (express_len if route[3] else 0.0)), served, spilled, route, dep
             for rid, tk, _, (x, y) in served:  # after the yield: spilled reads the lists as the trip left them
                 m = pending[x]
                 del m[bisect_left(m, (x, y, rid, tk))]
                 if not m:
-                    del pending[x]
+                    del pending[x], low[x]
                     del xs[bisect_left(xs, x)]
 
     return map(drives, draws[:-1], draws[1:], cuts.reshape(n_draws, -1).tolist())
@@ -518,7 +554,7 @@ def trip_records(scenario: Scenario, mode: str, demand: Demand):
     boarding order, sliced from the columns run_scenario folds, the list of
     spilled ids and, on demand, _drive's (served, route).  Unvalidated:
     callers validate."""
-    draws = (0, len(demand.id))  # a block of one draw
+    demand, draws = _by_time(demand), (0, len(demand.id))  # a block of one draw
     if mode == "fixed":
         c_o, cuts, passengers, trips = _fixed_columns(scenario, demand, draws)
     elif mode == "amsod":
@@ -552,7 +588,7 @@ def write_trace(scenario: Scenario, demand: Demand, path: Union[str, Path]) -> N
     reaches a point takes that passenger's arrival (then dwells once per
     point); plain corners are interpolated at street speed.
     """
-    svc, [drives] = scenario.service, _amsod_drives(require_valid(scenario), demand, (0, len(demand.id)))  # validated before the file opens
+    svc, [drives] = scenario.service, _amsod_drives(require_valid(scenario), _by_time(demand), (0, len(demand.id)))  # validated before the file opens
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["trip", "time_h", "x_km", "y_km", "event"])

@@ -65,7 +65,8 @@ def plan_amsod_route(requests: Sequence[Request], grid: GridGeometry, svc: Servi
     streets = {}
     for req in requests:
         insort(streets.setdefault(req.x, []), (req.x, req.y, req.id, -math.inf))  # all already due
-    served, _, route = _drive(streets, sorted(streets), depart_time, svc, 0.0, grid.gl_x, 0.0, len(requests))
+    low = dict.fromkeys(streets, -math.inf)  # below any reach, so no street is skipped
+    served, _, route = _drive(streets, low, sorted(streets), depart_time, svc, 0.0, grid.gl_x, 0.0, len(requests), 0.0)
     return _route_plan(depart_time, served, route)
 
 

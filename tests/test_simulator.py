@@ -759,6 +759,29 @@ def test_request_at_t_bound_is_admitted(model1):
         assert [p.request_id for p in first.plan.pickups] == pickups
 
 
+def test_request_made_when_the_bus_can_first_reach_it_is_served(model1):
+    # after its dwell at (2.0, -0.2) the bus can first reach (5.0, 0.4), the
+    # farthest point from the axis, at arrival: |y| is y_far and the street
+    # lies ahead, so the street's low equals the trip's reach but for its
+    # 1e-9 margin.  A request made then boards; one made 2e-12 h later is
+    # past the walk's own 1e-12 tolerance and waits for trip 1
+    svc, inv_v = model1.service, 1.0 / model1.service.v_d
+    t = 0.0 + (abs(-0.2 - 0.0) + (2.0 - 0.0)) * inv_v + svc.t_s_prime
+    arrival = t + (abs(0.4 - -0.2) + (5.0 - 2.0)) * inv_v
+    first = Request(0, 2.0, -0.2, 0.0, 6)
+    for t_k, trips in [(arrival, [[0, 1], []]), (arrival + 2e-12, [[0], [1]])]:
+        logs = S.simulate_requests(model1, "amsod", [first, Request(1, 5.0, 0.4, t_k, 12)])
+        assert [list(log.served_ids) for log in logs[:2]] == trips
+    assert logs[0].plan.pickups[0].time == 0.0 + (0.2 + 2.0) * inv_v
+
+
+def test_amsod_refuses_a_draw_out_of_time_order(model1):
+    demand = S._demand([Request(0, 2.0, 0.1, 1.0, 6), Request(1, 5.0, 0.2, 0.5, 12)])
+    with pytest.raises(ValueError, match="request time order"):
+        S._amsod_drives(model1, demand, (0, 2))
+    S._amsod_drives(model1, demand, (0, 1, 2))  # each draw of one row is in order
+
+
 def test_unknown_mode_refused(model1):
     with pytest.raises(ValueError, match="'bus'"):
         S.simulate_requests(model1, "bus", [Request(0, 5.0, 0.2, 0.0, 12)])
@@ -823,7 +846,7 @@ def test_amsod_matches_per_trip_regrouping_reference(model1, variant):
         svc = replace(svc, n_zones=3, v_h=60.0)
     elif variant == "parallel2":
         svc = replace(svc, n_parallel=2)
-    rng = np.random.default_rng(2718)
+    rng, shuffle = np.random.default_rng(2718), np.random.default_rng(27)
     for trial in range(60):
         scn = replace(model1, service=replace(svc, capacity=int(rng.integers(1, 4))))
         n = int(rng.integers(0, 40))
@@ -844,6 +867,8 @@ def test_amsod_matches_per_trip_regrouping_reference(model1, variant):
             for log in logs
         ]
         assert got == _reference_amsod(scn, reqs), f"trial {trial}"
+        # the list's order is not the time order: the same trips
+        assert S.simulate_requests(scn, "amsod", [reqs[i] for i in shuffle.permutation(n)]) == logs, f"trial {trial}"
 
 
 @pytest.mark.parametrize("variant", ["shipped", "zonal3", "parallel2"])
@@ -890,7 +915,7 @@ def test_street_keys_follow_streets_that_empty_and_refill(model1, monkeypatch, v
     # last candidate is served on trip i and the street gains a request
     # again on trip i + n (n sub-routes); every trip's sorted key list must
     # be the sorted keys of its streets, and the trips must equal the
-    # per-trip regrouping reference
+    # per-trip regrouping reference; each trip's low has the streets' keys
     svc = replace(model1.service, capacity=capacity)
     if variant == "zonal3":
         svc = replace(svc, n_zones=3, v_h=60.0)
@@ -900,10 +925,10 @@ def test_street_keys_follow_streets_that_empty_and_refill(model1, monkeypatch, v
     n = svc.n_zones * svc.n_parallel
     keys, drive = [], S._drive
 
-    def recording(streets, xs, *args):
-        assert xs == sorted(streets)
+    def recording(streets, low, xs, *args):
+        assert xs == sorted(streets) and low.keys() == streets.keys()
         keys.append({x: {c[2] for c in m} for x, m in streets.items()})
-        return drive(streets, xs, *args)
+        return drive(streets, low, xs, *args)
 
     monkeypatch.setattr(S, "_drive", recording)
     rng = np.random.default_rng(31)
