@@ -46,23 +46,23 @@ amsod (semi-on-demand)
     pickup never lies behind the start or past the end of the bus's run.
     Requests are visited in x order; between consecutive points the bus
     turns off at the current cross-street, covers the y difference, then
-    runs forward along the grid (y-then-x, _walk).  Several requests snapped to
-    one cross-street are served in a single sweep, entering from the side
-    whose extreme lies further from the axis.  Each sub-route keeps its
-    pending requests in one dict from cross-street x to a sorted list of
+    runs forward along the grid (y-then-x, _walk).  Several requests
+    snapped to one cross-street are served in a single sweep, entering from
+    the side whose extreme lies further from the axis.  Each sub-route keeps
+    its pending requests in one dict from cross-street x to a sorted list of
     candidates (sx, sy, request_id, t_k); on one street sx is shared and
     ids are unique, so plain tuple order is (y, id) order.  Beside it a
-    sorted list of the dict's keys gains a street when its first candidate
+    sorted list of keys (x, low) gains a street when its first candidate
     arrives and loses it when its last is served, so a trip visits the
     streets by ascending x without sorting them and reads each sweep from
-    its list.  A
-    request is served by the first trip whose arrival at its pickup point
-    is no earlier than its request time (the point must still be ahead of
-    the bus); otherwise it waits for the next trip, as do passengers
-    beyond capacity.  A trip skips a street whose earliest pending request
-    comes after the bus's latest possible arrival anywhere on it (_drive);
-    this needs each draw's requests in t_k order, so _amsod_drives refuses
-    others, and trip_records and write_trace sort theirs.
+    its list.  A request is served by the first trip whose arrival at its
+    pickup point is no earlier than its request time (the point must still
+    be ahead of the bus); otherwise it waits for the next trip, as do
+    passengers beyond capacity.  A trip skips a street whose earliest
+    pending request comes after the bus's latest possible arrival anywhere
+    on it (_drive), by the street's low: its first candidate's t_k - x /
+    v_d.  _amsod_drives admits each trip's arrivals in t_k order, so the
+    first is the earliest, and a draw may come in any order.
 
     Planning is causal.  A trip departing at dep on the sub-route
     [x_lo, x_hi] may take a request only if t_k <= t_bound, with
@@ -160,12 +160,6 @@ def _demand(requests: Sequence[Request]) -> Demand:
     return Demand(*(np.fromiter(map(attrgetter(f), requests), int if f in ("id", "home_stop") else float) for f in Demand._fields))
 
 
-def _by_time(demand: Demand) -> Demand:
-    """demand's rows stably sorted by t_k, as _amsod_drives takes a draw."""
-    order = np.argsort(demand.t_k, kind="stable")
-    return Demand(*(column[order] for column in demand))
-
-
 def _sample_positions(grid: GridGeometry, draws: Sequence[int], rngs: Sequence[np.random.Generator]):
     """Draw a block's demand points, rows draws[b]:draws[b + 1] with rngs[b]:
     stop by weight, then uniform around the stop, redrawn until its
@@ -208,7 +202,7 @@ def _sample_block(grid: GridGeometry, svc: ServiceConfig, rngs: Sequence[np.rand
 
 def sample_demand(grid: GridGeometry, svc: ServiceConfig, seed: SeedLike) -> Demand:
     """Homogeneous Poisson request process over [0, horizon] as columns,
-    deterministic given (seed, scenario); ids follow request time order."""
+    deterministic given (seed, scenario); ids ascend with t_k."""
     return _sample_block(grid, svc, [np.random.default_rng(seed)])[0]
 
 
@@ -270,21 +264,21 @@ def _spill(cands, t: float, bx: float, by: float, last_arrival: float, inv_v: fl
             yield rid
 
 
-def _drive(streets: dict, low: dict, xs: list, depart: float, svc: ServiceConfig, start_x: float, end_x: float, express_length: float, capacity: int, y_far: float) -> tuple:
+def _drive(streets: dict, xs: list, depart: float, svc: ServiceConfig, start_x: float, end_x: float, express_length: float, capacity: int, y_far: float) -> tuple:
     """Drive one trip from (start_x, 0) to the axis at end_x, then
     express_length km on at v_h, serving the pending candidates of streets
     (cross-street x -> candidates sorted by (y, id)) in visit order: streets
-    by ascending x (xs, the sorted keys of streets), each in one monotone y
-    sweep from the end with the larger |y| (the positive end on a tie), ids
-    ascending within a point (the sort is stable).
+    by ascending x (xs, the sorted (x, low) keys of streets), each in one
+    monotone y sweep from the end with the larger |y| (the positive end on a
+    tie), ids ascending within a point (the sort is stable).
 
     A candidate whose request time is later than the bus's arrival at its
     point is left for the next trip; ready candidates beyond capacity are
     spilled.  No arrival on street x is later than t + (y_far + |by| + x -
     bx) / v_d, with the bus at (bx, by) from time t and y_far at least every
-    candidate's |y|, so the trip skips street x when low[x] (at most its
-    earliest t_k minus x / v_d) exceeds reach = t + (y_far + |by| - bx) /
-    v_d + 1e-9.  Returns (served, spilled_ids, route): served records
+    candidate's |y|, so the trip skips street x when its key's low (at most
+    its earliest t_k minus x / v_d) exceeds reach = t + (y_far + |by| - bx)
+    / v_d + 1e-9.  Returns (served, spilled_ids, route): served records
     (request_id, t_k, arrival, point) in boarding order, a full bus's lazy
     _spill (else ()) that only trip_records reads, and (start_x, end_x, d_y,
     express_legs, end_time).
@@ -295,8 +289,8 @@ def _drive(streets: dict, low: dict, xs: list, depart: float, svc: ServiceConfig
     inv_v = 1.0 / svc.v_d
     reach = t + (y_far - bx) * inv_v + 1e-9
     keys = iter(xs)
-    for x in keys:
-        if low[x] > reach:
+    for x, low in keys:
+        if low > reach:
             continue
         m = streets[x]  # _sweep(m), inline: the call would cost about a tenth of the walk
         street = iter(sorted(m, key=_Y, reverse=True) if len(m) > 1 and abs(m[-1][1]) >= abs(m[0][1]) else m)
@@ -320,7 +314,7 @@ def _drive(streets: dict, low: dict, xs: list, depart: float, svc: ServiceConfig
         else:
             continue
         # full: the rest of this street, then every later one
-        spilled = _spill(chain(street, chain.from_iterable(map(_sweep, map(streets.__getitem__, keys)))), t, bx, by, last_arrival, inv_v)
+        spilled = _spill(chain(street, chain.from_iterable(_sweep(streets[x]) for x, _ in keys)), t, bx, by, last_arrival, inv_v)
         break
     d_y += abs(by)
     end_time = t + (abs(by) + (end_x - bx)) * inv_v
@@ -429,13 +423,13 @@ def _fixed_columns(scenario: Scenario, demand: Demand, draws: Sequence[int]):
     access = (dx + np.abs(demand.y)) / svc.v_w
     ready = demand.t_k + access
     offsets = np.asarray(sched.stop_offsets)[stops]
-    firsts = np.maximum(0.0, np.ceil((ready - offsets) / svc.headway - 1e-12)).astype(np.int64)
+    firsts = np.minimum(np.maximum(0.0, np.ceil((ready - offsets) / svc.headway - 1e-12)), n).astype(np.int64)
     rides = np.asarray(sched.ride_times)[stops]
     draw = np.repeat(np.arange(n_draws), np.diff(draws))  # of each row, and of each key position: a draw keeps its rows
     key = np.lexsort((demand.id, ready))  # the (ready, id) order
     key = key[_stable_order((draw * grid.n_stops + stops)[key], n_draws * grid.n_stops)]  # by draw, then the (stop, ready, id) order
     first = firsts[key]
-    trip = np.minimum(first, n)  # per row in key order; n: never boards
+    trip = first.copy()  # per row in key order; n: never boards (clamped before the cast, which would overflow)
     loads = np.bincount(draw * (n + 1) + trip, minlength=n_draws * (n + 1)).reshape(n_draws, n + 1)[:, :n]
     for b in np.flatnonzero((loads > cap).any(axis=1)).tolist():
         # trip j takes the first cap rows of the draw in key order that reached it
@@ -467,13 +461,11 @@ def _amsod_drives(scenario: Scenario, demand: Demand, draws: Sequence[int]):
     """Lazily per draw of a block, the generator of its trips.  Each trip
     drives its sub-route's pending candidates, kept in one dict from
     cross-street x to a sorted list of (sx, sy, request_id, t_k) and the
-    dict's keys as one sorted list; a request arrives at the first trip of
-    its sub-route whose t_bound it does not exceed.  A draw out of t_k order
-    is refused: in order, a street's first candidate is its earliest, and
-    low[x] is written from it.  A trip yields (c_o, served, spilled, route,
-    dep)."""
-    if not set((np.flatnonzero(np.diff(demand.t_k) < 0) + 1).tolist()).issubset(draws):
-        raise ValueError("each draw's requests must be in request time order")
+    dict's keys as one sorted list of (x, low); a request arrives at the
+    first trip of its sub-route whose t_bound it does not exceed.  A trip's
+    arrivals are taken in t_k order (the block is sorted by draw, arrival
+    trip, then t_k), so low, t_k - x / v_d of a street's first, is its least.
+    A trip yields (c_o, served, spilled, route, dep)."""
     grid, svc = scenario.grid, scenario.service
     sub, bounds = _sub_routes(demand, grid, svc.n_zones, svc.n_parallel)
     sx_all = _snap(demand.x, grid.l_x, tie_toward_zero=False)
@@ -488,33 +480,32 @@ def _amsod_drives(scenario: Scenario, demand: Demand, draws: Sequence[int]):
         # at most cap dwells and cap + 1 cross-street moves precede any arrival
         reach = (x_hi - x_lo + (cap + 1) * 2.0 * y_hat) / svc.v_d + cap * svc.t_s_prime
         firsts[mine] = k + n * np.searchsorted(np.asarray(deps[k::n]) + reach, demand.t_k[mine])  # t_k <= t_bound
-    # by draw, arrival trip, then id; a request no trip takes (past the last) stays within its draw
+    # by draw, arrival trip, then t_k; a request no trip takes (past the last) stays within its draw
     slot = np.repeat(np.arange(n_draws) * (len(deps) + 1), np.diff(draws)) + np.minimum(firsts, len(deps))
-    order = _stable_order(slot, n_draws * (len(deps) + 1))  # draw b keeps positions draws[b]:draws[b + 1]
+    order = np.argsort(slot + 1j * demand.t_k, kind="stable")  # complex keys sort by real, then imaginary part
     columns = [column[order].tolist() for column in (sx, sy, demand.id, demand.t_k)]
     cuts = np.searchsorted(slot[order], np.arange(n_draws * (len(deps) + 1))) - np.repeat(draws[:-1], len(deps) + 1)
 
     def drives(lo, hi, cut):
         cands = list(zip(*(column[lo:hi] for column in columns)))
-        streets = [({}, {}, []) for _ in bounds]  # per sub-route: x -> candidates, x -> low, and the sorted keys
+        streets = [({}, []) for _ in bounds]  # per sub-route: x -> candidates, and the sorted (x, low) keys
         for i, dep in enumerate(deps):
-            (pending, low, xs), (start_x, end_x, express_len) = streets[i % n], bounds[i % n]
+            (pending, xs), (start_x, end_x, express_len) = streets[i % n], bounds[i % n]
             for c in cands[cut[i] : cut[i + 1]]:
                 m = pending.get(c[0])
                 if m is None:
                     pending[c[0]] = [c]
-                    low[c[0]] = c[3] - c[0] * inv_v
-                    insort(xs, c[0])
+                    insort(xs, (c[0], c[3] - c[0] * inv_v))
                 else:
                     insort(m, c)
-            served, spilled, route = _drive(pending, low, xs, dep, svc, start_x, end_x, express_len, cap, y_far)
+            served, spilled, route = _drive(pending, xs, dep, svc, start_x, end_x, express_len, cap, y_far)
             yield scenario.cost.gamma_o * (end_x - start_x + route[2] + (express_len if route[3] else 0.0)), served, spilled, route, dep
             for rid, tk, _, (x, y) in served:  # after the yield: spilled reads the lists as the trip left them
                 m = pending[x]
                 del m[bisect_left(m, (x, y, rid, tk))]
                 if not m:
-                    del pending[x], low[x]
-                    del xs[bisect_left(xs, x)]
+                    del pending[x]
+                    del xs[bisect_left(xs, (x,))]
 
     return map(drives, draws[:-1], draws[1:], cuts.reshape(n_draws, -1).tolist())
 
@@ -552,9 +543,9 @@ def trip_records(scenario: Scenario, mode: str, demand: Demand):
     called.  Yields per trip (c_o, rows, spilled_ids, drive, depart time):
     the operator cost, the passenger rows (id, t_k, wait, ivtt, access) in
     boarding order, sliced from the columns run_scenario folds, the list of
-    spilled ids and, on demand, _drive's (served, route).  Unvalidated:
-    callers validate."""
-    demand, draws = _by_time(demand), (0, len(demand.id))  # a block of one draw
+    spilled ids and, on demand, _drive's (served, route).  demand's rows may
+    come in any order.  Unvalidated: callers validate."""
+    draws = (0, len(demand.id))  # a block of one draw
     if mode == "fixed":
         c_o, cuts, passengers, trips = _fixed_columns(scenario, demand, draws)
     elif mode == "amsod":
@@ -588,7 +579,7 @@ def write_trace(scenario: Scenario, demand: Demand, path: Union[str, Path]) -> N
     reaches a point takes that passenger's arrival (then dwells once per
     point); plain corners are interpolated at street speed.
     """
-    svc, [drives] = scenario.service, _amsod_drives(require_valid(scenario), _by_time(demand), (0, len(demand.id)))  # validated before the file opens
+    svc, [drives] = scenario.service, _amsod_drives(require_valid(scenario), demand, (0, len(demand.id)))  # validated before the file opens
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["trip", "time_h", "x_km", "y_km", "event"])

@@ -50,6 +50,19 @@ def test_paired_modes_share_requests(model1):
     assert run.delta_tc_values[0] == ma["generalized_cost"] - mf["generalized_cost"]
 
 
+@pytest.mark.parametrize("v_w", [1e-19, 1e-300])
+def test_a_walk_too_slow_for_any_departure_boards_no_one(model1, v_w):
+    # access / headway overflows int64 (it is inf at 1e-300), so the first
+    # catchable departure must be clamped to "none" before the cast; the
+    # on-demand side never reads v_w
+    slow = replace(model1, service=replace(model1.service, v_w=v_w))
+    run = E.run_scenario(slow, replications=8, seed=3)
+    assert run.fixed.metrics["passengers"] == MetricSummary(0.0, 0.0, 0.0)
+    assert run.amsod == E.run_scenario(model1, replications=8, seed=3).amsod
+    logs = simulate_requests(slow, "fixed", sample_requests(slow.grid, slow.service, 3))
+    assert not any(log.rows or log.spilled_ids for log in logs)
+
+
 def test_worker_count_does_not_change_results(model1):
     a = E.run_scenario(model1, replications=24, seed=5, workers=1)
     b = E.run_scenario(model1, replications=24, seed=5, workers=3)

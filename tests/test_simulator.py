@@ -775,11 +775,28 @@ def test_request_made_when_the_bus_can_first_reach_it_is_served(model1):
     assert logs[0].plan.pickups[0].time == 0.0 + (0.2 + 2.0) * inv_v
 
 
-def test_amsod_refuses_a_draw_out_of_time_order(model1):
-    demand = S._demand([Request(0, 2.0, 0.1, 1.0, 6), Request(1, 5.0, 0.2, 0.5, 12)])
-    with pytest.raises(ValueError, match="request time order"):
-        S._amsod_drives(model1, demand, (0, 2))
-    S._amsod_drives(model1, demand, (0, 1, 2))  # each draw of one row is in order
+def test_amsod_takes_a_block_in_any_order(model1):
+    # a 3-draw block whose rows are shuffled within each draw gives the
+    # trips of the block as drawn, each spill read before its drive
+    # resumes; a shuffled Request list gives the same TripLogs in both modes
+    scn = replace(model1, service=replace(model1.service, capacity=5, demand_rate=200.0))
+    demand, draws = S._sample_block(scn.grid, scn.service, [np.random.default_rng(s) for s in (5, 6, 7)])
+    rng = np.random.default_rng(8)
+    perm = np.concatenate([lo + rng.permutation(hi - lo) for lo, hi in zip(draws, draws[1:])])
+    shuffled = S.Demand(*(column[perm] for column in demand))
+    assert (np.diff(shuffled.t_k[draws[0] : draws[1]]) < 0).any()
+
+    def trips(demand):
+        drives = S._amsod_drives(scn, demand, draws)
+        return [[(c, served, list(spilled), route, dep) for c, served, spilled, route, dep in draw] for draw in drives]
+
+    sorted_trips = trips(demand)
+    assert sum(bool(trip[2]) for draw in sorted_trips for trip in draw) > 10  # full buses spill
+    assert trips(shuffled) == sorted_trips
+    reqs = S.sample_requests(scn.grid, scn.service, 9)
+    mixed = [reqs[i] for i in rng.permutation(len(reqs))]
+    for mode in ("fixed", "amsod"):
+        assert S.simulate_requests(scn, mode, mixed) == S.simulate_requests(scn, mode, reqs), mode
 
 
 def test_unknown_mode_refused(model1):
@@ -915,7 +932,8 @@ def test_street_keys_follow_streets_that_empty_and_refill(model1, monkeypatch, v
     # last candidate is served on trip i and the street gains a request
     # again on trip i + n (n sub-routes); every trip's sorted key list must
     # be the sorted keys of its streets, and the trips must equal the
-    # per-trip regrouping reference; each trip's low has the streets' keys
+    # per-trip regrouping reference; each key's low is at most its street's
+    # earliest t_k - x / v_d, the skip's bound
     svc = replace(model1.service, capacity=capacity)
     if variant == "zonal3":
         svc = replace(svc, n_zones=3, v_h=60.0)
@@ -923,12 +941,13 @@ def test_street_keys_follow_streets_that_empty_and_refill(model1, monkeypatch, v
         svc = replace(svc, n_parallel=2)
     scn = replace(model1, service=svc)
     n = svc.n_zones * svc.n_parallel
-    keys, drive = [], S._drive
+    keys, drive, inv_v = [], S._drive, 1.0 / svc.v_d
 
-    def recording(streets, low, xs, *args):
-        assert xs == sorted(streets) and low.keys() == streets.keys()
+    def recording(streets, xs, *args):
+        assert [x for x, _ in xs] == sorted(streets)
+        assert all(low <= min(c[3] for c in streets[x]) - x * inv_v for x, low in xs)
         keys.append({x: {c[2] for c in m} for x, m in streets.items()})
-        return drive(streets, low, xs, *args)
+        return drive(streets, xs, *args)
 
     monkeypatch.setattr(S, "_drive", recording)
     rng = np.random.default_rng(31)
