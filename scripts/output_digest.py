@@ -8,9 +8,11 @@ section it changes.  Sections:
            each at its shipped settings, zonal (n_zones 3, v_h 60 km/h),
            crowded (capacity 5, lambda 200/h) and backlogged (shipped
            capacity, lambda 480/h)
-  logs     per trip, the repr of what simulator.trip_records yields
-           (c_o, rows, spilled ids, drive, depart time), read before the
-           loop resumes, both modes, on each scenario's own seed
+  logs     per trip of simulator.simulate_requests, the repr of (c_o,
+           rows, spilled ids, drive, depart time), both modes, on each
+           scenario's own seed; the drive is None for the fixed route, and
+           on demand its served records (id, t_k, arrival, point) and
+           route (start x, end x, d_y, express legs, end time)
   cli      stdout and written files of simulate, screen, analytic --v-h 50,
            sweep, and ingest of the two bundled boardings CSVs with their
            own templates (output and data directories replaced by
@@ -72,11 +74,16 @@ def digest_reports() -> str:
 
 
 def hash_trips(h, scenario, mode: str) -> None:
-    """Feed the departure loop's records of the scenario's own seed to h,
-    each trip's spilled ids read before the loop resumes."""
-    demand = simulator.sample_demand(scenario.grid, scenario.service, scenario.seed)
-    for c_o, rows, spilled, drive, dep in simulator.trip_records(scenario, mode, demand):
-        h.update(repr((c_o, rows, list(spilled), drive, dep)).encode())
+    """Feed the TripLogs of the scenario's own seed to h."""
+    requests = simulator.sample_requests(scenario.grid, scenario.service, scenario.seed)
+    departures = simulator.build_schedule(scenario.grid, scenario.service).departures
+    for dep, log in zip(departures, simulator.simulate_requests(scenario, mode, requests), strict=True):
+        plan, drive = log.plan, None
+        if plan is not None:
+            served = [(p.request_id, row[1], p.time, p.point) for p, row in zip(plan.pickups, log.rows, strict=True)]
+            drive = served, (plan.waypoints[0][0], plan.waypoints[-1][0], plan.d_y, plan.express_legs, plan.end_time)
+            dep = plan.depart_time
+        h.update(repr((log.c_o, list(log.rows), list(log.spilled_ids), drive, dep)).encode())
 
 
 def digest_logs() -> str:

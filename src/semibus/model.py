@@ -288,8 +288,10 @@ def scenario_problems(scenario: Scenario) -> list:
     catchments simply imply long walks for the fixed-route baseline).
     +-inf that a field's own rule below refuses reports that rule alone.
     """
-    grid, svc = scenario.grid, scenario.service
-    out = _sign_problems("cost", scenario.cost) + _sign_problems("grid", grid) + _sign_problems("service", svc)
+    grid, svc, name = scenario.grid, scenario.service, scenario.name
+    plain = isinstance(name, str) and name not in ("", ".", "..") and "/" not in name and "\\" not in name  # it names the report files
+    out = [] if plain else [Violation("name", "not a plain file name", detail=f"value {name!r}")]
+    out += _sign_problems("cost", scenario.cost) + _sign_problems("grid", grid) + _sign_problems("service", svc)
 
     if grid.n_stops == 0:
         out.append(Violation("grid.stop_chainages", "no stops"))
@@ -396,15 +398,12 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     for key in data:
         if key != "name" and key not in _PARSE:
             raise ScenarioError(f"unknown top-level key {key!r}")
-    name = data.get("name", name)  # it names the report files
-    if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
-        raise ScenarioError([Violation("name", "not a plain file name", detail=f"value {name!r}")])
     data = {"run": {}, **data}
     kw = {section: _parse_section(section, data) for section in _PARSE}
     if "warmup_window" in kw["service"] and len(kw["service"]["warmup_window"]) != 2:
         raise ScenarioError("service.warmup_window: expected [start, end]")
     scenario = Scenario(
-        name=name,
+        name=data.get("name", name),
         cost=CostParams(**kw["cost"]),
         grid=GridGeometry(**kw["grid"]),
         service=ServiceConfig(**kw["service"]),

@@ -9,13 +9,13 @@ waits for the sub-route's next trip.  Each mode costs its passengers in
 one place: _fixed_columns, and _amsod_columns over the trips _amsod_drives
 yields, return each trip's operator cost, the trip cuts, and the boarded
 passengers' (id, t_k, wait, ivtt, access) columns in trip, then boarding
-order; _fixed_columns also gives per trip (spilled ids, None, depart
-time).  run_scenario folds the columns (only experiments._window_metrics
-weights them into costs, summing in that order with np.bincount; reported
-numbers depend on it) and never reads a spill.  trip_records slices the
-columns into each trip's rows, yielded with its operator cost and its
-spilled ids as a list; simulate_requests keeps them in TripLogs.
-write_trace walks the trips _amsod_drives yields.
+order; _fixed_columns also gives each trip's spilled ids.  run_scenario
+folds the columns (only experiments._window_metrics weights them into
+costs, summing in that order with np.bincount; reported numbers depend on
+it) and never reads a spill.  simulate_requests slices the columns into
+each trip's rows and keeps them, with its operator cost, its spilled ids
+and on demand its RoutePlan, in a TripLog.  write_trace walks the trips
+_amsod_drives yields.
 
 Demand travels as columns (Demand: id, x, y, t_k, home_stop) from the
 draw to both loops.  A block is consecutive draws laid end to end in one
@@ -25,7 +25,7 @@ hold all its draws' trips end to end (draw b's trip j at cut b * n + j).
 The Python loops run per draw: the on-demand trips, whose served records
 become arrays before the next draw runs, and the fixed route's capacity
 loop, on a draw that overflows it.  The per-draw entry points
-(sample_demand, trip_records, write_trace) run a block of one.
+(sample_demand, simulate_requests, write_trace) run a block of one.
 Request objects appear only at the public entry points: sample_requests
 builds them, and simulate_requests and partition_parallel turn them back
 into columns through one helper.  The schedule and the arrays a block
@@ -89,7 +89,7 @@ import csv
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
@@ -123,7 +123,7 @@ class FixedSchedule:
 
 @dataclass(frozen=True)
 class TripLog:
-    """One trip of trip_records, its spill read."""
+    """One trip of simulate_requests, its spill read."""
 
     trip_index: int
     plan: Optional[RoutePlan]  # amsod only
@@ -280,8 +280,8 @@ def _drive(streets: dict, xs: list, depart: float, svc: ServiceConfig, start_x: 
     its earliest t_k minus x / v_d) exceeds reach = t + (y_far + |by| - bx)
     / v_d + 1e-9.  Returns (served, spilled_ids, route): served records
     (request_id, t_k, arrival, point) in boarding order, a full bus's lazy
-    _spill (else ()) that only trip_records reads, and (start_x, end_x, d_y,
-    express_legs, end_time).
+    _spill (else ()) that only simulate_requests reads, and (start_x, end_x,
+    d_y, express_legs, end_time).
     """
     t = last_arrival = depart
     bx, by = start_x, 0.0
@@ -414,8 +414,8 @@ def _fixed_columns(scenario: Scenario, demand: Demand, draws: Sequence[int]):
     operator cost (a row per draw), the trip cuts (draw b's trip j boards
     rows cuts[b * n + j]:cuts[b * n + j + 1]), the boarded passengers' (id,
     t_k, wait, ivtt, access) columns in draw, trip, then boarding order,
-    and lazily per trip (spilled ids in key order, None, depart time),
-    which run_scenario never reads."""
+    and lazily each trip's list of spilled ids in key order, which
+    run_scenario never reads."""
     grid, svc = scenario.grid, scenario.service
     sched = build_schedule(grid, svc)
     n, cap, departures, n_draws = len(sched.departures), svc.capacity, np.asarray(sched.departures), len(draws) - 1
@@ -448,13 +448,9 @@ def _fixed_columns(scenario: Scenario, demand: Demand, draws: Sequence[int]):
     late = np.flatnonzero(wait < -1e-9)
     if late.size:
         raise ValueError(f"request {demand.id[board[late[0]]]} assigned to a departure it cannot catch")
-    trips = (
-        (demand.id[key[lo:hi][(first[lo:hi] <= j) & (trip[lo:hi] > j)]].tolist(), None, dep)
-        for lo, hi in zip(draws, draws[1:])
-        for j, dep in enumerate(sched.departures)
-    )
+    spills = (demand.id[key[lo:hi][(first[lo:hi] <= j) & (trip[lo:hi] > j)]].tolist() for lo, hi in zip(draws, draws[1:]) for j in range(n))
     passengers = demand.id[board], demand.t_k[board], np.maximum(wait, 0.0), rides[board], access[board]
-    return np.full((n_draws, n), scenario.cost.gamma_o * grid.gl_x), cuts, passengers, trips
+    return np.full((n_draws, n), scenario.cost.gamma_o * grid.gl_x), cuts, passengers, spills
 
 
 def _amsod_drives(scenario: Scenario, demand: Demand, draws: Sequence[int]):
@@ -538,37 +534,25 @@ def _amsod_columns(scenario: Scenario, drives) -> tuple:
     return np.reshape(c_o, (len(records), -1)), cuts, (ids, t_k, np.maximum(wait, 0.0), ivtt, np.zeros(len(ids)))
 
 
-def trip_records(scenario: Scenario, mode: str, demand: Demand):
-    """The departure loop of one mode over a demand realization, run when
-    called.  Yields per trip (c_o, rows, spilled_ids, drive, depart time):
-    the operator cost, the passenger rows (id, t_k, wait, ivtt, access) in
-    boarding order, sliced from the columns run_scenario folds, the list of
-    spilled ids and, on demand, _drive's (served, route).  demand's rows may
-    come in any order.  Unvalidated: callers validate."""
-    draws = (0, len(demand.id))  # a block of one draw
+def simulate_requests(scenario: Scenario, mode: str, requests: Sequence[Request]) -> list:
+    """Run the departure loop of one mode over a demand realization given in
+    any order (the common-random-numbers entry point): a TripLog per trip,
+    its rows sliced from the columns run_scenario folds."""
+    require_valid(scenario)
+    demand, draws = _demand(requests), (0, len(requests))  # a block of one draw
     if mode == "fixed":
-        c_o, cuts, passengers, trips = _fixed_columns(scenario, demand, draws)
+        c_o, cuts, passengers, spills = _fixed_columns(scenario, demand, draws)
+        plans = repeat(None)
     elif mode == "amsod":
         [drives] = _amsod_drives(scenario, demand, draws)
-        log = [(c, served, list(spilled), route, dep) for c, served, spilled, route, dep in drives]  # each spill read before its drive resumes
+        log = [(c, served, tuple(spilled), route, dep) for c, served, spilled, route, dep in drives]  # each spill read before its drive resumes
         c_o, cuts, passengers = _amsod_columns(scenario, [log])
-        trips = [(spilled, (served, route), dep) for _, served, spilled, route, dep in log]
+        spills, plans = [trip[2] for trip in log], [_route_plan(dep, served, route) for _, served, _, route, dep in log]
     else:
         raise ValueError(f"unknown mode {mode!r}")
     rows = list(zip(*(column.tolist() for column in passengers)))
-    return ((trip_c_o, rows[cuts[j] : cuts[j + 1]], *trip) for j, (trip_c_o, trip) in enumerate(zip(c_o[0].tolist(), trips)))
-
-
-def simulate_requests(scenario: Scenario, mode: str, requests: Sequence[Request]) -> list:
-    """Run the dispatch timeline for one mode over a given demand
-    realization (the common-random-numbers entry point); returns the
-    TripLogs of trip_records."""
-    require_valid(scenario)
-    logs = []
-    for i, (c_o, rows, spilled_ids, drive, dep) in enumerate(trip_records(scenario, mode, _demand(requests))):
-        plan = None if drive is None else _route_plan(dep, *drive)
-        logs.append(TripLog(i, plan, c_o, tuple(rows), tuple(r[0] for r in rows), tuple(spilled_ids)))
-    return logs
+    trips = zip(c_o[0].tolist(), (tuple(rows[lo:hi]) for lo, hi in zip(cuts, cuts[1:])), spills, plans)
+    return [TripLog(j, plan, c, trip, tuple(r[0] for r in trip), tuple(spilled)) for j, (c, trip, spilled, plan) in enumerate(trips)]
 
 
 def write_trace(scenario: Scenario, demand: Demand, path: Union[str, Path]) -> None:

@@ -135,10 +135,11 @@ def evaluate_fixed_trip(
 
 
 def reference_fixed_records(scenario: Scenario, demand: Demand):
-    """The fixed-route departure loop as a cohort loop, yielding what
-    simulator.trip_records does: each trip sorts the spill of the trip
-    before with its new arrivals by (stop, ready time, id) tuple and
-    boards the first capacity of them."""
+    """The fixed-route departure loop as a cohort loop, yielding per trip
+    (c_o, rows, spilled ids), as simulator.simulate_requests' TripLogs
+    hold them: each trip sorts the spill of the trip before with its new
+    arrivals by (stop, ready time, id) tuple and boards the first capacity
+    of them."""
     grid, svc, cost = scenario.grid, scenario.service, scenario.cost
     sched = build_schedule(grid, svc)
     rows, first = _boarding_rows(demand, sched, grid, svc)
@@ -150,7 +151,7 @@ def reference_fixed_records(scenario: Scenario, demand: Demand):
     for dep, new in zip(sched.departures, arrivals):
         cand = sorted(spilled + new)
         spilled = cand[svc.capacity :]
-        yield (*_fixed_rows(cand[: svc.capacity], dep, sched, cost, grid), (c[2] for c in spilled), None, dep)
+        yield (*_fixed_rows(cand[: svc.capacity], dep, sched, cost, grid), [c[2] for c in spilled])
 
 
 def reference_window_metrics(scenario: Scenario, trips) -> dict:

@@ -363,6 +363,15 @@ def test_emit_report_files(tmp_path, model1):
     assert data["delta_tc"]["median"] == run.delta_tc.median
 
 
+def test_scenario_built_in_code_cannot_write_outside_out(tmp_path, model1):
+    # the plain-file-name rule holds at every entry point, not only for a
+    # scenario file: a name with a path in it is refused before anything runs
+    scn = replace(model1, name="../escaped")
+    with pytest.raises(ScenarioError, match="name: not a plain file name"):
+        E.emit_report(E.run_scenario(scn, replications=2), tmp_path / "out", fmt="json")
+    assert not any(tmp_path.iterdir())
+
+
 def test_emit_report_rejects_empty():
     run = E.ScenarioRun(
         scenario_name="x",
@@ -529,7 +538,7 @@ def test_blocks_equal_a_replay_draw_by_draw(request, label):
     # J crosses two block boundaries and ends on a short block; on 3
     # workers each range (12, 12 and 11 replications) is shorter than a
     # block.  Every replication must equal its draw made and run alone
-    # through trip_records.
+    # through simulate_requests.
     scn, J, seed = _block_case(request, label), 2 * E.BLOCK + 3, (3,)
     reqs = [sample_requests(scn.grid, scn.service, E.replication_rng(seed, r)) for r in range(J)]
     logs = [{mode: simulate_requests(scn, mode, q) for mode in E.MODES} for q in reqs]

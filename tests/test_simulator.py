@@ -524,15 +524,14 @@ def _variant(scn, variant):
 @pytest.mark.parametrize("setting", ["shipped", "cap5_200", "lambda480"])
 @pytest.mark.parametrize("name", ["model1", "model2", "cta126", "cta84"])
 def test_fixed_matches_cohort_reference(request, name, setting):
-    # every trip's operator cost, rows, spill and departure equal the
-    # sort-per-trip cohort loop's, with no tolerance
+    # every trip's operator cost, rows and spill equal the sort-per-trip
+    # cohort loop's, with no tolerance
     scn = _variant(request.getfixturevalue(name), setting)
     spills = 0
     for seed in range(10):
-        demand = S.sample_demand(scn.grid, scn.service, seed)
-        got = [(c_o, rows, list(spilled), dep) for c_o, rows, spilled, _, dep in S.trip_records(scn, "fixed", demand)]
-        want = [(c_o, rows, list(spilled), dep) for c_o, rows, spilled, _, dep in O.reference_fixed_records(scn, demand)]
-        assert got == want, seed
+        reqs = S.sample_requests(scn.grid, scn.service, seed)
+        got = [(log.c_o, list(log.rows), list(log.spilled_ids)) for log in S.simulate_requests(scn, "fixed", reqs)]
+        assert got == list(O.reference_fixed_records(scn, S._demand(reqs))), seed
         spills += sum(len(trip[2]) for trip in got)
     assert spills or setting == "shipped"  # the loaded settings spill
 
@@ -540,29 +539,15 @@ def test_fixed_matches_cohort_reference(request, name, setting):
 @pytest.mark.parametrize("name, variant", [("model1", "shipped"), ("model1", "zonal3"), ("model1", "parallel2"), ("cta126", "lambda480")])
 def test_amsod_rows_match_row_by_row_reference(request, name, variant):
     # every on-demand trip's rows equal the oracle's row-by-row costing of
-    # the trip's own drive, signed zeros included
+    # the trip's own plan, signed zeros included
     scn = _variant(request.getfixturevalue(name), variant)
     rows = 0
     for seed in range(5):
-        demand = S.sample_demand(scn.grid, scn.service, seed)
-        for _, got, _, drive, _ in S.trip_records(scn, "amsod", demand):
-            assert repr(got) == repr(O._amsod_rows(*drive, scn.service)), seed
-            rows += len(got)
+        reqs = S.sample_requests(scn.grid, scn.service, seed)
+        for log in S.simulate_requests(scn, "amsod", reqs):
+            assert repr(list(log.rows)) == repr(O.evaluate_amsod_trip(log.plan, scn.cost, scn.service, reqs)[1]), seed
+            rows += len(log.rows)
     assert rows
-
-
-@pytest.mark.parametrize("mode", ["fixed", "amsod"])
-@pytest.mark.parametrize("name, variant", [("cta126", "lambda480"), ("model1", "cap5_200")])
-def test_spills_do_not_depend_on_when_they_are_read(request, name, variant, mode):
-    # collecting every trip first gives the spills that reading each trip's
-    # spill before the loop advances gives, trip for trip and in order
-    scn = _variant(request.getfixturevalue(name), variant)
-    for seed in range(3):
-        demand = S.sample_demand(scn.grid, scn.service, seed)
-        collected = [list(spilled) for _, _, spilled, _, _ in list(S.trip_records(scn, mode, demand))]
-        read = [list(spilled) for _, _, spilled, _, _ in S.trip_records(scn, mode, demand)]
-        assert collected == read, seed
-        assert any(read), seed  # the loaded settings spill
 
 
 def test_simulated_means_near_analytic(model1):
@@ -775,11 +760,13 @@ def test_request_made_when_the_bus_can_first_reach_it_is_served(model1):
     assert logs[0].plan.pickups[0].time == 0.0 + (0.2 + 2.0) * inv_v
 
 
-def test_amsod_takes_a_block_in_any_order(model1):
+@pytest.mark.parametrize("variant", ["shipped", "zonal3", "parallel2"])
+def test_amsod_takes_a_block_in_any_order(model1, variant):
     # a 3-draw block whose rows are shuffled within each draw gives the
     # trips of the block as drawn, each spill read before its drive
     # resumes; a shuffled Request list gives the same TripLogs in both modes
-    scn = replace(model1, service=replace(model1.service, capacity=5, demand_rate=200.0))
+    scn = _variant(model1, variant)
+    scn = replace(scn, service=replace(scn.service, capacity=5, demand_rate=200.0))
     demand, draws = S._sample_block(scn.grid, scn.service, [np.random.default_rng(s) for s in (5, 6, 7)])
     rng = np.random.default_rng(8)
     perm = np.concatenate([lo + rng.permutation(hi - lo) for lo, hi in zip(draws, draws[1:])])
@@ -802,6 +789,21 @@ def test_amsod_takes_a_block_in_any_order(model1):
 def test_unknown_mode_refused(model1):
     with pytest.raises(ValueError, match="'bus'"):
         S.simulate_requests(model1, "bus", [Request(0, 5.0, 0.2, 0.0, 12)])
+
+
+def _amsod_trips(scn, requests):
+    """simulate_requests' on-demand trips in _reference_amsod's rows."""
+    return [
+        (
+            list(log.served_ids),
+            list(log.spilled_ids),
+            list(log.plan.waypoints),
+            [(p.request_id, p.time, p.point, p.remaining_stops) for p in log.plan.pickups],
+            log.plan.d_y,
+            log.plan.end_time,
+        )
+        for log in S.simulate_requests(scn, "amsod", requests)
+    ]
 
 
 def _reference_amsod(scn, requests):
@@ -863,7 +865,7 @@ def test_amsod_matches_per_trip_regrouping_reference(model1, variant):
         svc = replace(svc, n_zones=3, v_h=60.0)
     elif variant == "parallel2":
         svc = replace(svc, n_parallel=2)
-    rng, shuffle = np.random.default_rng(2718), np.random.default_rng(27)
+    rng = np.random.default_rng(2718)
     for trial in range(60):
         scn = replace(model1, service=replace(svc, capacity=int(rng.integers(1, 4))))
         n = int(rng.integers(0, 40))
@@ -871,21 +873,7 @@ def test_amsod_matches_per_trip_regrouping_reference(model1, variant):
         y = rng.uniform(-scn.grid.max_gl_y, scn.grid.max_gl_y, n).tolist()
         t_k = np.sort(rng.uniform(0.0, svc.horizon, n)).tolist()
         reqs = [Request(i, x[i], y[i], t_k[i], 0) for i in range(n)]
-        logs = S.simulate_requests(scn, "amsod", reqs)
-        got = [
-            (
-                list(log.served_ids),
-                list(log.spilled_ids),
-                list(log.plan.waypoints),
-                [(p.request_id, p.time, p.point, p.remaining_stops) for p in log.plan.pickups],
-                log.plan.d_y,
-                log.plan.end_time,
-            )
-            for log in logs
-        ]
-        assert got == _reference_amsod(scn, reqs), f"trial {trial}"
-        # the list's order is not the time order: the same trips
-        assert S.simulate_requests(scn, "amsod", [reqs[i] for i in shuffle.permutation(n)]) == logs, f"trial {trial}"
+        assert _amsod_trips(scn, reqs) == _reference_amsod(scn, reqs), f"trial {trial}"
 
 
 @pytest.mark.parametrize("variant", ["shipped", "zonal3", "parallel2"])
@@ -910,19 +898,19 @@ def test_amsod_matches_reference_on_crowded_points(model1, variant):
         t_k = np.sort(rng.uniform(0.0, svc.horizon, n)).tolist()
         ids = rng.permutation(n).tolist()
         reqs = [Request(ids[i], points[at[i]][0] + jitter[i, 0], points[at[i]][1] + jitter[i, 1], t_k[i], 0) for i in range(n)]
-        logs = S.simulate_requests(scn, "amsod", reqs)
-        got = [
-            (
-                list(log.served_ids),
-                list(log.spilled_ids),
-                list(log.plan.waypoints),
-                [(p.request_id, p.time, p.point, p.remaining_stops) for p in log.plan.pickups],
-                log.plan.d_y,
-                log.plan.end_time,
-            )
-            for log in logs
-        ]
-        assert got == _reference_amsod(scn, reqs), f"trial {trial}"
+        assert _amsod_trips(scn, reqs) == _reference_amsod(scn, reqs), f"trial {trial}"
+
+
+@pytest.mark.parametrize("name, variant", [("cta126", "lambda480"), ("cta84", "lambda480"), ("model1", "cap5_200"), ("model2", "cap5_200")])
+def test_amsod_matches_reference_on_loaded_draws(request, name, variant):
+    # sampled draws that fill the bus on most trips: every trip, its
+    # spill included, equals the per-trip regrouping reference's
+    scn = _variant(request.getfixturevalue(name), variant)
+    for seed in range(3):
+        reqs = S.sample_requests(scn.grid, scn.service, seed)
+        got = _amsod_trips(scn, reqs)
+        assert got == _reference_amsod(scn, reqs), seed
+        assert sum(len(trip[1]) for trip in got) > 1000, seed  # the loaded settings spill
 
 
 @pytest.mark.parametrize("capacity", [1, 2, 3])
@@ -959,19 +947,7 @@ def test_street_keys_follow_streets_that_empty_and_refill(model1, monkeypatch, v
         t_k = np.sort(rng.uniform(0.0, svc.horizon, m)).tolist()
         reqs = [Request(i, x[i], y[i], t_k[i], 0) for i in range(m)]
         keys.clear()
-        logs = S.simulate_requests(scn, "amsod", reqs)
-        got = [
-            (
-                list(log.served_ids),
-                list(log.spilled_ids),
-                list(log.plan.waypoints),
-                [(p.request_id, p.time, p.point, p.remaining_stops) for p in log.plan.pickups],
-                log.plan.d_y,
-                log.plan.end_time,
-            )
-            for log in logs
-        ]
-        assert got == _reference_amsod(scn, reqs), f"trial {trial}"
+        assert _amsod_trips(scn, reqs) == _reference_amsod(scn, reqs), f"trial {trial}"
         # held on trip i, every candidate served by it, held again on trip i + n
         refilled += sum(not held[x] & keys[i + n][x] for i, held in enumerate(keys[:-n]) for x in held.keys() & keys[i + n].keys())
     assert refilled
